@@ -77,8 +77,8 @@
 // serve.go for the request schema.
 //
 // -metrics-addr serves live telemetry while the run executes:
-// /metrics (Prometheus text), /debug/vars (expvar), and /debug/pprof/
-// (CPU profiles carry per-cell scenario labels). -trace appends one
+// /metrics (Prometheus text) and /debug/pprof/ (CPU profiles carry
+// per-cell scenario labels). -trace appends one
 // JSON event per freshly simulated cell — its build/sim/score phase
 // timings and simulator event counts — to a file; -json embeds the
 // same collector snapshot under "telemetry".
@@ -178,7 +178,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		storeDir  = fs.String("store", "", "persistent result store directory: cells computed by any prior run sharing it are answered from disk instead of simulated, and fresh results persist for future runs")
 		serveAddr = fs.String("serve", "", "run as a long-lived HTTP/JSON service on this address (POST /sweep, POST /recommend, GET /healthz); pair with -store for a disk-warm cache")
 
-		metricsAddr = fs.String("metrics-addr", "", "serve live telemetry on this address during the run: /metrics (Prometheus text), /debug/vars (expvar), /debug/pprof/ (e.g. localhost:6060)")
+		metricsAddr = fs.String("metrics-addr", "", "serve live telemetry on this address during the run: /metrics (Prometheus text), /debug/pprof/ (e.g. localhost:6060)")
 		traceFile   = fs.String("trace", "", "append one JSON trace event per freshly simulated cell to this file (build/sim/score phase timings, simulator event counts)")
 
 		sweep     = fs.Bool("sweep", false, "sweep scenarios instead of running paper experiments")
@@ -317,7 +317,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		defer stop()
-		fmt.Fprintf(stderr, "qoebench: serving /metrics, /debug/vars, /debug/pprof/ on http://%s\n", bound)
+		fmt.Fprintf(stderr, "qoebench: serving /metrics, /debug/pprof/ on http://%s\n", bound)
 	}
 
 	if *storeDir != "" {

@@ -1,50 +1,27 @@
 package main
 
 import (
-	"expvar"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
-	"sync/atomic"
 
 	"bufferqoe"
 )
 
-// expvarCol backs the process-wide "qoe" expvar. expvar.Publish
-// panics on duplicate names, so the var is published once and reads
-// whichever collector the current run installed.
-var (
-	expvarCol  atomic.Pointer[bufferqoe.Collector]
-	expvarOnce sync.Once
-)
-
-func publishExpvar(col *bufferqoe.Collector) {
-	expvarCol.Store(col)
-	expvarOnce.Do(func() {
-		expvar.Publish("qoe", expvar.Func(func() any {
-			return expvarCol.Load().Metrics()
-		}))
-	})
-}
-
 // newMetricsMux builds the -metrics-addr handler:
 //
 //	/metrics       Prometheus text exposition of the run's collector
-//	/debug/vars    expvar JSON (cmdline, memstats, and a "qoe" block)
 //	/debug/pprof/  the standard pprof index, profiles, and traces
 //
 // CPU profiles taken during a sweep carry the engine's pprof labels
 // (qoe_testbed/qoe_scenario/qoe_media/qoe_buffer), so samples
 // attribute to scenario coordinates.
 func newMetricsMux(col *bufferqoe.Collector) *http.ServeMux {
-	publishExpvar(col)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		col.WritePrometheus(w)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

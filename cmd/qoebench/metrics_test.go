@@ -13,8 +13,8 @@ import (
 )
 
 // TestMetricsServer: the -metrics-addr server exposes Prometheus
-// text, expvar JSON with a qoe block, and the pprof index, all
-// reflecting a sweep run on the observed session.
+// text reflecting a sweep run on the observed session and the pprof
+// index — and nothing else (the expvar twin of /metrics is gone).
 func TestMetricsServer(t *testing.T) {
 	col := bufferqoe.NewCollector()
 	addr, stop, err := startMetricsServer("127.0.0.1:0", col)
@@ -58,14 +58,13 @@ func TestMetricsServer(t *testing.T) {
 		}
 	}
 
-	var vars struct {
-		Qoe bufferqoe.Metrics `json:"qoe"`
-	}
-	if err := json.Unmarshal([]byte(get("/debug/vars")), &vars); err != nil {
+	resp, err := http.Get("http://" + addr + "/debug/vars")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if vars.Qoe.CellsSimulated != 2 || vars.Qoe.PhaseCells != 2 {
-		t.Fatalf("expvar qoe block = %+v", vars.Qoe)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /debug/vars = %s, want 404", resp.Status)
 	}
 
 	if idx := get("/debug/pprof/"); !strings.Contains(idx, "goroutine") {

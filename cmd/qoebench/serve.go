@@ -195,6 +195,11 @@ func decodeRequest(w http.ResponseWriter, r *http.Request) (q serveRequest, ok b
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return q, false
 	}
+	// One JSON object is the whole request; only whitespace may follow.
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		writeError(w, http.StatusBadRequest, "bad request body: trailing data after the JSON object")
+		return q, false
+	}
 	return q, true
 }
 

@@ -136,6 +136,8 @@ func TestServeBadRequests(t *testing.T) {
 	}{
 		{"bad json", "/sweep", `{"buffers": `, http.StatusBadRequest},
 		{"unknown field", "/sweep", `{"bufffers": [16]}`, http.StatusBadRequest},
+		{"trailing garbage", "/sweep", `{"buffers":[8]} trailing garbage`, http.StatusBadRequest},
+		{"second object", "/recommend", `{"buffers":[8]} {"buffers":[16]}`, http.StatusBadRequest},
 		{"unknown workload", "/sweep", `{"workloads": ["nonsense"]}`, http.StatusBadRequest},
 		{"bad target", "/recommend", `{"target": "fastest"}`, http.StatusBadRequest},
 		{"multi-workload recommend", "/recommend", `{"workloads": ["noBG", "long-many"]}`, http.StatusBadRequest},

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"bufferqoe/internal/aqm"
-	"bufferqoe/internal/netem"
 	"bufferqoe/internal/qoe"
-	"bufferqoe/internal/sim"
 	"bufferqoe/internal/sizing"
 	"bufferqoe/internal/tcp"
 	"bufferqoe/internal/testbed"
@@ -22,36 +19,17 @@ import (
 // self-tuning ARED variant, PIE (the DOCSIS answer), and FQ-CoDel
 // (the home-router answer, adding flow isolation).
 func ablationAQM(s *Session, o Options) (*Result, error) {
-	queues := []struct {
-		name    string
-		factory queueFactory
-	}{
-		{"drop-tail", nil},
-		{"codel", func(capPkts int, _ uint64) netem.Queue {
-			return aqm.NewCoDelForRate(capPkts, testbed.AccessUpRate)
-		}},
-		{"red", func(capPkts int, seed uint64) netem.Queue {
-			return aqm.NewRED(capPkts, sim.NewRNG(seed, "red"))
-		}},
-		{"ared", func(capPkts int, seed uint64) netem.Queue {
-			return aqm.NewARED(capPkts, sim.NewRNG(seed, "ared"))
-		}},
-		{"pie", func(capPkts int, seed uint64) netem.Queue {
-			return aqm.NewPIE(capPkts, sim.NewRNG(seed, "pie"))
-		}},
-		{"fq-codel", func(capPkts int, _ uint64) netem.Queue {
-			return aqm.NewFQCoDelForRate(capPkts, testbed.AccessUpRate)
-		}},
-	}
-	cols := make([]string, 0, len(queues))
+	cols := []string{"drop-tail", "codel", "red", "ared", "pie", "fq-codel"}
 	var jobs []cellJob
-	for _, q := range queues {
-		cols = append(cols, q.name)
-		v := accessVariant{upQueue: q.factory}
-		if q.factory != nil {
-			v.tag = "queue=" + q.name
+	for _, q := range cols {
+		// The names are aqmFactory's own; RNG-bearing disciplines
+		// label their stream by name.
+		factory, _ := aqmFactory(q, testbed.AccessUpRate, q)
+		v := variant{upQueue: factory}
+		if factory != nil {
+			v.tag = "queue=" + q
 		}
-		jobs = append(jobs, cellJob{voipAccessTask(o, "long-many", testbed.DirUp, 256, v), "", q.name})
+		jobs = append(jobs, cellJob{cellTask(o, accessNet, "long-many", testbed.DirUp, 256, v, voipFG), "", q})
 	}
 	g := NewGrid("Ablation: AQM at a bloated (256-pkt) uplink, upstream long-many workload",
 		[]string{"talk MOS", "listen MOS"}, cols)
@@ -71,13 +49,13 @@ func ablationAQM(s *Session, o Options) (*Result, error) {
 func ablationCC(s *Session, o Options) (*Result, error) {
 	g := NewGrid("Ablation: background congestion control (access, 64-pkt buffers, bidir long-few)",
 		[]string{"listen MOS", "talk MOS"}, []string{"cubic", "reno"})
-	variants := map[string]accessVariant{
+	variants := map[string]variant{
 		"cubic": {},
 		"reno":  {tag: "cc=reno", cc: tcp.NewReno},
 	}
 	var jobs []cellJob
 	for _, cc := range []string{"cubic", "reno"} {
-		jobs = append(jobs, cellJob{voipAccessTask(o, "long-few", testbed.DirBidir, 64, variants[cc]), "", cc})
+		jobs = append(jobs, cellJob{cellTask(o, accessNet, "long-few", testbed.DirBidir, 64, variants[cc], voipFG), "", cc})
 	}
 	s.runCells(jobs, func(_, col string, v any) {
 		p := v.(voipScore)
@@ -115,8 +93,7 @@ func ablationLoadAware(s *Session, o Options) (*Result, error) {
 		}
 		for _, label := range labels {
 			buf := choices[label]
-			jobs = append(jobs, cellJob{webAccessTask(o, sc.name, testbed.DirDown, buf,
-				accessVariant{bufUp: 8}, 0), sc.name, label})
+			jobs = append(jobs, cellJob{cellTask(o, accessNet, sc.name, testbed.DirDown, buf, variant{bufUp: 8}, webFG(0)), sc.name, label})
 			chosen[sc.name+"/"+label] = buf
 		}
 	}
@@ -142,7 +119,7 @@ func ablationSmoothing(s *Session, o Options) (*Result, error) {
 	for _, buf := range []int{8, 64} {
 		for _, smooth := range []bool{true, false} {
 			label := map[bool]string{true: "smooth", false: "burst"}[smooth]
-			jobs = append(jobs, cellJob{smoothingTask(o, buf, smooth), "", fmt.Sprintf("%s-%dpkt", label, buf)})
+			jobs = append(jobs, cellJob{cellTask(o, accessNet, "noBG", testbed.DirDown, buf, variant{}, smoothingFG(smooth)), "", fmt.Sprintf("%s-%dpkt", label, buf)})
 		}
 	}
 	s.runCells(jobs, func(_, col string, v any) {

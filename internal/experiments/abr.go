@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"bufferqoe/internal/qoe"
+	"bufferqoe/internal/testbed"
 )
 
 // extABR carries the paper's §10 HTTP-video future work one step
@@ -27,7 +28,7 @@ func extABR(s *Session, o Options) (*Result, error) {
 			if player == "progressive-4M" {
 				kind = "progressive"
 			}
-			jobs = append(jobs, cellJob{httpVideoTask(o, s, 749, kind), player, s})
+			jobs = append(jobs, cellJob{cellTask(o, backboneNet, s, testbed.DirDown, 749, variant{}, httpVideoFG(kind)), player, s})
 		}
 	}
 	s.runCells(jobs, func(row, col string, v any) {

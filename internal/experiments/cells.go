@@ -10,6 +10,7 @@ import (
 	"bufferqoe/internal/netem"
 	"bufferqoe/internal/qoe"
 	"bufferqoe/internal/sim"
+	"bufferqoe/internal/sizing"
 	"bufferqoe/internal/stats"
 	"bufferqoe/internal/tcp"
 	"bufferqoe/internal/telemetry"
@@ -60,14 +61,15 @@ type bgMetrics struct {
 // RED must draw from the cell's stream, not the root seed).
 type queueFactory func(capPkts int, seed uint64) netem.Queue
 
-// accessVariant bundles the non-default access-testbed knobs a cell
-// may carry together with the canonical tag that distinguishes them
-// in the cell cache. The zero value — empty tag — is the paper's
-// default configuration; builders must keep tag and knobs in sync, as
-// the tag is what the cache sees. Custom link parameters travel
-// separately (CellSpec.Link, see linkTag) so the same variant tag can
-// apply to any link.
-type accessVariant struct {
+// variant bundles the non-default testbed knobs a cell may carry
+// together with the canonical tag that distinguishes them in the cell
+// cache. The zero value — empty tag — is the paper's default
+// configuration; builders must keep tag and knobs in sync, as the tag
+// is what the cache sees. Custom link parameters travel separately
+// (CellSpec.Link, see linkTag) so the same variant tag can apply to
+// any link. Link, jitter and the uplink knobs exist on the access shape
+// only; ProbeSpec.normalize rejects them elsewhere.
+type variant struct {
 	tag       string
 	bufUp     int // uplink buffer override; 0 = same as downlink
 	upQueue   queueFactory
@@ -83,13 +85,9 @@ type accessVariant struct {
 	mix *testbed.Workload
 }
 
-func (v accessVariant) config(buf int, seed uint64) testbed.Config {
-	up := buf
-	if v.bufUp != 0 {
-		up = v.bufUp
-	}
+func (v variant) config(buf int, seed uint64) testbed.Config {
 	cfg := testbed.Config{
-		BufferUp: up, BufferDown: buf, Seed: seed,
+		BufferUp: v.bufUp, BufferDown: buf, Seed: seed,
 		CC: v.cc, TCP: v.tcpCfg, Jitter: v.jitter, Link: v.link,
 	}
 	if v.upQueue != nil {
@@ -130,74 +128,67 @@ func linkTag(lp testbed.LinkParams) string {
 	return tag
 }
 
+// network is what the experiments layer knows about a testbed shape:
+// its CellSpec name, its constructor and Table 1 workload table, and
+// the paper's per-testbed choices.
+type network struct {
+	name   string // CellSpec.Testbed
+	build  func(testbed.Config) *testbed.Testbed
+	preset func(name string, dir testbed.Direction) (testbed.Spec, error)
+	// duplex networks congest either direction (both bottleneck queues
+	// are under test, calls are bidirectional); the others are
+	// downstream-only as in the paper.
+	duplex    bool
+	webModel  func() qoe.WebModel
+	cc        string   // the paper's background congestion control
+	scenarios []string // Table 1 workload names
+	buffers   []int    // Table 2 buffer sizes
+}
+
+var (
+	accessNet = &network{
+		name: "access", build: testbed.NewAccess, preset: testbed.LookupAccessScenario,
+		duplex: true, webModel: qoe.AccessWebModel, cc: "cubic",
+		scenarios: testbed.AccessScenarioNames, buffers: sizing.AccessBufferSizes,
+	}
+	backboneNet = &network{
+		name: "backbone", build: testbed.NewBackbone,
+		preset: func(name string, _ testbed.Direction) (testbed.Spec, error) {
+			return testbed.LookupBackboneScenario(name)
+		},
+		webModel: qoe.BackboneWebModel, cc: "reno",
+		scenarios: testbed.BackboneScenarioNames, buffers: sizing.BackboneBufferSizes,
+	}
+	networks = map[string]*network{accessNet.name: accessNet, backboneNet.name: backboneNet}
+)
+
 // workload bundles the canonical workload axis of a cell: the
 // scenario/direction strings the CellSpec carries (cache key and CRN
 // seed stimulus) and the resolved session populations the cell
-// starts. Resolution happens at task-build time on the caller's
-// goroutine — workers only ever see an already-resolved Spec, so an
-// unknown workload name can never panic a worker.
+// starts.
 type workload struct {
 	name string       // CellSpec.Scenario: preset name or canonical mix encoding
 	dir  string       // CellSpec.Direction: "" for custom mixes (they encode direction)
 	spec testbed.Spec // populations to start; empty = idle (noBG)
 }
 
-// accessWL resolves an access workload at build time: a custom mix
-// when non-nil, the named Table 1 preset masked by dir otherwise.
-// Preset names on this path are either literals from the preset
-// tables (experiment grids) or pre-validated by ProbeSpec.normalize,
-// so the panic is a programming-error guard on the caller's
-// goroutine, not a reachable worker crash.
-func accessWL(scenario string, dir testbed.Direction, mix *testbed.Workload) workload {
+// workload resolves a cell's workload: a custom mix when non-nil, the
+// named Table 1 preset masked by dir otherwise. It runs at task-build
+// time on the caller's goroutine — workers only ever see an
+// already-resolved Spec. Preset names on this path are either literals
+// from the preset tables (experiment grids) or pre-validated by
+// ProbeSpec.normalize, so the panic is a programming-error guard, not
+// a reachable worker crash.
+func (n *network) workload(scenario string, dir testbed.Direction, mix *testbed.Workload) workload {
 	if mix != nil {
 		return workload{name: mix.Encode(), spec: mix.Spec(mix.Encode())}
 	}
-	spec, err := testbed.LookupAccessScenario(scenario, dir)
+	spec, err := n.preset(scenario, dir)
 	if err != nil {
 		panic("experiments: " + err.Error())
 	}
+	// CellSpec.Canonical drops the direction where none exists.
 	return workload{name: scenario, dir: dir.String(), spec: spec}
-}
-
-// backboneWL is accessWL for the backbone's direction-less workloads.
-func backboneWL(scenario string, mix *testbed.Workload) workload {
-	if mix != nil {
-		return workload{name: mix.Encode(), spec: mix.Spec(mix.Encode())}
-	}
-	spec, err := testbed.LookupBackboneScenario(scenario)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	return workload{name: scenario, spec: spec}
-}
-
-// start launches the resolved populations; idle workloads (noBG and
-// empty mixes) leave the testbed untouched, exactly like the historic
-// `scenario != "noBG"` guard.
-func (w workload) start(tb interface{ StartWorkload(testbed.Spec) }) {
-	if w.spec.HasTraffic() {
-		tb.StartWorkload(w.spec)
-	}
-}
-
-// backboneVariant is accessVariant's counterpart for the backbone
-// testbed: congestion control, TCP tuning, and the bottleneck queue
-// discipline (applied to the congested server->client direction).
-type backboneVariant struct {
-	tag       string
-	downQueue queueFactory
-	cc        func() tcp.CongestionControl
-	tcpCfg    tcp.Config
-	mix       *testbed.Workload // see accessVariant.mix
-}
-
-func (v backboneVariant) config(buf int, seed uint64) testbed.Config {
-	cfg := testbed.Config{BufferDown: buf, Seed: seed, CC: v.cc, TCP: v.tcpCfg}
-	if v.downQueue != nil {
-		qf := v.downQueue
-		cfg.DownQueue = func(capPkts int) netem.Queue { return qf(capPkts, seed) }
-	}
-	return cfg
 }
 
 // joinTags joins non-empty canonical tag fragments with ";".
@@ -255,17 +246,63 @@ func finishCell(pc *telemetry.PhaseClock, sp engine.CellSpec, se *sim.Engine, nw
 	pc.Done(sp.String(), simMetricsOf(se, nw))
 }
 
-// --- VoIP cells ---------------------------------------------------
+// --- The cell builder ---------------------------------------------
 
-// voipAccessTask describes one access VoIP cell: Reps bidirectional
-// calls under the named workload at the given buffers.
-func voipAccessTask(o Options, scenario string, dir testbed.Direction, buf int, v accessVariant) engine.Task {
-	wl := accessWL(scenario, dir, v.mix)
+// optFields names the Options fields a foreground's outcome depends
+// on; only those enter its CellSpec (a web cell does not read
+// ClipSeconds, so probes with different clip settings share it).
+type optFields uint8
+
+const (
+	optWarmup optFields = 1 << iota
+	optReps
+	optStop // the adaptive-replication rule gates the rep loop
+	optClip
+	optDuration
+)
+
+// foreground is the measurement a cell runs on its testbed: a VoIP,
+// web or video rep loop, or a characterization of the background
+// itself.
+type foreground struct {
+	media string // CellSpec.Media
+	// lead and trail are the foreground's own Variant fragments, placed
+	// before and after the variant's tag.
+	lead, trail string
+	uses        optFields
+	// run measures on the built, workload-started testbed and returns
+	// the cell value. o carries the cell's derived seed. It marks the
+	// end of the build and sim phases on pc.
+	run func(n *network, tb *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) any
+}
+
+// cellTask describes one cell: the foreground measured on the network
+// under the named workload (or v.mix) at the given downlink buffer.
+// Every testbed cell of every runner and probe is built here, so the
+// CellSpec a configuration maps to — its cache key, store address and
+// CRN seed — is decided in exactly one place.
+func cellTask(o Options, n *network, scenario string, dir testbed.Direction, buf int, v variant, fg foreground) engine.Task {
+	wl := n.workload(scenario, dir, v.mix)
 	sp := engine.CellSpec{
-		Testbed: "access", Scenario: wl.name, Direction: wl.dir,
-		Buffer: buf, BufferUp: v.bufUp, Media: "voip", Variant: v.tag,
-		Link: linkTag(v.link), Stop: o.stop().tag(),
-		Seed: o.Seed, Warmup: o.Warmup, Reps: o.Reps,
+		Testbed: n.name, Scenario: wl.name, Direction: wl.dir,
+		Buffer: buf, BufferUp: v.bufUp, Media: fg.media,
+		Variant: joinTags(fg.lead, v.tag, fg.trail), Link: linkTag(v.link),
+		Seed: o.Seed,
+	}
+	if fg.uses&optWarmup != 0 {
+		sp.Warmup = o.Warmup
+	}
+	if fg.uses&optReps != 0 {
+		sp.Reps = o.Reps
+	}
+	if fg.uses&optStop != 0 {
+		sp.Stop = o.stop().tag()
+	}
+	if fg.uses&optClip != 0 {
+		sp.ClipSeconds = o.ClipSeconds
+	}
+	if fg.uses&optDuration != 0 {
+		sp.Duration = o.Duration
 	}
 	return engine.Task{Spec: sp, Fn: func(sp engine.CellSpec, seed uint64, scr engine.Scratch) any {
 		cs := scratchOf(scr)
@@ -274,195 +311,122 @@ func voipAccessTask(o Options, scenario string, dir testbed.Direction, buf int, 
 		oc.Seed = seed
 		cfg := v.config(buf, seed)
 		cfg.Scratch = cs.tb()
-		a := testbed.NewAccess(cfg)
-		wl.start(a)
+		tb := n.build(cfg)
+		// Idle workloads (noBG and empty mixes) leave the testbed
+		// untouched.
+		if wl.spec.HasTraffic() {
+			tb.StartWorkload(wl.spec)
+		}
+		val := fg.run(n, tb, oc, cs, &pc)
+		finishCell(&pc, sp, tb.Eng, tb.Net)
+		return val
+	}}
+}
+
+// --- VoIP foregrounds ---------------------------------------------
+
+// voipFG is Reps calls under the workload: bidirectional pairs scored
+// per direction (plus the uplink-path characteristics the ablations
+// read) on a duplex network, the paper's unidirectional server ->
+// client calls and a bare median MOS otherwise.
+var voipFG = foreground{
+	media: "voip", uses: optWarmup | optReps | optStop,
+	run: func(n *network, tb *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) any {
 		pc.Mark(telemetry.PhaseBuild)
-		listen, talk := runVoIPPair(a, oc, cs, &pc)
-		now := a.Eng.Now()
-		score := voipScore{
+		if !n.duplex {
+			rule := o.stop()
+			mosS := cs.sample(0)
+			runCalls(tb, o, cs, false, func(r voip.Result) bool {
+				mosS.Add(r.MOS)
+				return mosS.N() == o.Reps || rule.done(mosS)
+			})
+			pc.Mark(telemetry.PhaseSim)
+			recordReps(o, mosS.N(), mosS.N() < o.Reps)
+			return mosS.Median()
+		}
+		listen, talk := runVoIPPair(tb, o, cs, pc)
+		return voipScore{
 			Listen: listen, Talk: talk,
-			UpDelayMs: a.UpMon.MeanDelayMs(),
-			UpUtilPct: a.UpLinkMonitor().MeanUtilization(now),
+			UpDelayMs: tb.UpMon.MeanDelayMs(),
+			UpUtilPct: tb.UpLinkMonitor().MeanUtilization(tb.Eng.Now()),
 		}
-		finishCell(&pc, sp, a.Eng, a.Net)
-		return score
-	}}
+	},
 }
 
-// voipAccessCell runs one access VoIP cell through the session's
-// engine.
-func (s *Session) voipAccessCell(o Options, scenario string, dir testbed.Direction, buf int, v accessVariant) voipScore {
-	t := voipAccessTask(o, scenario, dir, buf, v)
-	return s.runOne(t).(voipScore)
-}
-
-// voipBackboneTask describes one backbone VoIP cell (unidirectional
-// calls, server -> client).
-func voipBackboneTask(o Options, scenario string, buf int, v backboneVariant) engine.Task {
-	wl := backboneWL(scenario, v.mix)
-	sp := engine.CellSpec{
-		Testbed: "backbone", Scenario: wl.name, Buffer: buf, Media: "voip",
-		Variant: v.tag, Stop: o.stop().tag(),
-		Seed: o.Seed, Warmup: o.Warmup, Reps: o.Reps,
-	}
-	return engine.Task{Spec: sp, Fn: func(sp engine.CellSpec, seed uint64, scr engine.Scratch) any {
-		cs := scratchOf(scr)
-		pc := o.Collector.StartCell()
-		oc := o
-		oc.Seed = seed
-		cfg := v.config(buf, seed)
-		cfg.Scratch = cs.tb()
-		b := testbed.NewBackbone(cfg)
-		wl.start(b)
-		lib := cs.library(seed)
-		rule := oc.stop()
-		mosS := cs.sample(0)
-		for i := 0; i < oc.Reps; i++ {
-			i := i
-			b.Eng.Schedule(oc.Warmup+time.Duration(i)*callSpacing, func() {
-				voip.Start(b.MediaServer, b.MediaClient, lib[i%len(lib)], 0,
-					func(r voip.Result) {
-						mosS.Add(r.MOS)
-						if mosS.N() == oc.Reps || rule.done(mosS) {
-							b.Eng.Halt()
-						}
-					})
-			})
-		}
-		pc.Mark(telemetry.PhaseBuild)
-		b.Eng.RunFor(cellCap)
-		pc.Mark(telemetry.PhaseSim)
-		recordReps(oc, mosS.N(), mosS.N() < oc.Reps)
-		med := mosS.Median()
-		finishCell(&pc, sp, b.Eng, b.Net)
-		return med
-	}}
-}
-
-// playoutTask describes one fixed-vs-adaptive playout-buffer cell
-// (access, short-many down, 256-packet buffers).
-func playoutTask(o Options, mode string) engine.Task {
-	sp := engine.CellSpec{
-		Testbed: "access", Scenario: "short-many", Direction: testbed.DirDown.String(),
-		Buffer: 256, Media: "voip", Variant: "playout=" + mode,
-		Seed: o.Seed, Warmup: o.Warmup, Reps: o.Reps,
-	}
-	wl := accessWL("short-many", testbed.DirDown, nil)
-	return engine.Task{Spec: sp, Fn: func(_ engine.CellSpec, seed uint64, scr engine.Scratch) any {
-		cs := scratchOf(scr)
-		oc := o
-		oc.Seed = seed
-		a := testbed.NewAccess(testbed.Config{BufferUp: 256, BufferDown: 256, Seed: seed, Scratch: cs.tb()})
-		wl.start(a)
-		lib := cs.library(seed)
-		mosS, z1S, lossS := cs.sample(0), cs.sample(1), cs.sample(2)
-		for i := 0; i < oc.Reps; i++ {
-			i := i
-			a.Eng.Schedule(oc.Warmup+time.Duration(i)*callSpacing, func() {
-				done := func(r voip.Result) {
-					mosS.Add(r.MOS)
-					z1S.Add(r.Z1)
-					lossS.Add(r.LossPct())
-					if mosS.N() == oc.Reps {
-						a.Eng.Halt()
-					}
+// runCalls schedules Reps spaced unidirectional calls, server ->
+// client, with the fixed or the adaptive playout buffer, and runs the
+// testbed until each reports the cell complete.
+func runCalls(tb *testbed.Testbed, o Options, cs *CellScratch, adaptive bool, each func(voip.Result) (done bool)) {
+	lib := cs.library(o.Seed)
+	for i := 0; i < o.Reps; i++ {
+		i := i
+		tb.Eng.Schedule(o.Warmup+time.Duration(i)*callSpacing, func() {
+			done := func(r voip.Result) {
+				if each(r) {
+					tb.Eng.Halt()
 				}
-				if mode == "adaptive" {
-					voip.StartAdaptive(a.MediaServer, a.MediaClient, lib[i%len(lib)], done)
-				} else {
-					voip.Start(a.MediaServer, a.MediaClient, lib[i%len(lib)], 0, done)
-				}
-			})
-		}
-		a.Eng.RunFor(cellCap)
-		return playoutScore{MOS: mosS.Median(), Z1: z1S.Median(), LossPct: lossS.Median()}
-	}}
-}
-
-// --- Web cells ----------------------------------------------------
-
-// webAccessTask describes one access web cell: Reps sequential
-// fetches (or parallel browser-style fetches over fetchConns
-// connections when fetchConns > 0) of the paper's static page.
-func webAccessTask(o Options, scenario string, dir testbed.Direction, buf int, v accessVariant, fetchConns int) engine.Task {
-	variant := v.tag
-	if fetchConns > 0 {
-		if variant != "" {
-			variant += ";"
-		}
-		variant += fmt.Sprintf("par=%d", fetchConns)
-	}
-	wl := accessWL(scenario, dir, v.mix)
-	sp := engine.CellSpec{
-		Testbed: "access", Scenario: wl.name, Direction: wl.dir,
-		Buffer: buf, BufferUp: v.bufUp, Media: "web", Variant: variant,
-		Link: linkTag(v.link), Stop: o.stop().tag(),
-		Seed: o.Seed, Warmup: o.Warmup, Reps: o.Reps,
-	}
-	return engine.Task{Spec: sp, Fn: func(sp engine.CellSpec, seed uint64, scr engine.Scratch) any {
-		cs := scratchOf(scr)
-		pc := o.Collector.StartCell()
-		oc := o
-		oc.Seed = seed
-		cfg := v.config(buf, seed)
-		cfg.Scratch = cs.tb()
-		a := testbed.NewAccess(cfg)
-		wl.start(a)
-		mos := qoe.AccessWebModel().MOS
-		var plt time.Duration
-		if fetchConns > 0 {
-			web.RegisterBrowserServer(a.MediaServerTCP, web.BrowserPort)
-			pc.Mark(telemetry.PhaseBuild)
-			plt = webReps(a.Eng, oc, cs, &pc, mos, func(done func(web.Result)) {
-				web.FetchParallel(a.MediaClientTCP, a.MediaServer.Addr(web.BrowserPort),
-					fetchConns, 60*time.Second, done)
-			})
-		} else {
-			web.RegisterServer(a.MediaServerTCP, web.Port)
-			pc.Mark(telemetry.PhaseBuild)
-			plt = webReps(a.Eng, oc, cs, &pc, mos, func(done func(web.Result)) {
-				web.Fetch(a.MediaClientTCP, a.MediaServer.Addr(web.Port), 60*time.Second, done)
-			})
-		}
-		finishCell(&pc, sp, a.Eng, a.Net)
-		return plt
-	}}
-}
-
-// webAccessCell runs one access web cell and returns the median PLT.
-func (s *Session) webAccessCell(o Options, scenario string, dir testbed.Direction, buf int, v accessVariant, fetchConns int) time.Duration {
-	t := webAccessTask(o, scenario, dir, buf, v, fetchConns)
-	return s.runOne(t).(time.Duration)
-}
-
-// webBackboneTask describes one backbone web cell.
-func webBackboneTask(o Options, scenario string, buf int, v backboneVariant) engine.Task {
-	wl := backboneWL(scenario, v.mix)
-	sp := engine.CellSpec{
-		Testbed: "backbone", Scenario: wl.name, Buffer: buf, Media: "web",
-		Variant: v.tag, Stop: o.stop().tag(),
-		Seed: o.Seed, Warmup: o.Warmup, Reps: o.Reps,
-	}
-	return engine.Task{Spec: sp, Fn: func(sp engine.CellSpec, seed uint64, scr engine.Scratch) any {
-		cs := scratchOf(scr)
-		pc := o.Collector.StartCell()
-		oc := o
-		oc.Seed = seed
-		cfg := v.config(buf, seed)
-		cfg.Scratch = cs.tb()
-		b := testbed.NewBackbone(cfg)
-		wl.start(b)
-		web.RegisterServer(b.MediaServerTCP, web.Port)
-		pc.Mark(telemetry.PhaseBuild)
-		plt := webReps(b.Eng, oc, cs, &pc, qoe.BackboneWebModel().MOS, func(done func(web.Result)) {
-			web.Fetch(b.MediaClientTCP, b.MediaServer.Addr(web.Port), 60*time.Second, done)
+			}
+			if adaptive {
+				voip.StartAdaptive(tb.MediaServer, tb.MediaClient, lib[i%len(lib)], done)
+			} else {
+				voip.Start(tb.MediaServer, tb.MediaClient, lib[i%len(lib)], 0, done)
+			}
 		})
-		finishCell(&pc, sp, b.Eng, b.Net)
-		return plt
-	}}
+	}
+	tb.Eng.RunFor(cellCap)
 }
 
-// --- Video cells --------------------------------------------------
+// playoutFG is the fixed-vs-adaptive playout-buffer comparison: the
+// same unidirectional calls, reporting signal quality and application
+// loss besides the MOS.
+func playoutFG(mode string) foreground {
+	return foreground{
+		media: "voip", lead: "playout=" + mode, uses: optWarmup | optReps,
+		run: func(_ *network, tb *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) any {
+			pc.Mark(telemetry.PhaseBuild)
+			mosS, z1S, lossS := cs.sample(0), cs.sample(1), cs.sample(2)
+			runCalls(tb, o, cs, mode == "adaptive", func(r voip.Result) bool {
+				mosS.Add(r.MOS)
+				z1S.Add(r.Z1)
+				lossS.Add(r.LossPct())
+				return mosS.N() == o.Reps
+			})
+			pc.Mark(telemetry.PhaseSim)
+			return playoutScore{MOS: mosS.Median(), Z1: z1S.Median(), LossPct: lossS.Median()}
+		},
+	}
+}
+
+// --- Web foreground -----------------------------------------------
+
+// webFG is Reps sequential fetches of the paper's static page, or
+// browser-style parallel fetches over conns connections when
+// conns > 0; the cell value is the median PLT.
+func webFG(conns int) foreground {
+	fg := foreground{media: "web", uses: optWarmup | optReps | optStop}
+	if conns > 0 {
+		fg.trail = fmt.Sprintf("par=%d", conns)
+	}
+	fg.run = func(n *network, tb *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) any {
+		fetch := func(done func(web.Result)) {
+			web.Fetch(tb.MediaClientTCP, tb.MediaServer.Addr(web.Port), 60*time.Second, done)
+		}
+		if conns > 0 {
+			web.RegisterBrowserServer(tb.MediaServerTCP, web.BrowserPort)
+			fetch = func(done func(web.Result)) {
+				web.FetchParallel(tb.MediaClientTCP, tb.MediaServer.Addr(web.BrowserPort),
+					conns, 60*time.Second, done)
+			}
+		} else {
+			web.RegisterServer(tb.MediaServerTCP, web.Port)
+		}
+		pc.Mark(telemetry.PhaseBuild)
+		return webReps(tb.Eng, o, cs, pc, n.webModel().MOS, fetch)
+	}
+	return fg
+}
+
+// --- Video foregrounds --------------------------------------------
 
 func videoVariantTag(clip video.Clip, p video.Profile, rec video.Recovery) string {
 	tag := "clip=" + clip.Name + ";profile=" + p.Name
@@ -472,232 +436,135 @@ func videoVariantTag(clip video.Clip, p video.Profile, rec video.Recovery) strin
 	return tag
 }
 
-// videoAccessTask describes one access RTP-video cell. The paper's
-// grids congest the download direction only (IPTV is downstream);
-// the composable probe path may ask for upload or bidirectional
-// background congestion instead.
-func videoAccessTask(o Options, scenario string, dir testbed.Direction, clip video.Clip, p video.Profile, buf int, v accessVariant) engine.Task {
-	wl := accessWL(scenario, dir, v.mix)
-	sp := engine.CellSpec{
-		Testbed: "access", Scenario: wl.name, Direction: wl.dir,
-		Buffer: buf, BufferUp: v.bufUp,
-		Media: "video", Variant: joinTags(videoVariantTag(clip, p, video.RecoveryNone), v.tag),
-		Link: linkTag(v.link), Stop: o.stop().tag(),
-		Seed: o.Seed, Warmup: o.Warmup, Reps: o.Reps, ClipSeconds: o.ClipSeconds,
-	}
-	return engine.Task{Spec: sp, Fn: func(sp engine.CellSpec, seed uint64, scr engine.Scratch) any {
-		cs := scratchOf(scr)
-		pc := o.Collector.StartCell()
-		oc := o
-		oc.Seed = seed
-		src := cs.source(clip, p, oc.ClipSeconds)
-		cfg := v.config(buf, seed)
-		cfg.Scratch = cs.tb()
-		a := testbed.NewAccess(cfg)
-		wl.start(a)
-		pc.Mark(telemetry.PhaseBuild)
-		score := videoReps(a.Eng, oc, time.Duration(oc.ClipSeconds)*time.Second, cs, &pc,
-			func(done func(video.Result)) {
-				video.Start(a.MediaServer, a.MediaClient, src,
-					video.Config{Smooth: true, Seed: seed}, done)
+// videoFG is Reps sequential RTP streams of the clip, optionally with
+// ARQ/FEC recovery. The paper's access grids congest the download
+// direction only (IPTV is downstream); the composable probe path may
+// ask for upload or bidirectional background congestion instead.
+func videoFG(clip video.Clip, p video.Profile, rec video.Recovery) foreground {
+	return foreground{
+		media: "video", lead: videoVariantTag(clip, p, rec),
+		uses: optWarmup | optReps | optStop | optClip,
+		run: func(_ *network, tb *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) any {
+			src := cs.source(clip, p, o.ClipSeconds)
+			pc.Mark(telemetry.PhaseBuild)
+			return videoReps(tb.Eng, o, cs, pc, func(done func(video.Result)) {
+				video.Start(tb.MediaServer, tb.MediaClient, src,
+					video.Config{Smooth: true, Seed: o.Seed, Recovery: rec}, done)
 			})
-		finishCell(&pc, sp, a.Eng, a.Net)
-		return score
-	}}
+		},
+	}
 }
 
-// videoBackboneTask describes one backbone RTP-video cell, optionally
-// with ARQ/FEC recovery.
-func videoBackboneTask(o Options, scenario string, clip video.Clip, p video.Profile, rec video.Recovery, buf int, v backboneVariant) engine.Task {
-	wl := backboneWL(scenario, v.mix)
-	sp := engine.CellSpec{
-		Testbed: "backbone", Scenario: wl.name, Buffer: buf,
-		Media: "video", Variant: joinTags(videoVariantTag(clip, p, rec), v.tag),
-		Stop: o.stop().tag(),
-		Seed: o.Seed, Warmup: o.Warmup, Reps: o.Reps, ClipSeconds: o.ClipSeconds,
-	}
-	return engine.Task{Spec: sp, Fn: func(sp engine.CellSpec, seed uint64, scr engine.Scratch) any {
-		cs := scratchOf(scr)
-		pc := o.Collector.StartCell()
-		oc := o
-		oc.Seed = seed
-		src := cs.source(clip, p, oc.ClipSeconds)
-		cfg := v.config(buf, seed)
-		cfg.Scratch = cs.tb()
-		b := testbed.NewBackbone(cfg)
-		wl.start(b)
-		pc.Mark(telemetry.PhaseBuild)
-		score := videoReps(b.Eng, oc, time.Duration(oc.ClipSeconds)*time.Second, cs, &pc,
-			func(done func(video.Result)) {
-				video.Start(b.MediaServer, b.MediaClient, src,
-					video.Config{Smooth: true, Seed: seed, Recovery: rec}, done)
-			})
-		finishCell(&pc, sp, b.Eng, b.Net)
-		return score
-	}}
-}
-
-// smoothingTask describes one sender-smoothing cell: a single SD
-// stream on an otherwise idle access link.
-func smoothingTask(o Options, buf int, smooth bool) engine.Task {
+// smoothingFG is the sender-smoothing ablation's single SD stream
+// (run it on an otherwise idle link).
+func smoothingFG(smooth bool) foreground {
 	mode := "burst"
 	if smooth {
 		mode = "smooth"
 	}
-	sp := engine.CellSpec{
-		Testbed: "access", Scenario: "noBG", Buffer: buf,
-		Media: "video", Variant: "single;mode=" + mode + ";profile=SD",
-		Seed: o.Seed, ClipSeconds: o.ClipSeconds,
+	return foreground{
+		media: "video", lead: "single;mode=" + mode + ";profile=SD", uses: optClip,
+		run: func(_ *network, tb *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) any {
+			src := cs.source(video.ClipC, video.SD, o.ClipSeconds)
+			pc.Mark(telemetry.PhaseBuild)
+			var got video.Result
+			video.Start(tb.MediaServer, tb.MediaClient, src,
+				video.Config{Smooth: smooth, Seed: o.Seed},
+				func(r video.Result) { got = r; tb.Eng.Halt() })
+			tb.Eng.RunFor(cellCap)
+			pc.Mark(telemetry.PhaseSim)
+			return smoothingScore{SSIM: got.MeanSSIM, LossPct: got.LossPct()}
+		},
 	}
-	return engine.Task{Spec: sp, Fn: func(_ engine.CellSpec, seed uint64, scr engine.Scratch) any {
-		cs := scratchOf(scr)
-		a := testbed.NewAccess(testbed.Config{BufferUp: buf, BufferDown: buf, Seed: seed, Scratch: cs.tb()})
-		src := cs.source(video.ClipC, video.SD, o.ClipSeconds)
-		var got video.Result
-		video.Start(a.MediaServer, a.MediaClient, src,
-			video.Config{Smooth: smooth, Seed: seed},
-			func(r video.Result) { got = r; a.Eng.Halt() })
-		a.Eng.RunFor(cellCap)
-		return smoothingScore{SSIM: got.MeanSSIM, LossPct: got.LossPct()}
-	}}
 }
 
-// --- HTTP video cells ---------------------------------------------
-
-// httpVideoTask describes one backbone HTTP-video cell; player is
+// httpVideoFG is Reps sequential HTTP video sessions; player is
 // "progressive", "abr-rate" or "abr-buffer".
-func httpVideoTask(o Options, scenario string, buf int, player string) engine.Task {
-	sp := engine.CellSpec{
-		Testbed: "backbone", Scenario: scenario, Buffer: buf,
-		Media: "httpvideo", Variant: "player=" + player,
-		Seed: o.Seed, Warmup: o.Warmup, Reps: o.Reps, ClipSeconds: o.ClipSeconds,
+func httpVideoFG(player string) foreground {
+	return foreground{
+		media: "httpvideo", lead: "player=" + player, uses: optWarmup | optReps | optClip,
+		run: func(_ *network, tb *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) any {
+			mediaDur := time.Duration(o.ClipSeconds*4) * time.Second
+			mosS, rateS := cs.sample(0), cs.sample(1)
+			// watch plays one session and reports its MOS and bitrate.
+			var watch func(done func(mos, bitrate float64))
+			if player == "progressive" {
+				cfg := httpvideo.Config{Bitrate: 4e6, MediaDuration: mediaDur}
+				httpvideo.RegisterServer(tb.MediaServerTCP, httpvideo.Port, cfg)
+				watch = func(done func(mos, bitrate float64)) {
+					httpvideo.Watch(tb.MediaClientTCP, tb.MediaServer.Addr(httpvideo.Port), cfg,
+						func(r httpvideo.Result) { done(r.MOS, 4e6) })
+				}
+			} else {
+				cfg := httpvideo.ABRConfig{MediaDuration: mediaDur}
+				if player == "abr-buffer" {
+					cfg.Algorithm = httpvideo.ABRBuffer
+				}
+				httpvideo.RegisterABRServer(tb.MediaServerTCP, httpvideo.ABRPort, cfg)
+				watch = func(done func(mos, bitrate float64)) {
+					httpvideo.WatchABR(tb.MediaClientTCP, tb.MediaServer.Addr(httpvideo.ABRPort), cfg,
+						func(r httpvideo.ABRResult) { done(r.MOS, r.MeanBitrate) })
+				}
+			}
+			remaining := o.Reps
+			var next func()
+			next = func() {
+				if remaining == 0 {
+					tb.Eng.Halt()
+					return
+				}
+				remaining--
+				watch(func(mos, bitrate float64) {
+					mosS.Add(mos)
+					rateS.Add(bitrate)
+					tb.Eng.Schedule(time.Second, next)
+				})
+			}
+			tb.Eng.Schedule(o.Warmup, next)
+			pc.Mark(telemetry.PhaseBuild)
+			tb.Eng.RunFor(cellCap)
+			pc.Mark(telemetry.PhaseSim)
+			return httpScore{MOS: mosS.Median(), Bitrate: rateS.Median()}
+		},
 	}
-	wl := backboneWL(scenario, nil)
-	return engine.Task{Spec: sp, Fn: func(_ engine.CellSpec, seed uint64, scr engine.Scratch) any {
-		cs := scratchOf(scr)
-		oc := o
-		oc.Seed = seed
-		mediaDur := time.Duration(oc.ClipSeconds*4) * time.Second
-		b := testbed.NewBackbone(testbed.Config{BufferDown: buf, Seed: seed, Scratch: cs.tb()})
-		wl.start(b)
-		mosS, rateS := cs.sample(0), cs.sample(1)
-		remaining := oc.Reps
-		var next func()
-		if player == "progressive" {
-			cfg := httpvideo.Config{Bitrate: 4e6, MediaDuration: mediaDur}
-			httpvideo.RegisterServer(b.MediaServerTCP, httpvideo.Port, cfg)
-			next = func() {
-				if remaining == 0 {
-					b.Eng.Halt()
-					return
-				}
-				remaining--
-				httpvideo.Watch(b.MediaClientTCP, b.MediaServer.Addr(httpvideo.Port), cfg,
-					func(r httpvideo.Result) {
-						mosS.Add(r.MOS)
-						rateS.Add(4e6)
-						b.Eng.Schedule(time.Second, next)
-					})
-			}
-		} else {
-			cfg := httpvideo.ABRConfig{MediaDuration: mediaDur}
-			if player == "abr-buffer" {
-				cfg.Algorithm = httpvideo.ABRBuffer
-			}
-			httpvideo.RegisterABRServer(b.MediaServerTCP, httpvideo.ABRPort, cfg)
-			next = func() {
-				if remaining == 0 {
-					b.Eng.Halt()
-					return
-				}
-				remaining--
-				httpvideo.WatchABR(b.MediaClientTCP, b.MediaServer.Addr(httpvideo.ABRPort), cfg,
-					func(r httpvideo.ABRResult) {
-						mosS.Add(r.MOS)
-						rateS.Add(r.MeanBitrate)
-						b.Eng.Schedule(time.Second, next)
-					})
-			}
-		}
-		b.Eng.Schedule(oc.Warmup, next)
-		b.Eng.RunFor(cellCap)
-		return httpScore{MOS: mosS.Median(), Bitrate: rateS.Median()}
-	}}
 }
 
-// --- Background characterization cells ----------------------------
+// --- Background characterization foreground -----------------------
 
-// bgAccessTask describes one background-only access cell: run the
-// workload for Warmup+Duration and report the link/queue statistics.
-func bgAccessTask(o Options, scenario string, dir testbed.Direction, bufUp, bufDown int) engine.Task {
-	v := accessVariant{bufUp: bufUp}
-	wl := accessWL(scenario, dir, nil)
-	sp := engine.CellSpec{
-		Testbed: "access", Scenario: wl.name, Direction: wl.dir,
-		Buffer: bufDown, BufferUp: bufUp, Media: "background",
-		Seed: o.Seed, Duration: o.Duration, Warmup: o.Warmup,
-	}
-	return engine.Task{Spec: sp, Fn: func(sp engine.CellSpec, seed uint64, scr engine.Scratch) any {
-		cs := scratchOf(scr)
-		pc := o.Collector.StartCell()
-		cfg := v.config(bufDown, seed)
-		cfg.Scratch = cs.tb()
-		a := testbed.NewAccess(cfg)
-		wl.start(a)
+// backgroundFG runs the workload alone for Warmup+Duration and reports
+// the link/queue statistics; up-side metrics exist where the network
+// observes its uplink.
+var backgroundFG = foreground{
+	media: "background", uses: optDuration | optWarmup,
+	run: func(_ *network, tb *testbed.Testbed, o Options, _ *CellScratch, pc *telemetry.PhaseClock) any {
 		pc.Mark(telemetry.PhaseBuild)
-		a.Eng.RunFor(o.Warmup + o.Duration)
+		tb.Eng.RunFor(o.Warmup + o.Duration)
 		pc.Mark(telemetry.PhaseSim)
-		defer finishCell(&pc, sp, a.Eng, a.Net)
-		now := a.Eng.Now()
+		now := tb.Eng.Now()
+		down := tb.DownLinkMonitor()
 		m := bgMetrics{
-			UtilUpPct:   a.UpLinkMonitor().MeanUtilization(now),
-			UtilDownPct: a.DownLinkMonitor().MeanUtilization(now),
-			SdUp:        a.UpLinkMonitor().UtilSamples.Std(),
-			SdDown:      a.DownLinkMonitor().UtilSamples.Std(),
-			LossUpPct:   100 * a.UpMon.LossRate(),
-			LossDownPct: 100 * a.DownMon.LossRate(),
-			DelayUpMs:   a.UpMon.MeanDelayMs(),
-			DelayDownMs: a.DownMon.MeanDelayMs(),
-			UpBox:       stats.BoxplotOf(&a.UpLinkMonitor().UtilSamples),
-			DownBox:     stats.BoxplotOf(&a.DownLinkMonitor().UtilSamples),
+			UtilDownPct: down.MeanUtilization(now),
+			SdDown:      down.UtilSamples.Std(),
+			LossDownPct: 100 * tb.DownMon.LossRate(),
+			DelayDownMs: tb.DownMon.MeanDelayMs(),
+			DownBox:     stats.BoxplotOf(&down.UtilSamples),
 		}
-		if a.UpGen != nil {
-			m.Conc += a.UpGen.Stats().Concurrent.Mean()
+		if tb.UpMon != nil {
+			up := tb.UpLinkMonitor()
+			m.UtilUpPct = up.MeanUtilization(now)
+			m.SdUp = up.UtilSamples.Std()
+			m.LossUpPct = 100 * tb.UpMon.LossRate()
+			m.DelayUpMs = tb.UpMon.MeanDelayMs()
+			m.UpBox = stats.BoxplotOf(&up.UtilSamples)
 		}
-		if a.DownGen != nil {
-			m.Conc += a.DownGen.Stats().Concurrent.Mean()
+		if tb.UpGen != nil {
+			m.Conc += tb.UpGen.Stats().Concurrent.Mean()
+		}
+		if tb.DownGen != nil {
+			m.Conc += tb.DownGen.Stats().Concurrent.Mean()
 		}
 		return m
-	}}
-}
-
-// bgBackboneTask is bgAccessTask for the backbone testbed; only the
-// Down-side metrics are meaningful.
-func bgBackboneTask(o Options, scenario string, buf int) engine.Task {
-	sp := engine.CellSpec{
-		Testbed: "backbone", Scenario: scenario, Buffer: buf, Media: "background",
-		Seed: o.Seed, Duration: o.Duration, Warmup: o.Warmup,
-	}
-	wl := backboneWL(scenario, nil)
-	return engine.Task{Spec: sp, Fn: func(sp engine.CellSpec, seed uint64, scr engine.Scratch) any {
-		cs := scratchOf(scr)
-		pc := o.Collector.StartCell()
-		b := testbed.NewBackbone(testbed.Config{BufferDown: buf, Seed: seed, Scratch: cs.tb()})
-		wl.start(b)
-		pc.Mark(telemetry.PhaseBuild)
-		b.Eng.RunFor(o.Warmup + o.Duration)
-		pc.Mark(telemetry.PhaseSim)
-		defer finishCell(&pc, sp, b.Eng, b.Net)
-		now := b.Eng.Now()
-		return bgMetrics{
-			Conc:        b.Gen.Stats().Concurrent.Mean(),
-			UtilDownPct: b.DownLink.Monitor.MeanUtilization(now),
-			SdDown:      b.DownLink.Monitor.UtilSamples.Std(),
-			LossDownPct: 100 * b.DownMon.LossRate(),
-			DelayDownMs: b.DownMon.MeanDelayMs(),
-			DownBox:     stats.BoxplotOf(&b.DownLink.Monitor.UtilSamples),
-		}
-	}}
+	},
 }
 
 // --- Wild (Section 3) cell ----------------------------------------

@@ -83,9 +83,9 @@ func TestCrossExperimentCellSharing(t *testing.T) {
 	}
 }
 
-// TestProbeMatchesGrid asserts that a Measure* probe of a
-// configuration an experiment grid visited returns the grid's exact
-// number — probes and grids submit the same canonical cell specs.
+// TestProbeMatchesGrid asserts that a probe of a configuration an
+// experiment grid visited answers from the grid's cell — probes and
+// grids submit the same canonical cell specs.
 func TestProbeMatchesGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy simulation; skipped in -short (race CI) mode")
@@ -97,8 +97,15 @@ func TestProbeMatchesGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	grid := r.Grids[0].Get("user-talks/long-many", "256").Value
-	_, talk := MeasureVoIPAccess("long-many", testbed.DirUp, 256, o)
-	if talk != grid {
-		t.Fatalf("probe talk MOS %v != grid cell %v", talk, grid)
+	before := EngineStats()
+	v, err := Default.Probe(ProbeSpec{Scenario: "long-many", Direction: testbed.DirUp, Buffer: 256, Media: "voip"}, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.TalkMOS != grid {
+		t.Fatalf("probe talk MOS %v != grid cell %v", v.TalkMOS, grid)
+	}
+	if after := EngineStats(); after.Misses != before.Misses {
+		t.Fatalf("probe re-simulated the grid's cell: %+v -> %+v", before, after)
 	}
 }

@@ -359,11 +359,11 @@ func TestOptionDefaults(t *testing.T) {
 }
 
 func TestBufferColumnLabels(t *testing.T) {
-	cols := accessBufferCols()
+	cols := bufferCols(accessNet.buffers)
 	if len(cols) != 6 || cols[0] != "8" || cols[5] != "256" {
 		t.Fatalf("access cols = %v", cols)
 	}
-	for _, c := range backboneBufferCols() {
+	for _, c := range bufferCols(backboneNet.buffers) {
 		if _, err := strconv.Atoi(c); err != nil {
 			t.Fatalf("bad column %q", c)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"bufferqoe/internal/qoe"
-	"bufferqoe/internal/sizing"
 	"bufferqoe/internal/tcp"
 	"bufferqoe/internal/testbed"
 	"bufferqoe/internal/video"
@@ -16,14 +15,14 @@ import (
 // progressive-download player; QoE comes from the Mok et al. stall
 // regression instead of SSIM.
 func extHTTPVideo(s *Session, o Options) (*Result, error) {
-	scenarios := testbed.BackboneScenarioNames
+	scenarios := backboneNet.scenarios
 	g := NewGrid("Extension: HTTP progressive video on the backbone (Mok et al. MOS)",
-		scenarios, backboneBufferCols())
+		scenarios, bufferCols(backboneNet.buffers))
 	var jobs []cellJob
-	for _, buf := range sizing.BackboneBufferSizes {
+	for _, buf := range backboneNet.buffers {
 		col := fmt.Sprintf("%d", buf)
 		for _, s := range scenarios {
-			jobs = append(jobs, cellJob{httpVideoTask(o, s, buf, "progressive"), s, col})
+			jobs = append(jobs, cellJob{cellTask(o, backboneNet, s, testbed.DirDown, buf, variant{}, httpVideoFG("progressive")), s, col})
 		}
 	}
 	s.runCells(jobs, func(row, col string, v any) {
@@ -53,7 +52,7 @@ func extClips(s *Session, o Options) (*Result, error) {
 	var jobs []cellJob
 	for _, s := range scenarios {
 		for _, clip := range video.Clips {
-			jobs = append(jobs, cellJob{videoBackboneTask(o, s, clip, video.SD, video.RecoveryNone, 749, backboneVariant{}), clip.Name, s})
+			jobs = append(jobs, cellJob{cellTask(o, backboneNet, s, testbed.DirDown, 749, variant{}, videoFG(clip, video.SD, video.RecoveryNone)), clip.Name, s})
 		}
 	}
 	s.runCells(jobs, func(row, col string, v any) {
@@ -80,11 +79,11 @@ func ablationSACK(s *Session, o Options) (*Result, error) {
 		[]string{"newreno", "sack"})
 	var jobs []cellJob
 	for _, mode := range []string{"newreno", "sack"} {
-		v := accessVariant{}
+		v := variant{}
 		if mode == "sack" {
-			v = accessVariant{tag: "tcp=sack", tcpCfg: tcp.Config{SACK: true}}
+			v = variant{tag: "tcp=sack", tcpCfg: tcp.Config{SACK: true}}
 		}
-		jobs = append(jobs, cellJob{voipAccessTask(o, "long-many", testbed.DirUp, 256, v), "", mode})
+		jobs = append(jobs, cellJob{cellTask(o, accessNet, "long-many", testbed.DirUp, 256, v, voipFG), "", mode})
 	}
 	s.runCells(jobs, func(_, mode string, v any) {
 		p := v.(voipScore)
@@ -106,7 +105,7 @@ func ablationPlayout(s *Session, o Options) (*Result, error) {
 		[]string{"MOS", "z1 (signal)", "app loss %"}, []string{"fixed-60ms", "adaptive"})
 	var jobs []cellJob
 	for _, mode := range []string{"fixed-60ms", "adaptive"} {
-		jobs = append(jobs, cellJob{playoutTask(o, mode), "", mode})
+		jobs = append(jobs, cellJob{cellTask(o, accessNet, "short-many", testbed.DirDown, 256, variant{}, playoutFG(mode)), "", mode})
 	}
 	s.runCells(jobs, func(_, mode string, v any) {
 		p := v.(playoutScore)

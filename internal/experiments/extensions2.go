@@ -12,11 +12,12 @@ import (
 	"bufferqoe/internal/video"
 )
 
-// codelUpQueue is the RFC 8289 §4.4 slow-link CoDel used by several
-// web ablations at the access uplink.
-func codelUpQueue(capPkts int, _ uint64) netem.Queue {
-	return aqm.NewCoDelForRate(capPkts, testbed.AccessUpRate)
-}
+// codelUpQueue and fqCodelUpQueue are the RFC 8289 §4.4 slow-link
+// CoDel flavours several web ablations put at the access uplink.
+var (
+	codelUpQueue, _   = aqmFactory("codel", testbed.AccessUpRate, "")
+	fqCodelUpQueue, _ = aqmFactory("fq-codel", testbed.AccessUpRate, "")
+)
 
 // ablationIW10 tests the engineering change the bufferbloat argument
 // was used to oppose — raising TCP's initial window from 3 to 10
@@ -28,20 +29,17 @@ func codelUpQueue(capPkts int, _ uint64) netem.Queue {
 func ablationIW10(s *Session, o Options) (*Result, error) {
 	model := qoe.AccessWebModel()
 	bufs := []int{8, 64, 256}
-	cols := make([]string, len(bufs))
-	for i, b := range bufs {
-		cols[i] = fmt.Sprintf("%d", b)
-	}
+	cols := bufferCols(bufs)
 	g := NewGrid("Ablation: initial window 3 vs 10 (access web, upstream long-many congestion)",
 		[]string{"IW3 PLT", "IW10 PLT", "IW3 MOS", "IW10 MOS"}, cols)
 	var jobs []cellJob
 	for bi, buf := range bufs {
 		for _, iw := range []int{3, 10} {
-			v := accessVariant{}
+			v := variant{}
 			if iw != 3 {
-				v = accessVariant{tag: "iw=10", tcpCfg: tcp.Config{InitialWindow: 10}}
+				v = variant{tag: "iw=10", tcpCfg: tcp.Config{InitialWindow: 10}}
 			}
-			jobs = append(jobs, cellJob{webAccessTask(o, "long-many", testbed.DirUp, buf, v, 0),
+			jobs = append(jobs, cellJob{cellTask(o, accessNet, "long-many", testbed.DirUp, buf, v, webFG(0)),
 				fmt.Sprintf("IW%d", iw), cols[bi]})
 		}
 	}
@@ -76,11 +74,11 @@ func ablationECN(s *Session, o Options) (*Result, error) {
 	model := qoe.AccessWebModel()
 	configs := []struct {
 		name string
-		v    accessVariant
+		v    variant
 	}{
-		{"drop-tail", accessVariant{}},
-		{"codel-drop", accessVariant{tag: "queue=codel", upQueue: codelUpQueue}},
-		{"codel-ecn", accessVariant{
+		{"drop-tail", variant{}},
+		{"codel-drop", variant{tag: "queue=codel", upQueue: codelUpQueue}},
+		{"codel-ecn", variant{
 			tag:    "queue=codel-ecn",
 			tcpCfg: tcp.Config{ECN: true},
 			upQueue: func(capPkts int, _ uint64) netem.Queue {
@@ -94,7 +92,7 @@ func ablationECN(s *Session, o Options) (*Result, error) {
 	var jobs []cellJob
 	for i, c := range configs {
 		cols[i] = c.name
-		jobs = append(jobs, cellJob{webAccessTask(o, "long-few", testbed.DirUp, 256, c.v, 0), "", c.name})
+		jobs = append(jobs, cellJob{cellTask(o, accessNet, "long-few", testbed.DirUp, 256, c.v, webFG(0)), "", c.name})
 	}
 	g := NewGrid("Ablation: ECN at a bloated (256-pkt) uplink (web under upstream long-few)",
 		[]string{"PLT", "MOS"}, cols)
@@ -117,16 +115,16 @@ func ablationByteQueue(s *Session, o Options) (*Result, error) {
 	const pkts = 64
 	queues := []struct {
 		name string
-		v    accessVariant
+		v    variant
 	}{
-		{"pkt-64", accessVariant{}},
-		{fmt.Sprintf("bytes-%dK", pkts*netem.MTU/1024), accessVariant{
+		{"pkt-64", variant{}},
+		{fmt.Sprintf("bytes-%dK", pkts*netem.MTU/1024), variant{
 			tag: "queue=bytes-mtu",
 			upQueue: func(int, uint64) netem.Queue {
 				return netem.NewDropTailBytes(pkts * netem.MTU)
 			},
 		}},
-		{"bytes-24K", accessVariant{
+		{"bytes-24K", variant{
 			tag: "queue=bytes-24k",
 			upQueue: func(int, uint64) netem.Queue {
 				return netem.NewDropTailBytes(24 * 1024)
@@ -137,7 +135,7 @@ func ablationByteQueue(s *Session, o Options) (*Result, error) {
 	var jobs []cellJob
 	for i, q := range queues {
 		cols[i] = q.name
-		jobs = append(jobs, cellJob{voipAccessTask(o, "long-many", testbed.DirUp, pkts, q.v), "", q.name})
+		jobs = append(jobs, cellJob{cellTask(o, accessNet, "long-many", testbed.DirUp, pkts, q.v, voipFG), "", q.name})
 	}
 	g := NewGrid("Ablation: packet- vs byte-counted uplink buffer (VoIP under upstream long-many)",
 		[]string{"talk MOS", "listen MOS"}, cols)
@@ -168,7 +166,7 @@ func ablationIQX(s *Session, o Options) (*Result, error) {
 	var jobs []cellJob
 	for i, b := range bufs {
 		cols[i] = fmt.Sprintf("%d", b)
-		jobs = append(jobs, cellJob{webAccessTask(o, "long-few", testbed.DirUp, b, accessVariant{}, 0), "", cols[i]})
+		jobs = append(jobs, cellJob{cellTask(o, accessNet, "long-few", testbed.DirUp, b, variant{}, webFG(0)), "", cols[i]})
 	}
 	g := NewGrid("Ablation: G.1030 (log) vs IQX (exp) scoring of access web, upstream long-few",
 		[]string{"PLT", "G.1030 MOS", "IQX MOS"}, cols)
@@ -200,7 +198,7 @@ func extRecovery(s *Session, o Options) (*Result, error) {
 	var jobs []cellJob
 	for _, s := range scenarios {
 		for _, rec := range schemes {
-			jobs = append(jobs, cellJob{videoBackboneTask(o, s, video.ClipC, video.SD, rec, 28, backboneVariant{}), rec.String(), s})
+			jobs = append(jobs, cellJob{cellTask(o, backboneNet, s, testbed.DirDown, 28, variant{}, videoFG(video.ClipC, video.SD, rec)), rec.String(), s})
 		}
 	}
 	s.runCells(jobs, func(row, col string, v any) {
@@ -226,7 +224,7 @@ func extPSNR(s *Session, o Options) (*Result, error) {
 		[]string{"SSIM", "SSIM MOS", "PSNR dB", "PSNR MOS"}, scenarios)
 	var jobs []cellJob
 	for _, s := range scenarios {
-		jobs = append(jobs, cellJob{videoBackboneTask(o, s, video.ClipC, video.SD, video.RecoveryNone, 749, backboneVariant{}), "", s})
+		jobs = append(jobs, cellJob{cellTask(o, backboneNet, s, testbed.DirDown, 749, variant{}, videoFG(video.ClipC, video.SD, video.RecoveryNone)), "", s})
 	}
 	s.runCells(jobs, func(_, col string, v any) {
 		sc := v.(videoScore)
@@ -260,11 +258,11 @@ func extJitter(s *Session, o Options) (*Result, error) {
 	var jobs []cellJob
 	for ji, j := range jitters {
 		for _, s := range []string{"noBG", "short-few"} {
-			v := accessVariant{}
+			v := variant{}
 			if j != 0 {
-				v = accessVariant{tag: "jitter=" + j.String(), jitter: j}
+				v = variant{tag: "jitter=" + j.String(), jitter: j}
 			}
-			jobs = append(jobs, cellJob{voipAccessTask(o, s, testbed.DirDown, 64, v), s, cols[ji]})
+			jobs = append(jobs, cellJob{cellTask(o, accessNet, s, testbed.DirDown, 64, v, voipFG), s, cols[ji]})
 		}
 	}
 	s.runCells(jobs, func(row, col string, v any) {
@@ -287,22 +285,17 @@ func extFQCoDelWeb(s *Session, o Options) (*Result, error) {
 	model := qoe.AccessWebModel()
 	queues := []struct {
 		name string
-		v    accessVariant
+		v    variant
 	}{
-		{"drop-tail", accessVariant{}},
-		{"codel", accessVariant{tag: "queue=codel", upQueue: codelUpQueue}},
-		{"fq-codel", accessVariant{
-			tag: "queue=fq-codel",
-			upQueue: func(capPkts int, _ uint64) netem.Queue {
-				return aqm.NewFQCoDelForRate(capPkts, testbed.AccessUpRate)
-			},
-		}},
+		{"drop-tail", variant{}},
+		{"codel", variant{tag: "queue=codel", upQueue: codelUpQueue}},
+		{"fq-codel", variant{tag: "queue=fq-codel", upQueue: fqCodelUpQueue}},
 	}
 	cols := make([]string, len(queues))
 	var jobs []cellJob
 	for i, q := range queues {
 		cols[i] = q.name
-		jobs = append(jobs, cellJob{webAccessTask(o, "long-many", testbed.DirUp, 256, q.v, 0), "", q.name})
+		jobs = append(jobs, cellJob{cellTask(o, accessNet, "long-many", testbed.DirUp, 256, q.v, webFG(0)), "", q.name})
 	}
 	g := NewGrid("Extension: FQ-CoDel vs CoDel vs drop-tail (web over a 256-pkt congested uplink, upstream long-many)",
 		[]string{"PLT", "MOS"}, cols)
@@ -323,17 +316,17 @@ func extFQCoDelWeb(s *Session, o Options) (*Result, error) {
 func ablationBIC(s *Session, o Options) (*Result, error) {
 	algos := []struct {
 		name string
-		v    accessVariant
+		v    variant
 	}{
-		{"reno", accessVariant{tag: "cc=reno", cc: tcp.NewReno}},
-		{"bic", accessVariant{tag: "cc=bic", cc: tcp.NewBIC}},
-		{"cubic", accessVariant{}}, // the access default
+		{"reno", variant{tag: "cc=reno", cc: tcp.NewReno}},
+		{"bic", variant{tag: "cc=bic", cc: tcp.NewBIC}},
+		{"cubic", variant{}}, // the access default
 	}
 	cols := make([]string, len(algos))
 	var jobs []cellJob
 	for i, al := range algos {
 		cols[i] = al.name
-		jobs = append(jobs, cellJob{voipAccessTask(o, "long-few", testbed.DirBidir, 64, al.v), "", al.name})
+		jobs = append(jobs, cellJob{cellTask(o, accessNet, "long-few", testbed.DirBidir, 64, al.v, voipFG), "", al.name})
 	}
 	g := NewGrid("Ablation: Reno vs BIC vs CUBIC background (access, 64-pkt buffers, bidir long-few)",
 		[]string{"listen MOS", "talk MOS", "uplink util %"}, cols)

@@ -40,18 +40,18 @@ var goldenCells = map[string]string{
 // goldenTasks builds the cross-section: access + backbone testbeds,
 // TCP (web) + UDP (voip, video) media, drop-tail + CoDel disciplines.
 func goldenTasks(o Options) map[string]engine.Task {
-	codel := accessVariant{
+	codel := variant{
 		tag: "queue=codel",
 		upQueue: func(capPkts int, _ uint64) netem.Queue {
 			return aqm.NewCoDelForRate(capPkts, testbed.AccessUpRate)
 		},
 	}
 	return map[string]engine.Task{
-		"access/voip/droptail":   voipAccessTask(o, "long-many", testbed.DirUp, 256, accessVariant{}),
-		"access/voip/codel":      voipAccessTask(o, "long-many", testbed.DirUp, 256, codel),
-		"access/video/droptail":  videoAccessTask(o, "short-few", testbed.DirDown, video.ClipC, video.SD, 32, accessVariant{}),
-		"backbone/web/droptail":  webBackboneTask(o, "short-low", 128, backboneVariant{}),
-		"backbone/voip/droptail": voipBackboneTask(o, "short-medium", 64, backboneVariant{}),
+		"access/voip/droptail":   cellTask(o, accessNet, "long-many", testbed.DirUp, 256, variant{}, voipFG),
+		"access/voip/codel":      cellTask(o, accessNet, "long-many", testbed.DirUp, 256, codel, voipFG),
+		"access/video/droptail":  cellTask(o, accessNet, "short-few", testbed.DirDown, 32, variant{}, videoFG(video.ClipC, video.SD, video.RecoveryNone)),
+		"backbone/web/droptail":  cellTask(o, backboneNet, "short-low", testbed.DirDown, 128, variant{}, webFG(0)),
+		"backbone/voip/droptail": cellTask(o, backboneNet, "short-medium", testbed.DirDown, 64, variant{}, voipFG),
 	}
 }
 

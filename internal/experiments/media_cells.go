@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"bufferqoe/internal/engine"
 	"bufferqoe/internal/qoe"
 	"bufferqoe/internal/sim"
-	"bufferqoe/internal/sizing"
 	"bufferqoe/internal/telemetry"
 	"bufferqoe/internal/testbed"
 	"bufferqoe/internal/video"
@@ -32,7 +30,7 @@ const cellCap = 30 * time.Minute
 // as both directions' MOS confidence intervals are tight enough —
 // later pre-scheduled calls simply never start, so the completed
 // repetitions are exactly the exhaustive run's first n.
-func runVoIPPair(a *testbed.Access, o Options, cs *CellScratch, pc *telemetry.PhaseClock) (listen, talk float64) {
+func runVoIPPair(a *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) (listen, talk float64) {
 	lib := cs.library(o.Seed)
 	rule := o.stop()
 	listenS, talkS := cs.sample(0), cs.sample(1)
@@ -56,33 +54,39 @@ func runVoIPPair(a *testbed.Access, o Options, cs *CellScratch, pc *telemetry.Ph
 	return listenS.Median(), talkS.Median()
 }
 
-// fig7 regenerates the Figure 7 access VoIP heatmaps: variant "a" is
+// panelDir maps the access figures' panel letter onto its congestion
+// direction: "a" download, "b" upload, "c" both.
+func panelDir(panel string) testbed.Direction {
+	switch panel {
+	case "b":
+		return testbed.DirUp
+	case "c":
+		return testbed.DirBidir
+	}
+	return testbed.DirDown
+}
+
+// fig7 regenerates the Figure 7 access VoIP heatmaps: panel "a" is
 // download congestion, "b" upload congestion. Variant "c" is the
 // combined up+down scenario the paper describes in §7.2 ("plot not
 // shown": results resemble upload-only, with the listen direction
 // slightly worse from the added downlink traffic).
-func fig7(s *Session, o Options, variant string) (*Result, error) {
-	dir := testbed.DirDown
-	switch variant {
-	case "b":
-		dir = testbed.DirUp
-	case "c":
-		dir = testbed.DirBidir
-	}
-	scenarios := []string{"noBG", "long-few", "long-many", "short-few", "short-many"}
+func fig7(s *Session, o Options, panel string) (*Result, error) {
+	dir := panelDir(panel)
+	scenarios := accessNet.scenarios
 	var rows []string
 	for _, half := range []string{"user-listens", "user-talks"} {
 		for _, s := range scenarios {
 			rows = append(rows, half+"/"+s)
 		}
 	}
-	g := NewGrid(fmt.Sprintf("Figure 7%s: VoIP access median MOS, %s congestion", variant, dir),
-		rows, accessBufferCols())
+	g := NewGrid(fmt.Sprintf("Figure 7%s: VoIP access median MOS, %s congestion", panel, dir),
+		rows, bufferCols(accessNet.buffers))
 	var jobs []cellJob
-	for _, buf := range sizing.AccessBufferSizes {
+	for _, buf := range accessNet.buffers {
 		col := fmt.Sprintf("%d", buf)
 		for _, s := range scenarios {
-			jobs = append(jobs, cellJob{voipAccessTask(o, s, dir, buf, accessVariant{}), s, col})
+			jobs = append(jobs, cellJob{cellTask(o, accessNet, s, dir, buf, variant{}, voipFG), s, col})
 		}
 	}
 	s.runCells(jobs, func(row, col string, v any) {
@@ -90,19 +94,19 @@ func fig7(s *Session, o Options, variant string) (*Result, error) {
 		g.Set("user-listens/"+row, col, Cell{Value: p.Listen, Class: string(qoe.VoIPSatisfaction(p.Listen))})
 		g.Set("user-talks/"+row, col, Cell{Value: p.Talk, Class: string(qoe.VoIPSatisfaction(p.Talk))})
 	})
-	return &Result{ID: "fig7" + variant, Grids: []*Grid{g}}, nil
+	return &Result{ID: "fig7" + panel, Grids: []*Grid{g}}, nil
 }
 
 // fig8 regenerates the Figure 8 backbone VoIP heatmap (unidirectional
 // calls, server -> client, as in the paper).
 func fig8(s *Session, o Options) (*Result, error) {
-	scenarios := testbed.BackboneScenarioNames
-	g := NewGrid("Figure 8: VoIP backbone median MOS", scenarios, backboneBufferCols())
+	scenarios := backboneNet.scenarios
+	g := NewGrid("Figure 8: VoIP backbone median MOS", scenarios, bufferCols(backboneNet.buffers))
 	var jobs []cellJob
-	for _, buf := range sizing.BackboneBufferSizes {
+	for _, buf := range backboneNet.buffers {
 		col := fmt.Sprintf("%d", buf)
 		for _, s := range scenarios {
-			jobs = append(jobs, cellJob{voipBackboneTask(o, s, buf, backboneVariant{}), s, col})
+			jobs = append(jobs, cellJob{cellTask(o, backboneNet, s, testbed.DirDown, buf, variant{}, voipFG), s, col})
 		}
 	}
 	s.runCells(jobs, func(row, col string, v any) {
@@ -118,10 +122,10 @@ func fig8(s *Session, o Options) (*Result, error) {
 // watches a shadow MOS sample (SSIM mapped through the paper's
 // SSIM-to-MOS curve) so the CI threshold means the same thing — MOS
 // points — across all media types.
-func videoReps(se *sim.Engine, o Options, clipDur time.Duration, cs *CellScratch, pc *telemetry.PhaseClock, start func(done func(video.Result))) videoScore {
+func videoReps(se *sim.Engine, o Options, cs *CellScratch, pc *telemetry.PhaseClock, start func(done func(video.Result))) videoScore {
 	rule := o.stop()
 	ssims, psnrs, mosS := cs.sample(0), cs.sample(1), cs.sample(2)
-	spacing := clipDur + video.StartupDelay + 5*time.Second
+	spacing := time.Duration(o.ClipSeconds)*time.Second + video.StartupDelay + 5*time.Second
 	for i := 0; i < o.Reps; i++ {
 		se.Schedule(o.Warmup+time.Duration(i)*spacing, func() {
 			start(func(r video.Result) {
@@ -140,45 +144,32 @@ func videoReps(se *sim.Engine, o Options, clipDur time.Duration, cs *CellScratch
 	return videoScore{SSIM: ssims.Median(), PSNR: psnrs.Median()}
 }
 
-// fig9 regenerates the Figure 9 video heatmaps: variant "a" is the
+// fig9 regenerates the Figure 9 video heatmaps: panel "a" is the
 // access testbed (download congestion only: IPTV is downstream),
 // "b" the backbone.
-func fig9(s *Session, o Options, variant string) (*Result, error) {
+func fig9(s *Session, o Options, panel string) (*Result, error) {
 	profiles := []video.Profile{video.SD, video.HD}
 	clip := video.ClipC // the clip the paper displays
 
-	var scenarios []string
-	var cols []string
-	var bufs []int
-	if variant == "a" {
-		scenarios = []string{"noBG", "long-few", "long-many", "short-few", "short-many"}
-		cols, bufs = accessBufferCols(), sizing.AccessBufferSizes
-	} else {
-		scenarios = testbed.BackboneScenarioNames
-		cols, bufs = backboneBufferCols(), sizing.BackboneBufferSizes
+	net := backboneNet
+	if panel == "a" {
+		net = accessNet
 	}
+	scenarios, cols := net.scenarios, bufferCols(net.buffers)
 	var rows []string
 	for _, p := range profiles {
 		for _, s := range scenarios {
 			rows = append(rows, p.Name+"/"+s)
 		}
 	}
-	g := NewGrid(fmt.Sprintf("Figure 9%s: median SSIM (video C)", variant), rows, cols)
+	g := NewGrid(fmt.Sprintf("Figure 9%s: median SSIM (video C)", panel), rows, cols)
 
 	var jobs []cellJob
-	for bi, buf := range bufs {
+	for bi, buf := range net.buffers {
 		col := cols[bi]
 		for _, s := range scenarios {
 			for _, p := range profiles {
-				// Build only the variant's own task: workload names
-				// resolve at build time, and the backbone names are not
-				// access names.
-				var task engine.Task
-				if variant == "a" {
-					task = videoAccessTask(o, s, testbed.DirDown, clip, p, buf, accessVariant{})
-				} else {
-					task = videoBackboneTask(o, s, clip, p, video.RecoveryNone, buf, backboneVariant{})
-				}
+				task := cellTask(o, net, s, testbed.DirDown, buf, variant{}, videoFG(clip, p, video.RecoveryNone))
 				jobs = append(jobs, cellJob{task, p.Name + "/" + s, col})
 			}
 		}
@@ -190,7 +181,7 @@ func fig9(s *Session, o Options, variant string) (*Result, error) {
 			Class: string(qoe.Rate(qoe.SSIMToMOS(ssim))),
 		})
 	})
-	return &Result{ID: "fig9" + variant, Grids: []*Grid{g}}, nil
+	return &Result{ID: "fig9" + panel, Grids: []*Grid{g}}, nil
 }
 
 // webReps fetches the page sequentially Reps times and returns the
@@ -225,51 +216,32 @@ func webReps(se *sim.Engine, o Options, cs *CellScratch, pc *telemetry.PhaseCloc
 	return time.Duration(plts.Median() * float64(time.Second))
 }
 
-// fig10 regenerates the Figure 10 access WebQoE heatmaps: variant "a"
+// fig10 regenerates the Figure 10 access WebQoE heatmaps: panel "a"
 // is download congestion, "b" upload congestion. Variant "c" is the
 // combined workload of §9.2 ("not shown": dominated by the upload
 // side, with somewhat shorter PLTs than upload-only).
-func fig10(s *Session, o Options, variant string) (*Result, error) {
-	dir := testbed.DirDown
-	switch variant {
-	case "b":
-		dir = testbed.DirUp
-	case "c":
-		dir = testbed.DirBidir
-	}
-	model := qoe.AccessWebModel()
-	scenarios := []string{"noBG", "long-few", "long-many", "short-few", "short-many"}
-	g := NewGrid(fmt.Sprintf("Figure 10%s: access median PLT (s) and WebQoE, %s congestion", variant, dir),
-		scenarios, accessBufferCols())
-	var jobs []cellJob
-	for _, buf := range sizing.AccessBufferSizes {
-		col := fmt.Sprintf("%d", buf)
-		for _, s := range scenarios {
-			jobs = append(jobs, cellJob{webAccessTask(o, s, dir, buf, accessVariant{}, 0), s, col})
-		}
-	}
-	s.runCells(jobs, func(row, col string, v any) {
-		plt := v.(time.Duration)
-		mos := model.MOS(plt)
-		g.Set(row, col, Cell{
-			Value: plt.Seconds(),
-			Text:  fmt.Sprintf("%.2fs/MOS %.1f", plt.Seconds(), mos),
-			Class: string(qoe.Rate(mos)),
-		})
-	})
-	return &Result{ID: "fig10" + variant, Grids: []*Grid{g}}, nil
+func fig10(s *Session, o Options, panel string) (*Result, error) {
+	dir := panelDir(panel)
+	return webFigure(s, o, accessNet, dir, "fig10"+panel,
+		fmt.Sprintf("Figure 10%s: access median PLT (s) and WebQoE, %s congestion", panel, dir))
 }
 
 // fig11 regenerates the Figure 11 backbone WebQoE heatmap.
 func fig11(s *Session, o Options) (*Result, error) {
-	model := qoe.BackboneWebModel()
-	scenarios := testbed.BackboneScenarioNames
-	g := NewGrid("Figure 11: backbone median PLT (s) and WebQoE", scenarios, backboneBufferCols())
+	return webFigure(s, o, backboneNet, testbed.DirDown, "fig11", "Figure 11: backbone median PLT (s) and WebQoE")
+}
+
+// webFigure sweeps a network's Table 1 workloads over its Table 2
+// buffers with the web foreground and rates each median PLT on the
+// network's WebQoE model.
+func webFigure(s *Session, o Options, n *network, dir testbed.Direction, id, title string) (*Result, error) {
+	model := n.webModel()
+	g := NewGrid(title, n.scenarios, bufferCols(n.buffers))
 	var jobs []cellJob
-	for _, buf := range sizing.BackboneBufferSizes {
+	for _, buf := range n.buffers {
 		col := fmt.Sprintf("%d", buf)
-		for _, s := range scenarios {
-			jobs = append(jobs, cellJob{webBackboneTask(o, s, buf, backboneVariant{}), s, col})
+		for _, s := range n.scenarios {
+			jobs = append(jobs, cellJob{cellTask(o, n, s, dir, buf, variant{}, webFG(0)), s, col})
 		}
 	}
 	s.runCells(jobs, func(row, col string, v any) {
@@ -281,5 +253,5 @@ func fig11(s *Session, o Options) (*Result, error) {
 			Class: string(qoe.Rate(mos)),
 		})
 	})
-	return &Result{ID: "fig11", Grids: []*Grid{g}}, nil
+	return &Result{ID: id, Grids: []*Grid{g}}, nil
 }

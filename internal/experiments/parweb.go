@@ -21,10 +21,7 @@ import (
 func extParWeb(s *Session, o Options) (*Result, error) {
 	model := qoe.AccessWebModel()
 	bufs := []int{8, 64, 256}
-	cols := make([]string, len(bufs))
-	for i, b := range bufs {
-		cols[i] = fmt.Sprintf("%d", b)
-	}
+	cols := bufferCols(bufs)
 	g := NewGrid("Extension: sequential (wget, §9.1) vs 6-conn browser fetch (access, upstream long-few)",
 		[]string{"seq PLT", "par PLT", "seq MOS", "par MOS"}, cols)
 	var jobs []cellJob
@@ -34,7 +31,7 @@ func extParWeb(s *Session, o Options) (*Result, error) {
 			if mode == "par" {
 				conns = 6
 			}
-			jobs = append(jobs, cellJob{webAccessTask(o, "long-few", testbed.DirUp, buf, accessVariant{}, conns),
+			jobs = append(jobs, cellJob{cellTask(o, accessNet, "long-few", testbed.DirUp, buf, variant{}, webFG(conns)),
 				mode, cols[bi]})
 		}
 	}

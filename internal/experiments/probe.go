@@ -120,13 +120,10 @@ func aqmTag(name string) string {
 }
 
 // ccChoice maps a congestion-control name to its constructor and
-// canonical tag, folding the testbed's paper default to the zero
-// value so "cubic on access" and "default on access" are one cell.
-func ccChoice(name, testbedName string) (func() tcp.CongestionControl, string, error) {
-	def := "cubic"
-	if testbedName == "backbone" {
-		def = "reno"
-	}
+// canonical tag, folding def — the network's paper default — to the
+// zero value so "cubic on access" and "default on access" are one
+// cell.
+func ccChoice(name, def string) (func() tcp.CongestionControl, string, error) {
 	if name == def {
 		name = ""
 	}
@@ -205,12 +202,13 @@ func (p ProbeSpec) normalize() (ProbeSpec, error) {
 	if p.Media == "video" && p.Profile.Name == "" {
 		p.Profile = video.SD
 	}
-	if p.Testbed == "backbone" {
-		if p.Mix == nil {
-			if _, err := testbed.LookupBackboneScenario(p.Scenario); err != nil {
-				return p, err
-			}
+	n := networks[p.Testbed]
+	if p.Mix == nil {
+		if _, err := n.preset(p.Scenario, p.Direction); err != nil {
+			return p, err
 		}
+	}
+	if p.Testbed == "backbone" {
 		if p.Direction != testbed.DirDown {
 			return p, fmt.Errorf("backbone congestion is downstream-only, got direction %v", p.Direction)
 		}
@@ -224,11 +222,6 @@ func (p ProbeSpec) normalize() (ProbeSpec, error) {
 			return p, fmt.Errorf("uplink buffer override exists on the access testbed only")
 		}
 	} else {
-		if p.Mix == nil {
-			if _, err := testbed.LookupAccessScenario(p.Scenario, p.Direction); err != nil {
-				return p, err
-			}
-		}
 		if p.Jitter < 0 {
 			return p, fmt.Errorf("jitter must be non-negative, got %v", p.Jitter)
 		}
@@ -256,55 +249,44 @@ func (p ProbeSpec) normalize() (ProbeSpec, error) {
 	if _, err := aqmFactory(p.AQM, 1e6, "x"); err != nil {
 		return p, err
 	}
-	if _, _, err := ccChoice(p.CC, p.Testbed); err != nil {
+	if _, _, err := ccChoice(p.CC, n.cc); err != nil {
 		return p, err
 	}
 	return p, nil
 }
 
 // task compiles a normalized spec into the engine task it names.
-func (p ProbeSpec) task(o Options) (engine.Task, error) {
-	p, err := p.normalize()
-	if err != nil {
-		return engine.Task{}, fmt.Errorf("experiments: invalid probe: %w", err)
+func (p ProbeSpec) task(o Options) (t engine.Task, err error) {
+	if p, err = p.normalize(); err != nil {
+		return t, fmt.Errorf("experiments: invalid probe: %w", err)
 	}
-	cc, ccTag, _ := ccChoice(p.CC, p.Testbed)
+	n := networks[p.Testbed]
+	cc, ccTag, _ := ccChoice(p.CC, n.cc)
 	var jitterTag string
 	if p.Jitter > 0 {
 		jitterTag = "jitter=" + p.Jitter.String()
 	}
-	tag := joinTags(aqmTag(p.AQM), ccTag, jitterTag)
-
-	if p.Testbed == "backbone" {
-		downQ, _ := aqmFactory(p.AQM, testbed.BackboneRate, "aqm-down")
-		v := backboneVariant{tag: tag, downQueue: downQ, cc: cc, mix: p.Mix}
-		switch p.Media {
-		case "voip":
-			return voipBackboneTask(o, p.Scenario, p.Buffer, v), nil
-		case "web":
-			return webBackboneTask(o, p.Scenario, p.Buffer, v), nil
-		default:
-			return videoBackboneTask(o, p.Scenario, video.ClipC, p.Profile, video.RecoveryNone, p.Buffer, v), nil
-		}
+	v := variant{
+		tag:   joinTags(aqmTag(p.AQM), ccTag, jitterTag),
+		bufUp: p.BufferUp, cc: cc, jitter: p.Jitter, link: p.Link, mix: p.Mix,
 	}
-
-	lp := p.Link.WithDefaults()
-	upQ, _ := aqmFactory(p.AQM, lp.UpRate, "aqm-up")
-	downQ, _ := aqmFactory(p.AQM, lp.DownRate, "aqm-down")
-	v := accessVariant{
-		tag: tag, bufUp: p.BufferUp,
-		upQueue: upQ, downQueue: downQ,
-		cc: cc, jitter: p.Jitter, link: p.Link,
-		mix: p.Mix,
+	// The discipline goes on every queue under test: both on a duplex
+	// network, the congested downstream one otherwise.
+	if n.duplex {
+		lp := p.Link.WithDefaults()
+		v.upQueue, _ = aqmFactory(p.AQM, lp.UpRate, "aqm-up")
+		v.downQueue, _ = aqmFactory(p.AQM, lp.DownRate, "aqm-down")
+	} else {
+		v.downQueue, _ = aqmFactory(p.AQM, testbed.BackboneRate, "aqm-down")
 	}
+	fg := voipFG
 	switch p.Media {
-	case "voip":
-		return voipAccessTask(o, p.Scenario, p.Direction, p.Buffer, v), nil
 	case "web":
-		return webAccessTask(o, p.Scenario, p.Direction, p.Buffer, v, 0), nil
-	default:
-		return videoAccessTask(o, p.Scenario, p.Direction, video.ClipC, p.Profile, p.Buffer, v), nil
+		fg = webFG(0)
+	case "video":
+		fg = videoFG(video.ClipC, p.Profile, video.RecoveryNone)
 	}
+	return cellTask(o, n, p.Scenario, p.Direction, p.Buffer, v, fg), nil
 }
 
 // value converts a cell's raw result into a ProbeValue.

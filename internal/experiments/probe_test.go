@@ -40,25 +40,6 @@ func TestProbeSpecValidate(t *testing.T) {
 	}
 }
 
-// TestProbeMatchesMeasure: the probe path must submit the exact cell
-// the legacy Measure* path submits, sharing cache and value.
-func TestProbeMatchesMeasure(t *testing.T) {
-	s := NewSession(0)
-	o := tiny()
-	listen, talk := s.MeasureVoIPAccess("short-few", testbed.DirUp, 64, o)
-	before := s.EngineStats()
-	v, err := s.Probe(ProbeSpec{Scenario: "short-few", Direction: testbed.DirUp, Buffer: 64, Media: "voip"}, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.ListenMOS != listen || v.TalkMOS != talk {
-		t.Fatalf("probe (%v/%v) != measure (%v/%v)", v.ListenMOS, v.TalkMOS, listen, talk)
-	}
-	if after := s.EngineStats(); after.Misses != before.Misses {
-		t.Fatalf("probe re-simulated the measured cell: %+v -> %+v", before, after)
-	}
-}
-
 // TestProbeBatchPairsLinks: custom-link cells must reuse the same
 // derived seed as the preset link (common random numbers), while
 // caching separately.
@@ -144,12 +125,15 @@ func TestVideoProbeHonorsDirection(t *testing.T) {
 	if vals[1].SSIM < vals[0].SSIM {
 		t.Fatalf("upload-congestion SSIM %.3f < download-congestion %.3f", vals[1].SSIM, vals[0].SSIM)
 	}
-	// The down-direction probe is still the paper grid's cell.
-	if got := s.MeasureVideoAccess("long-many", video.SD, 64, o); got != vals[0].SSIM {
-		t.Fatalf("down probe %v != MeasureVideoAccess %v", vals[0].SSIM, got)
+	// The down-direction probe is still the paper grid's cell (fig9a
+	// builds exactly this task).
+	grid := cellTask(s.opts(o), accessNet, "long-many", testbed.DirDown, 64, variant{},
+		videoFG(video.ClipC, video.SD, video.RecoveryNone))
+	if got := s.runOne(grid).(videoScore).SSIM; got != vals[0].SSIM {
+		t.Fatalf("down probe %v != grid cell %v", vals[0].SSIM, got)
 	}
 	if st := s.EngineStats(); st.Misses != 2 {
-		t.Fatalf("MeasureVideoAccess missed the probe cache: %+v", s.EngineStats())
+		t.Fatalf("the grid's cell missed the probe cache: %+v", s.EngineStats())
 	}
 }
 

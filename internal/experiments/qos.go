@@ -9,19 +9,10 @@ import (
 	"bufferqoe/internal/testbed"
 )
 
-// accessBufferCols renders the Table 2 access buffer sizes as column
-// labels.
-func accessBufferCols() []string {
-	out := make([]string, len(sizing.AccessBufferSizes))
-	for i, b := range sizing.AccessBufferSizes {
-		out[i] = fmt.Sprintf("%d", b)
-	}
-	return out
-}
-
-func backboneBufferCols() []string {
-	out := make([]string, len(sizing.BackboneBufferSizes))
-	for i, b := range sizing.BackboneBufferSizes {
+// bufferCols renders buffer sizes as column labels.
+func bufferCols(sizes []int) []string {
+	out := make([]string, len(sizes))
+	for i, b := range sizes {
 		out[i] = fmt.Sprintf("%d", b)
 	}
 	return out
@@ -78,7 +69,7 @@ func table1(s *Session, o Options) (*Result, error) {
 		for _, dir := range []testbed.Direction{testbed.DirUp, testbed.DirBidir, testbed.DirDown} {
 			row := fmt.Sprintf("access/%s/%s", name, dir)
 			rows = append(rows, row)
-			jobs = append(jobs, cellJob{bgAccessTask(o, name, dir, 8, 64), row, ""})
+			jobs = append(jobs, cellJob{cellTask(o, accessNet, name, dir, 64, variant{bufUp: 8}, backgroundFG), row, ""})
 		}
 	}
 	g := NewGrid("Table 1 (access): measured workload characteristics at BDP buffers", rows, cols)
@@ -99,7 +90,7 @@ func table1(s *Session, o Options) (*Result, error) {
 	for _, name := range bbNames {
 		row := "backbone/" + name
 		bbRows = append(bbRows, row)
-		bbJobs = append(bbJobs, cellJob{bgBackboneTask(o, name, 749), row, ""})
+		bbJobs = append(bbJobs, cellJob{cellTask(o, backboneNet, name, testbed.DirDown, 749, variant{}, backgroundFG), row, ""})
 	}
 	g2 := NewGrid("Table 1 (backbone): measured workload characteristics at BDP buffers",
 		bbRows, []string{"conc flows", "util %", "sd", "loss %"})
@@ -116,10 +107,10 @@ func table1(s *Session, o Options) (*Result, error) {
 // fig4 regenerates the Figure 4 mean-queueing-delay heatmaps for one
 // workload direction: "a" = downstream only, "b" = bidirectional,
 // "c" = upstream only.
-func fig4(s *Session, o Options, variant string) (*Result, error) {
+func fig4(s *Session, o Options, panel string) (*Result, error) {
 	dir := map[string]testbed.Direction{
 		"a": testbed.DirDown, "b": testbed.DirBidir, "c": testbed.DirUp,
-	}[variant]
+	}[panel]
 	scenarios := []string{"long-few", "long-many", "short-few", "short-many"}
 	var rows []string
 	for _, half := range []string{"uplink", "downlink"} {
@@ -127,13 +118,13 @@ func fig4(s *Session, o Options, variant string) (*Result, error) {
 			rows = append(rows, half+"/"+s)
 		}
 	}
-	g := NewGrid(fmt.Sprintf("Figure 4%s: mean queueing delay (ms), %s workload", variant, dir),
-		rows, accessBufferCols())
+	g := NewGrid(fmt.Sprintf("Figure 4%s: mean queueing delay (ms), %s workload", panel, dir),
+		rows, bufferCols(accessNet.buffers))
 	var jobs []cellJob
-	for _, buf := range sizing.AccessBufferSizes {
+	for _, buf := range accessNet.buffers {
 		col := fmt.Sprintf("%d", buf)
 		for _, s := range scenarios {
-			jobs = append(jobs, cellJob{bgAccessTask(o, s, dir, buf, buf), s, col})
+			jobs = append(jobs, cellJob{cellTask(o, accessNet, s, dir, buf, variant{bufUp: buf}, backgroundFG), s, col})
 		}
 	}
 	s.runCells(jobs, func(row, col string, v any) {
@@ -147,7 +138,7 @@ func fig4(s *Session, o Options, variant string) (*Result, error) {
 			Class: qoe.ClassifyDelay(msToDuration(m.DelayDownMs)).String(),
 		})
 	})
-	return &Result{ID: "fig4" + variant, Grids: []*Grid{g}}, nil
+	return &Result{ID: "fig4" + panel, Grids: []*Grid{g}}, nil
 }
 
 // fig5 regenerates the Figure 5 utilization boxplots: bidirectional
@@ -155,15 +146,15 @@ func fig4(s *Session, o Options, variant string) (*Result, error) {
 // Its cells are the same background runs as fig4b's long-many column,
 // so a full-suite run pays for them once.
 func fig5(s *Session, o Options) (*Result, error) {
-	cols := accessBufferCols()
+	cols := bufferCols(accessNet.buffers)
 	rows := []string{
 		"downlink median", "downlink q1", "downlink q3", "downlink min", "downlink max",
 		"uplink median", "uplink q1", "uplink q3", "uplink min", "uplink max",
 	}
 	g := NewGrid("Figure 5: link utilization (%) under bidirectional long-many workload", rows, cols)
 	var jobs []cellJob
-	for bi, buf := range sizing.AccessBufferSizes {
-		jobs = append(jobs, cellJob{bgAccessTask(o, "long-many", testbed.DirBidir, buf, buf), "", cols[bi]})
+	for bi, buf := range accessNet.buffers {
+		jobs = append(jobs, cellJob{cellTask(o, accessNet, "long-many", testbed.DirBidir, buf, variant{bufUp: buf}, backgroundFG), "", cols[bi]})
 	}
 	s.runCells(jobs, func(_, col string, v any) {
 		m := v.(bgMetrics)

@@ -22,7 +22,7 @@ var ErrCanceled = engine.ErrCanceled
 // experiment grids, probes, sweeps — runs *on* a session, so
 // independent callers (a service handling many users, a test that
 // wants a cold cache) get isolated state instead of sharing mutable
-// package globals. The package-level Run/Measure* functions operate
+// package globals. The package-level Run/RunAll functions operate
 // on Default, preserving the original single-engine behavior.
 type Session struct {
 	eng *engine.Engine

@@ -7,7 +7,7 @@ import (
 	"bufferqoe/internal/testbed"
 )
 
-func abrWatch(t *testing.T, b *testbed.Backbone, cfg ABRConfig) ABRResult {
+func abrWatch(t *testing.T, b *testbed.Testbed, cfg ABRConfig) ABRResult {
 	t.Helper()
 	RegisterABRServer(b.MediaServerTCP, ABRPort, cfg)
 	var res *ABRResult

@@ -7,7 +7,7 @@ import (
 	"bufferqoe/internal/testbed"
 )
 
-func watch(t *testing.T, b *testbed.Backbone, cfg Config) Result {
+func watch(t *testing.T, b *testbed.Testbed, cfg Config) Result {
 	t.Helper()
 	RegisterServer(b.MediaServerTCP, Port, cfg)
 	var got *Result

@@ -234,8 +234,8 @@ func (p *PhaseClock) Done(cell string, m SimMetrics) {
 }
 
 // Snapshot is a point-in-time copy of every collector metric,
-// JSON-serializable (it backs both Session.Metrics and the expvar
-// endpoint).
+// JSON-serializable (it backs Session.Metrics and the -json
+// telemetry block).
 type Snapshot struct {
 	// UptimeSeconds is the time since the collector was created.
 	UptimeSeconds float64 `json:"uptime_seconds"`

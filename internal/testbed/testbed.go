@@ -2,9 +2,13 @@
 // (Figure 3) in simulation: an asymmetric DSL access network
 // (1 Mbit/s up, 16 Mbit/s down, NetFPGA-style drop-tail bottleneck
 // buffers at the home router and DSLAM) and an OC3 backbone
-// (155 Mbit/s, 30 ms one-way delay box). It wires hosts, switches,
-// routers, buffer configurations (Table 2) and the Harpoon workload
-// scenarios (Table 1).
+// (155 Mbit/s, 30 ms one-way delay box). Both are the same
+// single-bottleneck dumbbell — hosts behind two switches, two routers,
+// one buffered bottleneck pair — so one Testbed type is built, reset
+// in place and started by one implementation; a small shape descriptor
+// carries what differs. The package also wires the buffer
+// configurations (Table 2) and the Harpoon workload scenarios
+// (Table 1).
 package testbed
 
 import (
@@ -38,6 +42,71 @@ const (
 	BackboneRate  = 155e6
 	BackboneDelay = 30 * time.Millisecond // NetPath delay box, one way
 )
+
+// shape is everything that distinguishes one dumbbell from another;
+// a new topology of the same family is one more literal.
+type shape struct {
+	bgHosts                    int    // background client/server host pairs
+	clientRouter, serverRouter string // router node names
+	upLink, downLink           string // bottleneck link names
+	// link holds the bottleneck rates and the one-way delays of the two
+	// router<->switch hops; delay is the bottleneck's own propagation.
+	link  LinkParams
+	delay time.Duration
+	// fixedLink shapes ignore Config.Link and Config.Jitter.
+	fixedLink bool
+	cc        func() tcp.CongestionControl // the paper's background CC
+	// duplex shapes observe both directions (queue and link monitors)
+	// and can carry workload upstream; otherwise only the down
+	// direction is instrumented and congested.
+	duplex         bool
+	upMon, downMon string // queue-monitor names
+	upGen, downGen string // harpoon RNG labels
+	slot           int    // index into Scratch.carcass
+}
+
+// Figure 3a: two background host pairs around the home router and
+// DSLAM; the paper runs BIC/CUBIC on the access hosts.
+var accessShape = shape{
+	bgHosts:      2,
+	clientRouter: "home-router",
+	serverRouter: "dslam",
+	upLink:       "uplink",
+	downLink:     "downlink",
+	link: LinkParams{
+		UpRate: AccessUpRate, DownRate: AccessDownRate,
+		ClientDelay: AccessClientDelay, ServerDelay: AccessServerDelay,
+	},
+	delay:   100 * time.Microsecond,
+	cc:      tcp.NewCubic,
+	duplex:  true,
+	upMon:   "uplink",
+	downMon: "downlink",
+	upGen:   "harpoon-up",
+	downGen: "harpoon-down",
+	slot:    0,
+}
+
+// Figure 3b: four background host pairs, Cisco-class switches, two
+// routers joined by an OC3 with the NetPath delay box folded into
+// propagation; TCP-Reno on the hosts, congestion server->client only.
+var backboneShape = shape{
+	bgHosts:      4,
+	clientRouter: "router-client",
+	serverRouter: "router-server",
+	upLink:       "oc3-cs",
+	downLink:     "oc3-sc",
+	link: LinkParams{
+		UpRate: BackboneRate, DownRate: BackboneRate,
+		ClientDelay: 100 * time.Microsecond, ServerDelay: 100 * time.Microsecond,
+	},
+	delay:     BackboneDelay,
+	fixedLink: true,
+	cc:        tcp.NewReno,
+	downMon:   "oc3-down",
+	downGen:   "harpoon-bb",
+	slot:      1,
+}
 
 // QueueFactory builds the bottleneck queue for a buffer size in
 // packets; nil means drop-tail (the paper's configuration). The AQM
@@ -84,20 +153,20 @@ type LinkParams struct {
 	Reorder float64
 }
 
-// WithDefaults fills zero fields with the paper's DSL values (and,
-// when wifi is enabled, the 802.11 retry/aggregation defaults).
-func (lp LinkParams) WithDefaults() LinkParams {
+// fill replaces zero rates and delays with def's (and, when wifi is
+// enabled, zero retry/aggregation knobs with the 802.11 defaults).
+func (lp LinkParams) fill(def LinkParams) LinkParams {
 	if lp.UpRate <= 0 {
-		lp.UpRate = AccessUpRate
+		lp.UpRate = def.UpRate
 	}
 	if lp.DownRate <= 0 {
-		lp.DownRate = AccessDownRate
+		lp.DownRate = def.DownRate
 	}
 	if lp.ClientDelay <= 0 {
-		lp.ClientDelay = AccessClientDelay
+		lp.ClientDelay = def.ClientDelay
 	}
 	if lp.ServerDelay <= 0 {
-		lp.ServerDelay = AccessServerDelay
+		lp.ServerDelay = def.ServerDelay
 	}
 	if lp.Wifi.Stations > 0 {
 		if lp.Wifi.RetryLimit <= 0 {
@@ -110,14 +179,21 @@ func (lp LinkParams) WithDefaults() LinkParams {
 	return lp
 }
 
+// WithDefaults fills zero fields with the paper's DSL values (and,
+// when wifi is enabled, the 802.11 retry/aggregation defaults).
+func (lp LinkParams) WithDefaults() LinkParams { return lp.fill(accessShape.link) }
+
 // IsDefault reports whether the (default-filled) parameters equal the
 // paper's DSL access link.
-func (lp LinkParams) IsDefault() bool {
-	return lp.WithDefaults() == LinkParams{
-		UpRate: AccessUpRate, DownRate: AccessDownRate,
-		ClientDelay: AccessClientDelay, ServerDelay: AccessServerDelay,
-	}
-}
+func (lp LinkParams) IsDefault() bool { return lp.WithDefaults() == accessShape.link }
+
+// graph names the Config knobs that change the receiver graph rather
+// than a parameter on it — jitter (a JitterBox on the client LAN hop),
+// wifi (mac.WifiLinks instead of the wired bottleneck pair), and
+// reordering (ReorderBoxes after the bottleneck). A carcass is
+// reusable only for cells of the same graph; everything else is
+// reconfigurable in place.
+type graph struct{ jitter, wifi, reorder bool }
 
 // Scratch holds what a testbed build would otherwise allocate fresh:
 // the bottleneck queue and link monitors, and — the big one — the
@@ -128,23 +204,16 @@ func (lp LinkParams) IsDefault() bool {
 // nodes, links, TCP stacks) and reconfigure only what varies per cell
 // (buffer queues, link rates/delays, seeds, congestion control), so
 // the structural build cost is paid once per worker instead of once
-// per cell. Every reset restores the exact state a cold build would
-// produce, so results are bit-identical either way — the golden
-// cross-section test exercises precisely this path.
+// per cell. A cold build and a reused carcass go through the same
+// configuration step, so results are bit-identical either way — the
+// golden cross-section test exercises precisely this path.
 type Scratch struct {
 	UpQueueMon, DownQueueMon netem.QueueMonitor
 	UpLinkMon, DownLinkMon   netem.LinkMonitor
 
-	// Cached testbed carcasses. The access carcass is keyed on the
-	// knobs that change the receiver graph — jitter (a JitterBox on
-	// the client LAN hop), wifi (mac.WifiLinks instead of the wired
-	// bottleneck pair), and reordering (ReorderBoxes after the
-	// bottleneck); everything else is reconfigurable in place.
-	access        *Access
-	accessJitter  bool
-	accessWifi    bool
-	accessReorder bool
-	backbone      *Backbone
+	// carcass caches one assembled testbed per shape, replaced when a
+	// cell needs a different graph.
+	carcass [2]*Testbed
 }
 
 // Reset clears all monitors for the next run. Cached testbed
@@ -158,8 +227,8 @@ func (s *Scratch) Reset() {
 
 // Config configures a testbed build.
 type Config struct {
-	// BufferUp / BufferDown are bottleneck buffer sizes in packets.
-	// The backbone uses BufferDown for both directions.
+	// BufferUp / BufferDown are bottleneck buffer sizes in packets;
+	// BufferUp 0 means "same as BufferDown".
 	BufferUp, BufferDown int
 	// Link overrides the access bottleneck's rates and delays; the
 	// zero value is the paper's DSL configuration. Ignored by the
@@ -180,8 +249,8 @@ type Config struct {
 	// delay variability (§5.1); the ext-jitter experiment re-adds it.
 	Jitter time.Duration
 	// Scratch, if non-nil, supplies reusable monitors (reset before
-	// use) instead of allocating fresh ones — the cell engine passes a
-	// per-worker scratch here.
+	// use) and the cached carcass instead of allocating fresh ones —
+	// the cell engine passes a per-worker scratch here.
 	Scratch *Scratch
 }
 
@@ -194,8 +263,9 @@ func (c Config) queue(f QueueFactory, capPkts int, mon *netem.QueueMonitor) nete
 	return f(capPkts)
 }
 
-// Access is the assembled access-network testbed.
-type Access struct {
+// Testbed is an assembled dumbbell: the Figure 3a access network or
+// the Figure 3b backbone, depending on the shape it was built from.
+type Testbed struct {
 	Eng *sim.Engine
 	Net *netem.Network
 
@@ -209,10 +279,12 @@ type Access struct {
 	// Background traffic endpoints.
 	BGClients, BGServers []*tcp.Stack
 
-	// Bottleneck instrumentation. Exactly one pair is non-nil: the
-	// wired links for the paper's DSL bottleneck, or the wifi links
-	// when cfg.Link.Wifi selects the 802.11 MAC. Read monitors through
-	// UpLinkMonitor/DownLinkMonitor, which hide the distinction.
+	// Bottleneck instrumentation. Exactly one pair of links is non-nil:
+	// the wired links, or the wifi links when cfg.Link.Wifi selects the
+	// 802.11 MAC. Read link monitors through UpLinkMonitor/
+	// DownLinkMonitor, which hide the distinction. On a shape that
+	// observes the down direction only (the backbone), UpMon and the
+	// uplink's monitor are nil.
 	UpLink, DownLink *netem.Link
 	UpWifi, DownWifi *mac.WifiLink
 	UpMon, DownMon   *netem.QueueMonitor
@@ -220,12 +292,13 @@ type Access struct {
 	// Workload generators (nil until StartWorkload).
 	UpGen, DownGen *harpoon.Generator
 
-	seed uint64
+	sh    *shape
+	graph graph
+	seed  uint64
 
 	// Carcass fields for in-place reuse: the structural pieces a reset
 	// reconfigures rather than rebuilds.
-	csHome, homeCs       *netem.Link // client LAN hop (ClientDelay varies)
-	ssDslam, dslamSs     *netem.Link // server LAN hop (ServerDelay varies)
+	clientHop, serverHop [2]*netem.Link // router<->switch hops (delays vary)
 	lanLinks             []*netem.Link
 	jitterUp, jitterDn   *netem.JitterBox
 	reorderUp, reorderDn *netem.ReorderBox
@@ -233,263 +306,240 @@ type Access struct {
 	allStacks            []*tcp.Stack
 }
 
+// bottleneck is what the wired and wifi bottleneck links have in
+// common for instrumentation.
+type bottleneck interface {
+	netem.Egress
+	AttachMonitor(*netem.LinkMonitor) *netem.LinkMonitor
+}
+
+func (t *Testbed) bottlenecks() (up, down bottleneck) {
+	if t.UpWifi != nil {
+		return t.UpWifi, t.DownWifi
+	}
+	return t.UpLink, t.DownLink
+}
+
 // UpLinkMonitor returns the bottleneck uplink's monitor regardless of
 // whether the bottleneck is wired or wifi.
-func (a *Access) UpLinkMonitor() *netem.LinkMonitor {
-	if a.UpWifi != nil {
-		return a.UpWifi.Monitor
+func (t *Testbed) UpLinkMonitor() *netem.LinkMonitor {
+	if t.UpWifi != nil {
+		return t.UpWifi.Monitor
 	}
-	return a.UpLink.Monitor
+	return t.UpLink.Monitor
 }
 
 // DownLinkMonitor returns the bottleneck downlink's monitor.
-func (a *Access) DownLinkMonitor() *netem.LinkMonitor {
-	if a.DownWifi != nil {
-		return a.DownWifi.Monitor
+func (t *Testbed) DownLinkMonitor() *netem.LinkMonitor {
+	if t.DownWifi != nil {
+		return t.DownWifi.Monitor
 	}
-	return a.DownLink.Monitor
+	return t.DownLink.Monitor
 }
 
 // NewAccess builds the Figure 3a access testbed with the given buffer
 // configuration — or, when the Scratch already caches a compatible
 // carcass, resets that testbed in place, which is behavior-identical
 // and roughly an order of magnitude cheaper.
-func NewAccess(cfg Config) *Access {
-	wifi := cfg.Link.Wifi.Stations > 0
-	reorder := cfg.Link.Reorder > 0
-	if s := cfg.Scratch; s != nil && s.access != nil &&
-		s.accessJitter == (cfg.Jitter > 0) && s.accessWifi == wifi && s.accessReorder == reorder {
-		s.access.reuse(cfg)
-		return s.access
+func NewAccess(cfg Config) *Testbed { return newTestbed(&accessShape, cfg) }
+
+// NewBackbone builds (or, like NewAccess, resets in place) the Figure
+// 3b backbone testbed.
+func NewBackbone(cfg Config) *Testbed { return newTestbed(&backboneShape, cfg) }
+
+func newTestbed(sh *shape, cfg Config) *Testbed {
+	if sh.fixedLink {
+		cfg.Link, cfg.Jitter = LinkParams{}, 0
 	}
-	a := buildAccess(cfg)
-	if s := cfg.Scratch; s != nil {
-		s.access = a
-		s.accessJitter = cfg.Jitter > 0
-		s.accessWifi = wifi
-		s.accessReorder = reorder
+	s := cfg.Scratch
+	if s == nil {
+		s = new(Scratch) // one-off build: private monitors, nothing to reuse
 	}
-	return a
+	g := graph{jitter: cfg.Jitter > 0, wifi: cfg.Link.Wifi.Stations > 0, reorder: cfg.Link.Reorder > 0}
+	t := s.carcass[sh.slot]
+	if t != nil && t.graph == g {
+		t.reuse()
+	} else {
+		t = build(sh, g)
+		s.carcass[sh.slot] = t
+	}
+	t.configure(cfg, s)
+	return t
 }
 
-// wifiParams maps the testbed's link axis onto one direction's MAC
-// parameters; the 100 us wired-bottleneck propagation delay carries
-// over so wifi and wired cells differ only in the MAC itself.
-func wifiParams(lp LinkParams, rate float64) mac.Params {
-	return mac.Params{
-		PhyRate:      rate,
-		Delay:        100 * time.Microsecond,
-		Stations:     lp.Wifi.Stations,
-		RetryLimit:   lp.Wifi.RetryLimit,
-		MaxAggFrames: lp.Wifi.MaxAggFrames,
-	}
-}
-
-func buildAccess(cfg Config) *Access {
+// build assembles the structural graph of a shape — nodes, links,
+// stacks, routes — with every per-cell parameter left for configure.
+func build(sh *shape, g graph) *Testbed {
 	eng := sim.New()
 	nw := netem.NewNetwork(eng)
-	lp := cfg.Link.WithDefaults()
+	t := &Testbed{Eng: eng, Net: nw, sh: sh, graph: g}
 
-	a := &Access{Eng: eng, Net: nw, seed: cfg.Seed}
-
-	// Topology: clients - clientSwitch - homeRouter =bottleneck= dslam
-	// - serverSwitch - servers.
+	// Topology: clients - client switch - client router =bottleneck=
+	// server router - server switch - servers.
 	cswitch := nw.NewNode("client-switch")
-	home := nw.NewNode("home-router")
-	dslam := nw.NewNode("dslam")
+	crouter := nw.NewNode(sh.clientRouter)
+	srouter := nw.NewNode(sh.serverRouter)
 	sswitch := nw.NewNode("server-switch")
 
-	if cfg.Scratch != nil {
-		cfg.Scratch.UpQueueMon.Reset("uplink")
-		cfg.Scratch.DownQueueMon.Reset("downlink")
-		a.UpMon = &cfg.Scratch.UpQueueMon
-		a.DownMon = &cfg.Scratch.DownQueueMon
+	// Bottleneck pair: the uplink buffer sits in the client-side
+	// router, the downlink buffer in the server-side one (Section 5.3:
+	// the bottleneck interface is "the only location where packet loss
+	// occurs"). Monitors go on the bottleneck links only (the
+	// experiments read nothing else); LAN links stay on the unmonitored
+	// fast path. An optional reordering stage sits right behind each
+	// bottleneck, and a wifi graph swaps the wired pair for 802.11 MAC
+	// links sharing one medium.
+	var upDst netem.Receiver = srouter
+	var downDst netem.Receiver = crouter
+	if g.reorder {
+		t.reorderUp = netem.NewReorderBox(eng, nil, 0, srouter)
+		t.reorderDn = netem.NewReorderBox(eng, nil, 0, crouter)
+		upDst, downDst = t.reorderUp, t.reorderDn
+	}
+	if g.wifi {
+		t.medium = mac.NewMedium()
+		t.UpWifi = mac.NewWifiLink(eng, sh.upLink, mac.Params{}, nil, nil, t.medium, upDst)
+		t.DownWifi = mac.NewWifiLink(eng, sh.downLink, mac.Params{}, nil, nil, t.medium, downDst)
 	} else {
-		a.UpMon = &netem.QueueMonitor{Name: "uplink"}
-		a.DownMon = &netem.QueueMonitor{Name: "downlink"}
+		t.UpLink = netem.NewLink(eng, sh.upLink, 0, sh.delay, nil, upDst)
+		t.DownLink = netem.NewLink(eng, sh.downLink, 0, sh.delay, nil, downDst)
 	}
-	upQ := cfg.queue(cfg.UpQueue, cfg.BufferUp, a.UpMon)
-	downQ := cfg.queue(cfg.DownQueue, cfg.BufferDown, a.DownMon)
+	up, down := t.bottlenecks()
+	crouter.SetDefaultRoute(up)
+	srouter.SetDefaultRoute(down)
 
-	// Bottleneck pair: the uplink buffer sits in the home router, the
-	// downlink buffer in the DSLAM (Section 5.3: the bottleneck
-	// interface is "the only location where packet loss occurs").
-	// Monitors go on the bottleneck links only (the experiments read
-	// nothing else); LAN links stay on the unmonitored fast path. An
-	// optional reordering stage sits right behind each bottleneck, and
-	// cfg.Link.Wifi swaps the wired pair for 802.11 MAC links sharing
-	// one medium.
-	var upDst netem.Receiver = dslam
-	var downDst netem.Receiver = home
-	if lp.Reorder > 0 {
-		a.reorderUp = netem.NewReorderBox(eng, sim.NewRNG(cfg.Seed, "reorder-up"), lp.Reorder, dslam)
-		a.reorderDn = netem.NewReorderBox(eng, sim.NewRNG(cfg.Seed, "reorder-down"), lp.Reorder, home)
-		upDst, downDst = a.reorderUp, a.reorderDn
-	}
-	var upEgress, downEgress netem.Egress
-	if lp.Wifi.Stations > 0 {
-		a.medium = mac.NewMedium()
-		a.UpWifi = mac.NewWifiLink(eng, "uplink", wifiParams(lp, lp.UpRate),
-			sim.NewRNG(cfg.Seed, "mac-up"), upQ, a.medium, upDst)
-		a.DownWifi = mac.NewWifiLink(eng, "downlink", wifiParams(lp, lp.DownRate),
-			sim.NewRNG(cfg.Seed, "mac-down"), downQ, a.medium, downDst)
-		if cfg.Scratch != nil {
-			cfg.Scratch.UpLinkMon.Reset()
-			cfg.Scratch.DownLinkMon.Reset()
-			a.UpWifi.AttachMonitor(&cfg.Scratch.UpLinkMon)
-			a.DownWifi.AttachMonitor(&cfg.Scratch.DownLinkMon)
-		} else {
-			a.UpWifi.EnsureMonitor()
-			a.DownWifi.EnsureMonitor()
-		}
-		upEgress, downEgress = a.UpWifi, a.DownWifi
-	} else {
-		a.UpLink = netem.NewLink(eng, "uplink", lp.UpRate, 100*time.Microsecond, upQ, upDst)
-		a.DownLink = netem.NewLink(eng, "downlink", lp.DownRate, 100*time.Microsecond, downQ, downDst)
-		if cfg.Scratch != nil {
-			cfg.Scratch.UpLinkMon.Reset()
-			cfg.Scratch.DownLinkMon.Reset()
-			a.UpLink.AttachMonitor(&cfg.Scratch.UpLinkMon)
-			a.DownLink.AttachMonitor(&cfg.Scratch.DownLinkMon)
-		} else {
-			a.UpLink.EnsureMonitor()
-			a.DownLink.EnsureMonitor()
-		}
-		upEgress, downEgress = a.UpLink, a.DownLink
-	}
-	home.SetRoute(dslam.ID, upEgress)
-	dslam.SetRoute(home.ID, downEgress)
-
-	// Client side: 5 ms between client network and home router; an
-	// optional jitter box models a WiFi-like last hop.
-	var toHome netem.Receiver = home
+	// Router<->switch hops; an optional jitter box models a WiFi-like
+	// last hop on the client side.
+	var toCrouter netem.Receiver = crouter
 	var toCswitch netem.Receiver = cswitch
-	if cfg.Jitter > 0 {
-		a.jitterUp = netem.NewJitterBox(eng, sim.NewRNG(cfg.Seed, "wifi-up"), 0, cfg.Jitter, home)
-		a.jitterDn = netem.NewJitterBox(eng, sim.NewRNG(cfg.Seed, "wifi-down"), 0, cfg.Jitter, cswitch)
-		toHome, toCswitch = a.jitterUp, a.jitterDn
+	if g.jitter {
+		t.jitterUp = netem.NewJitterBox(eng, nil, 0, 0, crouter)
+		t.jitterDn = netem.NewJitterBox(eng, nil, 0, 0, cswitch)
+		toCrouter, toCswitch = t.jitterUp, t.jitterDn
 	}
-	a.csHome = netem.NewLink(eng, "cswitch->home", gigabit, lp.ClientDelay, netem.NewDropTail(lanQueue), toHome)
-	a.homeCs = netem.NewLink(eng, "home->cswitch", gigabit, lp.ClientDelay, netem.NewDropTail(lanQueue), toCswitch)
-	cswitch.SetDefaultRoute(a.csHome)
-	// Server side: 20 ms between DSLAM and server network.
-	a.ssDslam = netem.NewLink(eng, "sswitch->dslam", gigabit, lp.ServerDelay, netem.NewDropTail(lanQueue), dslam)
-	a.dslamSs = netem.NewLink(eng, "dslam->sswitch", gigabit, lp.ServerDelay, netem.NewDropTail(lanQueue), sswitch)
-	sswitch.SetDefaultRoute(a.ssDslam)
-	a.lanLinks = append(a.lanLinks, a.csHome, a.homeCs, a.ssDslam, a.dslamSs)
-
-	home.SetDefaultRoute(upEgress)
-	dslam.SetDefaultRoute(downEgress)
-
-	ccUp := cfg.CC
-	if ccUp == nil {
-		ccUp = tcp.NewCubic // paper: BIC/CUBIC on the access hosts
+	hop := func(from, to *netem.Node, dst netem.Receiver) *netem.Link {
+		l := netem.NewLink(eng, from.Name+"->"+to.Name, gigabit, 0, netem.NewDropTail(lanQueue), dst)
+		t.lanLinks = append(t.lanLinks, l)
+		return l
 	}
-	tcpCfg := cfg.TCP
-	tcpCfg.NewCC = ccUp
+	t.clientHop = [2]*netem.Link{hop(cswitch, crouter, toCrouter), hop(crouter, cswitch, toCswitch)}
+	t.serverHop = [2]*netem.Link{hop(sswitch, srouter, srouter), hop(srouter, sswitch, sswitch)}
+	cswitch.SetDefaultRoute(t.clientHop[0])
+	sswitch.SetDefaultRoute(t.serverHop[0])
 
-	addClient := func(name string) (*netem.Node, *tcp.Stack) {
+	addHost := func(name string, sw, router *netem.Node, routerToSw *netem.Link) (*netem.Node, *tcp.Stack) {
 		n := nw.NewNode(name)
-		toSwitch, back := nw.Connect(n, cswitch, gigabit, hostDelay, lanQueue)
+		toSwitch, back := nw.Connect(n, sw, gigabit, hostDelay, lanQueue)
 		n.SetDefaultRoute(toSwitch)
 		// Teach the core how to reach this host.
-		home.SetRoute(n.ID, a.homeCs)
-		a.lanLinks = append(a.lanLinks, toSwitch, back)
-		st := tcp.NewStack(n, tcpCfg)
-		a.allStacks = append(a.allStacks, st)
+		router.SetRoute(n.ID, routerToSw)
+		t.lanLinks = append(t.lanLinks, toSwitch, back)
+		st := tcp.NewStack(n, tcp.Config{})
+		t.allStacks = append(t.allStacks, st)
 		return n, st
 	}
-	addServer := func(name string) (*netem.Node, *tcp.Stack) {
-		n := nw.NewNode(name)
-		toSwitch, back := nw.Connect(n, sswitch, gigabit, hostDelay, lanQueue)
-		n.SetDefaultRoute(toSwitch)
-		dslam.SetRoute(n.ID, a.dslamSs)
-		a.lanLinks = append(a.lanLinks, toSwitch, back)
-		st := tcp.NewStack(n, tcpCfg)
-		a.allStacks = append(a.allStacks, st)
-		return n, st
-	}
-
-	a.MediaClient, a.MediaClientTCP = addClient("media-client")
-	a.MediaServer, a.MediaServerTCP = addServer("media-server")
-	for i := 0; i < 2; i++ {
-		_, st := addClient(fmt.Sprintf("bg-client-%d", i))
-		a.BGClients = append(a.BGClients, st)
-		_, st2 := addServer(fmt.Sprintf("bg-server-%d", i))
-		a.BGServers = append(a.BGServers, st2)
+	t.MediaClient, t.MediaClientTCP = addHost("media-client", cswitch, crouter, t.clientHop[1])
+	t.MediaServer, t.MediaServerTCP = addHost("media-server", sswitch, srouter, t.serverHop[1])
+	for i := 0; i < sh.bgHosts; i++ {
+		_, c := addHost(fmt.Sprintf("bg-client-%d", i), cswitch, crouter, t.clientHop[1])
+		_, s := addHost(fmt.Sprintf("bg-server-%d", i), sswitch, srouter, t.serverHop[1])
 		// Background flows are fire-and-forget (harpoon never retains
 		// a conn past OnClose), so their stacks recycle Conn memory.
-		st.SetConnReuse(true)
-		st2.SetConnReuse(true)
+		c.SetConnReuse(true)
+		s.SetConnReuse(true)
+		t.BGClients = append(t.BGClients, c)
+		t.BGServers = append(t.BGServers, s)
 	}
-	return a
+	return t
 }
 
-// reuse resets the cached access testbed in place for the next cell:
-// the engine, packet pool, nodes, links, and TCP stacks rewind to
-// their never-used state, and the per-cell configuration (bottleneck
-// queues and rates, LAN delays, seeds, congestion control) is applied
-// exactly where buildAccess would. Only reached with a non-nil
-// cfg.Scratch.
-func (a *Access) reuse(cfg Config) {
-	lp := cfg.Link.WithDefaults()
-	a.Eng.Reset()
-	a.Net.Reset()
-	for _, n := range a.Net.Nodes() {
+// reuse rewinds a cached carcass to its never-used state: the engine,
+// packet pool, nodes and wired links (wifi links, boxes and stacks
+// rewind as configure hands them their next parameters).
+func (t *Testbed) reuse() {
+	t.Eng.Reset()
+	t.Net.Reset()
+	for _, n := range t.Net.Nodes() {
 		n.Reset()
 	}
-	if a.UpLink != nil {
-		a.UpLink.Reset()
-		a.DownLink.Reset()
+	if t.UpLink != nil {
+		t.UpLink.Reset()
+		t.DownLink.Reset()
 	}
-	for _, l := range a.lanLinks {
+	for _, l := range t.lanLinks {
 		l.Reset()
 	}
-	a.seed = cfg.Seed
-	a.UpGen, a.DownGen = nil, nil
+}
 
-	cfg.Scratch.UpQueueMon.Reset("uplink")
-	cfg.Scratch.DownQueueMon.Reset("downlink")
-	a.UpMon = &cfg.Scratch.UpQueueMon
-	a.DownMon = &cfg.Scratch.DownQueueMon
-	upQ := cfg.queue(cfg.UpQueue, cfg.BufferUp, a.UpMon)
-	downQ := cfg.queue(cfg.DownQueue, cfg.BufferDown, a.DownMon)
-	cfg.Scratch.UpLinkMon.Reset()
-	cfg.Scratch.DownLinkMon.Reset()
-	if a.UpWifi != nil {
-		a.medium.Reset()
-		a.UpWifi.Reset(wifiParams(lp, lp.UpRate), sim.NewRNG(cfg.Seed, "mac-up"), upQ)
-		a.DownWifi.Reset(wifiParams(lp, lp.DownRate), sim.NewRNG(cfg.Seed, "mac-down"), downQ)
-		a.UpWifi.AttachMonitor(&cfg.Scratch.UpLinkMon)
-		a.DownWifi.AttachMonitor(&cfg.Scratch.DownLinkMon)
+// configure applies everything that varies per cell — bottleneck
+// queues, rates and monitors, hop delays, seeds, congestion control —
+// to a freshly built or freshly rewound testbed. Being the only place
+// that does so is what makes a reused carcass indistinguishable from a
+// cold build.
+func (t *Testbed) configure(cfg Config, s *Scratch) {
+	sh := t.sh
+	lp := cfg.Link.fill(sh.link)
+	t.seed = cfg.Seed
+	t.UpGen, t.DownGen = nil, nil
+
+	s.DownQueueMon.Reset(sh.downMon)
+	s.DownLinkMon.Reset()
+	t.UpMon, t.DownMon = nil, &s.DownQueueMon
+	if sh.duplex {
+		s.UpQueueMon.Reset(sh.upMon)
+		s.UpLinkMon.Reset()
+		t.UpMon = &s.UpQueueMon
+	}
+	upQ := cfg.queue(cfg.UpQueue, nonzero(cfg.BufferUp, cfg.BufferDown), t.UpMon)
+	downQ := cfg.queue(cfg.DownQueue, cfg.BufferDown, t.DownMon)
+	if t.UpWifi != nil {
+		// The wired bottleneck's propagation delay carries over so wifi
+		// and wired cells differ only in the MAC itself.
+		params := func(rate float64) mac.Params {
+			return mac.Params{
+				PhyRate: rate, Delay: sh.delay, Stations: lp.Wifi.Stations,
+				RetryLimit: lp.Wifi.RetryLimit, MaxAggFrames: lp.Wifi.MaxAggFrames,
+			}
+		}
+		t.medium.Reset()
+		t.UpWifi.Reset(params(lp.UpRate), sim.NewRNG(cfg.Seed, "mac-up"), upQ)
+		t.DownWifi.Reset(params(lp.DownRate), sim.NewRNG(cfg.Seed, "mac-down"), downQ)
 	} else {
-		a.UpLink.Queue = upQ
-		a.DownLink.Queue = downQ
-		a.UpLink.Rate, a.DownLink.Rate = lp.UpRate, lp.DownRate
-		a.UpLink.AttachMonitor(&cfg.Scratch.UpLinkMon)
-		a.DownLink.AttachMonitor(&cfg.Scratch.DownLinkMon)
+		t.UpLink.Queue, t.UpLink.Rate = upQ, lp.UpRate
+		t.DownLink.Queue, t.DownLink.Rate = downQ, lp.DownRate
 	}
-	if a.reorderUp != nil {
-		a.reorderUp.Reset(sim.NewRNG(cfg.Seed, "reorder-up"), lp.Reorder)
-		a.reorderDn.Reset(sim.NewRNG(cfg.Seed, "reorder-down"), lp.Reorder)
+	up, down := t.bottlenecks()
+	down.AttachMonitor(&s.DownLinkMon)
+	if sh.duplex {
+		up.AttachMonitor(&s.UpLinkMon)
 	}
-
-	a.csHome.Delay, a.homeCs.Delay = lp.ClientDelay, lp.ClientDelay
-	a.ssDslam.Delay, a.dslamSs.Delay = lp.ServerDelay, lp.ServerDelay
-	if cfg.Jitter > 0 {
-		a.jitterUp.Reset(sim.NewRNG(cfg.Seed, "wifi-up"), 0, cfg.Jitter)
-		a.jitterDn.Reset(sim.NewRNG(cfg.Seed, "wifi-down"), 0, cfg.Jitter)
+	if t.reorderUp != nil {
+		t.reorderUp.Reset(sim.NewRNG(cfg.Seed, "reorder-up"), lp.Reorder)
+		t.reorderDn.Reset(sim.NewRNG(cfg.Seed, "reorder-down"), lp.Reorder)
 	}
 
-	ccUp := cfg.CC
-	if ccUp == nil {
-		ccUp = tcp.NewCubic
+	t.clientHop[0].Delay, t.clientHop[1].Delay = lp.ClientDelay, lp.ClientDelay
+	t.serverHop[0].Delay, t.serverHop[1].Delay = lp.ServerDelay, lp.ServerDelay
+	if t.jitterUp != nil {
+		t.jitterUp.Reset(sim.NewRNG(cfg.Seed, "wifi-up"), 0, cfg.Jitter)
+		t.jitterDn.Reset(sim.NewRNG(cfg.Seed, "wifi-down"), 0, cfg.Jitter)
 	}
+
 	tcpCfg := cfg.TCP
-	tcpCfg.NewCC = ccUp
-	for _, st := range a.allStacks {
+	tcpCfg.NewCC = cfg.CC
+	if tcpCfg.NewCC == nil {
+		tcpCfg.NewCC = sh.cc
+	}
+	for _, st := range t.allStacks {
 		st.Reset(tcpCfg)
 	}
+}
+
+func nonzero(a, b int) int {
+	if a != 0 {
+		return a
+	}
+	return b
 }
 
 // Direction selects which congestion the access scenario applies
@@ -557,6 +607,20 @@ func LookupAccessScenario(name string, dir Direction) (Spec, error) {
 	return tableSpec(name, w.Mask(dir)), nil
 }
 
+// BackboneScenarioNames lists the backbone workloads of Table 1.
+var BackboneScenarioNames = []string{"noBG", "short-low", "short-medium", "short-high", "short-overload", "long"}
+
+// LookupBackboneScenario returns the Table 1 backbone session
+// population (downstream only, as in the paper), or an error for an
+// unknown name.
+func LookupBackboneScenario(name string) (Spec, error) {
+	w, err := BackboneWorkload(name)
+	if err != nil {
+		return Spec{}, err
+	}
+	return tableSpec(name, w), nil
+}
+
 // tableSpec compiles a preset workload verbatim — table form, not the
 // canonical loops form — so preset populations are byte-identical to
 // the paper's Table 1 rows (custom mixes compile via Workload.Spec
@@ -576,226 +640,34 @@ func tableSpec(name string, w Workload) Spec {
 // StartWorkload launches the background traffic of a scenario and
 // begins sampling bottleneck utilization and flow concurrency. The
 // populations of a direction start in spec order on one generator, so
-// the realization is a pure function of the (canonicalized) spec.
-func (a *Access) StartWorkload(s Spec) {
+// the realization is a pure function of the (canonicalized) spec. Up
+// populations are ignored on a shape that cannot carry them.
+func (t *Testbed) StartWorkload(s Spec) {
 	if len(s.Down) > 0 {
-		for _, st := range a.BGClients {
-			harpoon.RegisterSink(st, harpoon.SinkPort)
+		t.DownGen = t.generate(t.sh.downGen, s.Down, t.BGServers, t.BGClients, harpoon.SinkPort)
+	}
+	if t.sh.duplex {
+		if len(s.Up) > 0 {
+			t.UpGen = t.generate(t.sh.upGen, s.Up, t.BGClients, t.BGServers, harpoon.SinkPort+1)
 		}
-		sinks := sinkAddrs(a.BGClients)
-		a.DownGen = harpoon.NewGenerator(a.Eng, sim.NewRNG(a.seed, "harpoon-down"), a.BGServers, sinks)
-		for _, sp := range s.Down {
-			a.DownGen.Start(sp)
-		}
-		a.DownGen.StartConcurrencySampling(time.Second)
+		t.UpLinkMonitor().StartSampling(t.Eng, time.Second)
 	}
-	if len(s.Up) > 0 {
-		for _, st := range a.BGServers {
-			harpoon.RegisterSink(st, harpoon.SinkPort+1)
-		}
-		sinks := make([]netem.Addr, 0, len(a.BGServers))
-		for _, st := range a.BGServers {
-			sinks = append(sinks, st.Node().Addr(harpoon.SinkPort+1))
-		}
-		a.UpGen = harpoon.NewGenerator(a.Eng, sim.NewRNG(a.seed, "harpoon-up"), a.BGClients, sinks)
-		for _, sp := range s.Up {
-			a.UpGen.Start(sp)
-		}
-		a.UpGen.StartConcurrencySampling(time.Second)
-	}
-	a.UpLinkMonitor().StartSampling(a.Eng, time.Second)
-	a.DownLinkMonitor().StartSampling(a.Eng, time.Second)
+	t.DownLinkMonitor().StartSampling(t.Eng, time.Second)
 }
 
-func sinkAddrs(stacks []*tcp.Stack) []netem.Addr {
-	out := make([]netem.Addr, 0, len(stacks))
-	for _, st := range stacks {
-		out = append(out, st.Node().Addr(harpoon.SinkPort))
+// generate starts one direction's populations on a fresh generator
+// whose transfers run from the senders to sinks registered on the
+// receivers' port.
+func (t *Testbed) generate(rngLabel string, pops []harpoon.Spec, senders, receivers []*tcp.Stack, port uint16) *harpoon.Generator {
+	sinks := make([]netem.Addr, 0, len(receivers))
+	for _, st := range receivers {
+		harpoon.RegisterSink(st, port)
+		sinks = append(sinks, st.Node().Addr(port))
 	}
-	return out
-}
-
-// Backbone is the assembled Figure 3b backbone testbed.
-type Backbone struct {
-	Eng *sim.Engine
-	Net *netem.Network
-
-	MediaClient, MediaServer *netem.Node
-	MediaClientTCP           *tcp.Stack
-	MediaServerTCP           *tcp.Stack
-
-	BGClients, BGServers []*tcp.Stack
-
-	// Bottleneck server->client (the congested direction).
-	DownLink *netem.Link
-	DownMon  *netem.QueueMonitor
-
-	Gen *harpoon.Generator
-
-	seed uint64
-
-	// Carcass fields for in-place reuse.
-	upLink    *netem.Link
-	lanLinks  []*netem.Link
-	allStacks []*tcp.Stack
-}
-
-// NewBackbone builds the Figure 3b backbone testbed: four client and
-// four server hosts, Cisco-class switches, two routers joined by an
-// OC3 bottleneck with a 30 ms one-way delay box. When the Scratch
-// already caches a backbone carcass, it is reset in place instead —
-// behavior-identical and far cheaper.
-func NewBackbone(cfg Config) *Backbone {
-	if s := cfg.Scratch; s != nil && s.backbone != nil {
-		s.backbone.reuse(cfg)
-		return s.backbone
+	g := harpoon.NewGenerator(t.Eng, sim.NewRNG(t.seed, rngLabel), senders, sinks)
+	for _, sp := range pops {
+		g.Start(sp)
 	}
-	b := buildBackbone(cfg)
-	if s := cfg.Scratch; s != nil {
-		s.backbone = b
-	}
-	return b
-}
-
-func buildBackbone(cfg Config) *Backbone {
-	eng := sim.New()
-	nw := netem.NewNetwork(eng)
-	b := &Backbone{Eng: eng, Net: nw, seed: cfg.Seed}
-
-	cswitch := nw.NewNode("client-switch")
-	rc := nw.NewNode("router-client")
-	rs := nw.NewNode("router-server")
-	sswitch := nw.NewNode("server-switch")
-
-	if cfg.Scratch != nil {
-		cfg.Scratch.DownQueueMon.Reset("oc3-down")
-		b.DownMon = &cfg.Scratch.DownQueueMon
-	} else {
-		b.DownMon = &netem.QueueMonitor{Name: "oc3-down"}
-	}
-	downQ := cfg.queue(cfg.DownQueue, cfg.BufferDown, b.DownMon)
-	upQ := cfg.queue(cfg.UpQueue, nonzero(cfg.BufferUp, cfg.BufferDown), nil)
-
-	// OC3 with the NetPath delay box folded into propagation.
-	b.DownLink = netem.NewLink(eng, "oc3-sc", BackboneRate, BackboneDelay, downQ, rc)
-	b.upLink = netem.NewLink(eng, "oc3-cs", BackboneRate, BackboneDelay, upQ, rs)
-	if cfg.Scratch != nil {
-		cfg.Scratch.DownLinkMon.Reset()
-		b.DownLink.AttachMonitor(&cfg.Scratch.DownLinkMon)
-	} else {
-		b.DownLink.EnsureMonitor()
-	}
-	rs.SetDefaultRoute(b.DownLink)
-	rc.SetDefaultRoute(b.upLink)
-
-	csRc := netem.NewLink(eng, "cswitch->rc", gigabit, 100*time.Microsecond, netem.NewDropTail(lanQueue), rc)
-	rcCs := netem.NewLink(eng, "rc->cswitch", gigabit, 100*time.Microsecond, netem.NewDropTail(lanQueue), cswitch)
-	ssRs := netem.NewLink(eng, "sswitch->rs", gigabit, 100*time.Microsecond, netem.NewDropTail(lanQueue), rs)
-	rsSs := netem.NewLink(eng, "rs->sswitch", gigabit, 100*time.Microsecond, netem.NewDropTail(lanQueue), sswitch)
-	cswitch.SetDefaultRoute(csRc)
-	sswitch.SetDefaultRoute(ssRs)
-	b.lanLinks = append(b.lanLinks, csRc, rcCs, ssRs, rsSs)
-
-	cc := cfg.CC
-	if cc == nil {
-		cc = tcp.NewReno // paper: TCP-Reno on the backbone hosts
-	}
-	tcpCfg := cfg.TCP
-	tcpCfg.NewCC = cc
-
-	addHost := func(name string, sw *netem.Node, router *netem.Node, routerToSw *netem.Link) (*netem.Node, *tcp.Stack) {
-		n := nw.NewNode(name)
-		toSwitch, back := nw.Connect(n, sw, gigabit, hostDelay, lanQueue)
-		n.SetDefaultRoute(toSwitch)
-		router.SetRoute(n.ID, routerToSw)
-		b.lanLinks = append(b.lanLinks, toSwitch, back)
-		st := tcp.NewStack(n, tcpCfg)
-		b.allStacks = append(b.allStacks, st)
-		return n, st
-	}
-
-	b.MediaClient, b.MediaClientTCP = addHost("media-client", cswitch, rc, rcCs)
-	b.MediaServer, b.MediaServerTCP = addHost("media-server", sswitch, rs, rsSs)
-	for i := 0; i < 4; i++ {
-		_, st := addHost(fmt.Sprintf("bg-client-%d", i), cswitch, rc, rcCs)
-		b.BGClients = append(b.BGClients, st)
-		_, st2 := addHost(fmt.Sprintf("bg-server-%d", i), sswitch, rs, rsSs)
-		b.BGServers = append(b.BGServers, st2)
-		// As on the access side: harpoon never retains a conn past
-		// OnClose, so background stacks recycle Conn memory.
-		st.SetConnReuse(true)
-		st2.SetConnReuse(true)
-	}
-	return b
-}
-
-// reuse resets the cached backbone testbed in place for the next
-// cell; see Access.reuse. The OC3 rates and delays are constants, so
-// only queues, monitors, seeds and TCP configuration vary.
-func (b *Backbone) reuse(cfg Config) {
-	b.Eng.Reset()
-	b.Net.Reset()
-	for _, n := range b.Net.Nodes() {
-		n.Reset()
-	}
-	b.DownLink.Reset()
-	b.upLink.Reset()
-	for _, l := range b.lanLinks {
-		l.Reset()
-	}
-	b.seed = cfg.Seed
-	b.Gen = nil
-
-	cfg.Scratch.DownQueueMon.Reset("oc3-down")
-	b.DownMon = &cfg.Scratch.DownQueueMon
-	b.DownLink.Queue = cfg.queue(cfg.DownQueue, cfg.BufferDown, b.DownMon)
-	b.upLink.Queue = cfg.queue(cfg.UpQueue, nonzero(cfg.BufferUp, cfg.BufferDown), nil)
-	cfg.Scratch.DownLinkMon.Reset()
-	b.DownLink.AttachMonitor(&cfg.Scratch.DownLinkMon)
-
-	cc := cfg.CC
-	if cc == nil {
-		cc = tcp.NewReno
-	}
-	tcpCfg := cfg.TCP
-	tcpCfg.NewCC = cc
-	for _, st := range b.allStacks {
-		st.Reset(tcpCfg)
-	}
-}
-
-func nonzero(a, b int) int {
-	if a != 0 {
-		return a
-	}
-	return b
-}
-
-// BackboneScenarioNames lists the backbone workloads of Table 1.
-var BackboneScenarioNames = []string{"noBG", "short-low", "short-medium", "short-high", "short-overload", "long"}
-
-// LookupBackboneScenario returns the Table 1 backbone session
-// population (downstream only, as in the paper), or an error for an
-// unknown name.
-func LookupBackboneScenario(name string) (Spec, error) {
-	w, err := BackboneWorkload(name)
-	if err != nil {
-		return Spec{}, err
-	}
-	return tableSpec(name, w), nil
-}
-
-// StartWorkload launches the backbone background traffic.
-func (b *Backbone) StartWorkload(s Spec) {
-	if len(s.Down) > 0 {
-		for _, st := range b.BGClients {
-			harpoon.RegisterSink(st, harpoon.SinkPort)
-		}
-		b.Gen = harpoon.NewGenerator(b.Eng, sim.NewRNG(b.seed, "harpoon-bb"), b.BGServers, sinkAddrs(b.BGClients))
-		for _, sp := range s.Down {
-			b.Gen.Start(sp)
-		}
-		b.Gen.StartConcurrencySampling(time.Second)
-	}
-	b.DownLink.Monitor.StartSampling(b.Eng, time.Second)
+	g.StartConcurrencySampling(time.Second)
+	return g
 }

@@ -298,3 +298,107 @@ func TestScenarioLookupErrors(t *testing.T) {
 		t.Fatal("out-of-range direction accepted")
 	}
 }
+
+// runSummary is what a short workload run leaves behind: the event
+// counts, both queue monitors' totals and both link monitors' totals.
+// (Packet-pool recycle counts are left out: a warm pool legitimately
+// recycles more than a cold one.)
+type runSummary struct {
+	events            sim.Metrics
+	upQ, downQ        [3]uint64
+	upDelay, dnDelay  float64
+	upBytes, dnBytes  uint64
+	upUtil, downUtil  float64
+	upSamples, dnSamp int
+}
+
+func summarize(tb *Testbed) runSummary {
+	now := tb.Eng.Now()
+	down := tb.DownLinkMonitor()
+	s := runSummary{
+		events:   tb.Eng.Metrics(),
+		downQ:    [3]uint64{tb.DownMon.Enqueued, tb.DownMon.Dropped, tb.DownMon.Dequeued},
+		dnDelay:  tb.DownMon.MeanDelayMs(),
+		dnBytes:  down.BytesSent,
+		downUtil: down.MeanUtilization(now),
+		dnSamp:   down.UtilSamples.N(),
+	}
+	if tb.UpMon != nil {
+		up := tb.UpLinkMonitor()
+		s.upQ = [3]uint64{tb.UpMon.Enqueued, tb.UpMon.Dropped, tb.UpMon.Dequeued}
+		s.upDelay = tb.UpMon.MeanDelayMs()
+		s.upBytes, s.upUtil, s.upSamples = up.BytesSent, up.MeanUtilization(now), up.UtilSamples.N()
+	}
+	return s
+}
+
+// TestShapesResetLikeTheyBuild: for every shape and every receiver
+// graph, a carcass reused after a different configuration of the same
+// graph (other buffers, seed, rates, delays, CC, jitter, MAC knobs —
+// and a workload left mid-flight) must replay a cold build event for
+// event. This is the property the cell engine's scratch reuse, and
+// with it the bit-identity of warm and cold sweeps, rests on.
+func TestShapesResetLikeTheyBuild(t *testing.T) {
+	shapes := []struct {
+		name     string
+		build    func(Config) *Testbed
+		workload Spec
+	}{
+		{"access", NewAccess, MustSpec(LookupAccessScenario("short-few", DirBidir))},
+		{"backbone", NewBackbone, MustSpec(LookupBackboneScenario("short-low"))},
+	}
+	// Each graph names the configuration under test and a different
+	// one of the same graph that dirties the carcass first.
+	graphs := []struct {
+		name        string
+		cfg, before Config
+	}{
+		{"plain",
+			Config{BufferUp: 8, BufferDown: 64},
+			Config{BufferUp: 256, BufferDown: 16, CC: tcp.NewReno, TCP: tcp.Config{SACK: true},
+				Link: LinkParams{UpRate: 5e6, DownRate: 50e6, ClientDelay: time.Millisecond, ServerDelay: 40 * time.Millisecond}}},
+		{"jitter",
+			Config{BufferUp: 16, BufferDown: 32, Jitter: 3 * time.Millisecond},
+			Config{BufferUp: 64, BufferDown: 64, Jitter: 20 * time.Millisecond}},
+		{"wifi",
+			Config{BufferUp: 32, BufferDown: 32, Link: LinkParams{UpRate: 65e6, DownRate: 65e6, Wifi: WifiParams{Stations: 4}}},
+			Config{BufferUp: 8, BufferDown: 128, Link: LinkParams{UpRate: 20e6, DownRate: 20e6, Wifi: WifiParams{Stations: 12, RetryLimit: 2, MaxAggFrames: 1}}}},
+		{"reorder",
+			Config{BufferUp: 16, BufferDown: 64, Link: LinkParams{Reorder: 0.05}},
+			Config{BufferUp: 64, BufferDown: 16, Link: LinkParams{Reorder: 0.4}}},
+	}
+	run := func(tb *Testbed, wl Spec, d time.Duration) runSummary {
+		tb.StartWorkload(wl)
+		tb.Eng.RunFor(d)
+		return summarize(tb)
+	}
+	for _, sh := range shapes {
+		for _, g := range graphs {
+			sh, g := sh, g
+			t.Run(sh.name+"/"+g.name, func(t *testing.T) {
+				t.Parallel()
+				cfg := g.cfg
+				cfg.Seed = 21
+				cold := run(sh.build(cfg), sh.workload, 5*time.Second)
+				if cold.events.EventsOwned == 0 || cold.downQ[0] == 0 || cold.dnSamp == 0 {
+					t.Fatalf("cold run did nothing: %+v", cold)
+				}
+
+				var scr Scratch
+				before := g.before
+				before.Seed, before.Scratch = 99, &scr
+				dirty := sh.build(before)
+				run(dirty, sh.workload, 3*time.Second)
+				scr.Reset()
+				cfg.Scratch = &scr
+				warm := sh.build(cfg)
+				if warm != dirty {
+					t.Fatal("same-graph configuration did not reuse the cached carcass")
+				}
+				if got := run(warm, sh.workload, 5*time.Second); got != cold {
+					t.Fatalf("reused carcass diverged from cold build:\n warm: %+v\n cold: %+v", got, cold)
+				}
+			})
+		}
+	}
+}

@@ -8,7 +8,7 @@ import (
 	"bufferqoe/internal/testbed"
 )
 
-func runPair(t *testing.T, a *testbed.Access) PairResult {
+func runPair(t *testing.T, a *testbed.Testbed) PairResult {
 	t.Helper()
 	lib := media.Library(4)
 	var got *PairResult

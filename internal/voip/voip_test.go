@@ -9,7 +9,7 @@ import (
 	"bufferqoe/internal/testbed"
 )
 
-func runCall(t *testing.T, a *testbed.Access, talk bool) Result {
+func runCall(t *testing.T, a *testbed.Testbed, talk bool) Result {
 	t.Helper()
 	lib := media.Library(1)
 	var got *Result
@@ -149,7 +149,7 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func runCallQuiet(a *testbed.Access) Result {
+func runCallQuiet(a *testbed.Testbed) Result {
 	lib := media.Library(1)
 	var got Result
 	Start(a.MediaServer, a.MediaClient, lib[0], 0, func(r Result) { got = r })

@@ -7,7 +7,7 @@ import (
 	"bufferqoe/internal/testbed"
 )
 
-func fetchParallelOnce(t *testing.T, a *testbed.Access, conns int) Result {
+func fetchParallelOnce(t *testing.T, a *testbed.Testbed, conns int) Result {
 	t.Helper()
 	RegisterBrowserServer(a.MediaServerTCP, BrowserPort)
 	var res *Result

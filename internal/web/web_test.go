@@ -14,7 +14,7 @@ func TestPageBytes(t *testing.T) {
 	}
 }
 
-func fetchOnce(t *testing.T, a *testbed.Access, deadline time.Duration) Result {
+func fetchOnce(t *testing.T, a *testbed.Testbed, deadline time.Duration) Result {
 	t.Helper()
 	RegisterServer(a.MediaServerTCP, Port)
 	var res *Result
