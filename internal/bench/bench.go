@@ -133,7 +133,7 @@ func LinkForward(b *testing.B) {
 // the cold path are benchmarked separately).
 func WholeCell(b *testing.B) {
 	b.ReportAllocs()
-	lib := media.Library(42)
+	ref := media.LibrarySample(42, 0)
 	wl, err := testbed.LookupAccessScenario("short-few", testbed.DirDown)
 	if err != nil {
 		b.Fatal(err)
@@ -145,7 +145,7 @@ func WholeCell(b *testing.B) {
 		a.StartWorkload(wl)
 		got := false
 		a.Eng.Schedule(2*time.Second, func() {
-			voip.Start(a.MediaServer, a.MediaClient, lib[0], 0, func(r voip.Result) {
+			voip.Start(a.MediaServer, a.MediaClient, ref, 0, func(r voip.Result) {
 				got = true
 				a.Eng.Halt()
 			})
@@ -170,7 +170,7 @@ func WholeCell(b *testing.B) {
 // "cheap when on" half of the telemetry layer's contract.
 func WholeCellTelemetry(b *testing.B) {
 	b.ReportAllocs()
-	lib := media.Library(42)
+	ref := media.LibrarySample(42, 0)
 	wl, err := testbed.LookupAccessScenario("short-few", testbed.DirDown)
 	if err != nil {
 		b.Fatal(err)
@@ -188,7 +188,7 @@ func WholeCellTelemetry(b *testing.B) {
 		a.StartWorkload(wl)
 		got := false
 		a.Eng.Schedule(2*time.Second, func() {
-			voip.Start(a.MediaServer, a.MediaClient, lib[0], 0, func(r voip.Result) {
+			voip.Start(a.MediaServer, a.MediaClient, ref, 0, func(r voip.Result) {
 				got = true
 				a.Eng.Halt()
 			})
@@ -254,7 +254,7 @@ func wifiLink() testbed.LinkParams {
 // process must not reintroduce per-event allocation.
 func WifiCell(b *testing.B) {
 	b.ReportAllocs()
-	lib := media.Library(42)
+	ref := media.LibrarySample(42, 0)
 	wl, err := testbed.LookupAccessScenario("short-few", testbed.DirDown)
 	if err != nil {
 		b.Fatal(err)
@@ -267,7 +267,7 @@ func WifiCell(b *testing.B) {
 		a.StartWorkload(wl)
 		got := false
 		a.Eng.Schedule(2*time.Second, func() {
-			voip.Start(a.MediaServer, a.MediaClient, lib[0], 0, func(r voip.Result) {
+			voip.Start(a.MediaServer, a.MediaClient, ref, 0, func(r voip.Result) {
 				got = true
 				a.Eng.Halt()
 			})
@@ -291,7 +291,7 @@ func WifiCell(b *testing.B) {
 // segment.
 func PacedCell(b *testing.B) {
 	b.ReportAllocs()
-	lib := media.Library(42)
+	ref := media.LibrarySample(42, 0)
 	wl, err := testbed.LookupAccessScenario("short-few", testbed.DirDown)
 	if err != nil {
 		b.Fatal(err)
@@ -304,7 +304,7 @@ func PacedCell(b *testing.B) {
 		a.StartWorkload(wl)
 		got := false
 		a.Eng.Schedule(2*time.Second, func() {
-			voip.Start(a.MediaServer, a.MediaClient, lib[0], 0, func(r voip.Result) {
+			voip.Start(a.MediaServer, a.MediaClient, ref, 0, func(r voip.Result) {
 				got = true
 				a.Eng.Halt()
 			})
@@ -354,7 +354,10 @@ func StatsAccumulate(b *testing.B) {
 func CellRepLoop(b *testing.B) {
 	const reps = 3
 	b.ReportAllocs()
-	lib := media.Library(42)
+	var lib [2 * reps]*media.Sample // the recordings the reps play
+	for i := range lib {
+		lib[i] = media.LibrarySample(42, i)
+	}
 	wl, err := testbed.LookupAccessScenario("short-few", testbed.DirDown)
 	if err != nil {
 		b.Fatal(err)
@@ -371,7 +374,7 @@ func CellRepLoop(b *testing.B) {
 			i := i
 			a.Eng.Schedule(2*time.Second+time.Duration(i)*16*time.Second, func() {
 				voip.StartPair(a.MediaClient, a.MediaServer,
-					lib[(2*i)%len(lib)], lib[(2*i+1)%len(lib)], 0,
+					lib[2*i], lib[2*i+1], 0,
 					func(pr voip.PairResult) {
 						listen.Add(pr.Listen.MOS)
 						talk.Add(pr.Talk.MOS)

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"bufferqoe/internal/telemetry"
 )
 
 func spec(buf int) CellSpec {
@@ -423,6 +425,70 @@ func TestSubmitBatchCompletionCallbacks(t *testing.T) {
 		if got[i] != b {
 			t.Fatalf("task %d = %v, want %d", i, got[i], b)
 		}
+	}
+}
+
+// TestSubmitBatchAnswersCachedCellsInline: a warm batch is answered on
+// the submitting goroutine — callbacks arrive in submission order
+// before SubmitBatch spawns anything — with the hit accounting of Do;
+// a panicked cell, a canceled context and a cold cell still take the
+// goroutine path.
+func TestSubmitBatchAnswersCachedCellsInline(t *testing.T) {
+	e := New(4)
+	col := telemetry.New()
+	e.SetCollector(col)
+	fn := func(sp CellSpec, seed uint64, _ Scratch) any {
+		if sp.Buffer == 13 {
+			panic("unlucky")
+		}
+		return sp.Buffer
+	}
+	var tasks []Task
+	for b := 1; b <= 12; b++ {
+		tasks = append(tasks, Task{Spec: spec(b), Fn: fn})
+	}
+	e.RunBatch(tasks)
+	tasks = append(tasks, Task{Spec: spec(99), Fn: fn}) // cold
+
+	var order []int // unsynchronized on purpose: -race sees any second goroutine
+	e.SubmitBatch(context.Background(), tasks, func(i int, v any, err error) {
+		if err != nil || v != tasks[i].Spec.Buffer {
+			t.Errorf("task %d = %v, %v", i, v, err)
+		}
+		if i < len(tasks)-1 {
+			order = append(order, i)
+		}
+	})
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("warm callbacks arrived as %v, want submission order", order)
+		}
+	}
+	if st := e.Stats(); st.Hits != 12 || st.Misses != 13 || col.CacheHits.Value() != 12 {
+		t.Fatalf("hits %d (collector %d) misses %d, want 12, 12, 13", st.Hits, col.CacheHits.Value(), st.Misses)
+	}
+
+	// A canceled context reports every task canceled, cached or not.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var canceled atomic.Int64
+	e.SubmitBatch(ctx, tasks, func(i int, v any, err error) {
+		if errors.Is(err, ErrCanceled) {
+			canceled.Add(1)
+		}
+	})
+	if canceled.Load() != int64(len(tasks)) || e.Stats().Hits != 12 {
+		t.Fatalf("canceled batch: %d of %d callbacks canceled, hits %d", canceled.Load(), len(tasks), e.Stats().Hits)
+	}
+
+	// A panicked cell leaves no entry to answer from: the retry
+	// recomputes (and panics again) on its own goroutine's DoCtx path.
+	func() {
+		defer func() { recover() }()
+		e.Do(spec(13), fn)
+	}()
+	if _, ok := e.cached(context.Background(), spec(13).Key(), nil); ok {
+		t.Fatal("a panicked cell was answered from the cache")
 	}
 }
 

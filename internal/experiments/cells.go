@@ -239,9 +239,12 @@ func simMetricsOf(se *sim.Engine, nw *netem.Network) telemetry.SimMetrics {
 // flushed, and the cell's trace event is emitted. The Enabled guard
 // keeps the disabled path free — no spec stringification, no metric
 // reads.
-func finishCell(pc *telemetry.PhaseClock, sp engine.CellSpec, se *sim.Engine, nw *netem.Network) {
+func finishCell(pc *telemetry.PhaseClock, sp engine.CellSpec, se *sim.Engine, nw *netem.Network, cs *CellScratch) {
 	if !pc.Enabled() {
 		return
+	}
+	if cs != nil {
+		pc.Content(cs.use)
 	}
 	pc.Done(sp.String(), simMetricsOf(se, nw))
 }
@@ -318,7 +321,7 @@ func cellTask(o Options, n *network, scenario string, dir testbed.Direction, buf
 			tb.StartWorkload(wl.spec)
 		}
 		val := fg.run(n, tb, oc, cs, &pc)
-		finishCell(&pc, sp, tb.Eng, tb.Net)
+		finishCell(&pc, sp, tb.Eng, tb.Net, cs)
 		return val
 	}}
 }
@@ -357,7 +360,6 @@ var voipFG = foreground{
 // client, with the fixed or the adaptive playout buffer, and runs the
 // testbed until each reports the cell complete.
 func runCalls(tb *testbed.Testbed, o Options, cs *CellScratch, adaptive bool, each func(voip.Result) (done bool)) {
-	lib := cs.library(o.Seed)
 	for i := 0; i < o.Reps; i++ {
 		i := i
 		tb.Eng.Schedule(o.Warmup+time.Duration(i)*callSpacing, func() {
@@ -367,9 +369,9 @@ func runCalls(tb *testbed.Testbed, o Options, cs *CellScratch, adaptive bool, ea
 				}
 			}
 			if adaptive {
-				voip.StartAdaptive(tb.MediaServer, tb.MediaClient, lib[i%len(lib)], done)
+				voip.StartAdaptive(tb.MediaServer, tb.MediaClient, cs.speech(o, i), done)
 			} else {
-				voip.Start(tb.MediaServer, tb.MediaClient, lib[i%len(lib)], 0, done)
+				voip.Start(tb.MediaServer, tb.MediaClient, cs.speech(o, i), 0, done)
 			}
 		})
 	}
@@ -445,7 +447,7 @@ func videoFG(clip video.Clip, p video.Profile, rec video.Recovery) foreground {
 		media: "video", lead: videoVariantTag(clip, p, rec),
 		uses: optWarmup | optReps | optStop | optClip,
 		run: func(_ *network, tb *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) any {
-			src := cs.source(clip, p, o.ClipSeconds)
+			src := cs.source(o, clip, p)
 			pc.Mark(telemetry.PhaseBuild)
 			return videoReps(tb.Eng, o, cs, pc, func(done func(video.Result)) {
 				video.Start(tb.MediaServer, tb.MediaClient, src,
@@ -465,7 +467,7 @@ func smoothingFG(smooth bool) foreground {
 	return foreground{
 		media: "video", lead: "single;mode=" + mode + ";profile=SD", uses: optClip,
 		run: func(_ *network, tb *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) any {
-			src := cs.source(video.ClipC, video.SD, o.ClipSeconds)
+			src := cs.source(o, video.ClipC, video.SD)
 			pc.Mark(telemetry.PhaseBuild)
 			var got video.Result
 			video.Start(tb.MediaServer, tb.MediaClient, src,

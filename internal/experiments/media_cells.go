@@ -31,14 +31,13 @@ const cellCap = 30 * time.Minute
 // later pre-scheduled calls simply never start, so the completed
 // repetitions are exactly the exhaustive run's first n.
 func runVoIPPair(a *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) (listen, talk float64) {
-	lib := cs.library(o.Seed)
 	rule := o.stop()
 	listenS, talkS := cs.sample(0), cs.sample(1)
 	for i := 0; i < o.Reps; i++ {
 		i := i
 		a.Eng.Schedule(o.Warmup+time.Duration(i)*callSpacing, func() {
 			voip.StartPair(a.MediaClient, a.MediaServer,
-				lib[(2*i)%len(lib)], lib[(2*i+1)%len(lib)], 0,
+				cs.speech(o, 2*i), cs.speech(o, 2*i+1), 0,
 				func(pr voip.PairResult) {
 					listenS.Add(pr.Listen.MOS)
 					talkS.Add(pr.Talk.MOS)

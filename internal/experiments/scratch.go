@@ -4,21 +4,19 @@ import (
 	"bufferqoe/internal/engine"
 	"bufferqoe/internal/media"
 	"bufferqoe/internal/stats"
+	"bufferqoe/internal/telemetry"
 	"bufferqoe/internal/testbed"
 	"bufferqoe/internal/video"
 )
 
 // CellScratch is the per-worker reusable working memory of the cell
-// runners: the testbed's bottleneck monitors (mutable, Reset between
-// cells) and two immutable content caches — the G.711 speech library
-// per seed and rendered video sources per (clip, profile, length).
-// Rendering a clip or synthesizing the speech library costs far more
-// than a small cell's network simulation, so reusing them across the
-// cells of a sweep is one of the larger wins of the scratch design.
-//
-// Reuse safety: the caches hold content that is a pure function of
-// their key and is only ever read by consumers, so a cache hit is
-// bit-identical to a rebuild; everything mutable lives behind Reset.
+// runners. What is mutable is per worker and behind Reset: the
+// testbed's bottleneck monitors and carcasses, the rep-loop arenas,
+// the cell's content tally. Reference media — speech recordings and
+// rendered clips — is content, not working memory: it lives once per
+// session in the shared, bounded contentCache the scratch points at
+// (see content.go), so no worker synthesizes what another already has
+// and no worker pins what the session has evicted.
 type CellScratch struct {
 	// Testbed holds the queue/link monitors a testbed build would
 	// otherwise allocate per cell, plus the cached testbed carcasses
@@ -32,27 +30,17 @@ type CellScratch struct {
 	// sample(i), which resets before handing out.
 	repSamples [4]stats.Sample
 
-	lib     map[uint64][]*media.Sample
-	sources map[sourceKey]*video.Source
+	// content is the session's reference-media cache; use tallies what
+	// the current cell asked of it.
+	content *contentCache
+	use     telemetry.ContentUse
 }
 
-type sourceKey struct {
-	clip    string
-	profile string
-	seconds int
-}
-
-func newCellScratch() *CellScratch {
-	return &CellScratch{
-		lib:     map[uint64][]*media.Sample{},
-		sources: map[sourceKey]*video.Source{},
-	}
-}
-
-// Reset implements engine.Scratch: clear the mutable state, keep the
-// keyed content caches.
+// Reset implements engine.Scratch: clear the per-cell state. The
+// session's content cache is not the scratch's to clear.
 func (cs *CellScratch) Reset() {
 	cs.Testbed.Reset()
+	cs.use = telemetry.ContentUse{}
 }
 
 // scratchOf narrows the engine's scratch handle; a nil result (no
@@ -84,30 +72,24 @@ func (cs *CellScratch) tb() *testbed.Scratch {
 	return &cs.Testbed
 }
 
-// library returns the speech library for a seed, cached across cells.
-func (cs *CellScratch) library(seed uint64) []*media.Sample {
+// speech returns recording i (mod the set size) of the reference
+// speech set of the cell's seed. Callers ask when the call that plays
+// the recording starts, so recordings no repetition reaches are never
+// synthesized.
+func (cs *CellScratch) speech(o Options, i int) *media.Sample {
+	i %= media.LibrarySize
 	if cs == nil {
-		return media.Library(seed)
+		return media.LibrarySample(o.Seed, i)
 	}
-	if lib, ok := cs.lib[seed]; ok {
-		return lib
-	}
-	lib := media.Library(seed)
-	cs.lib[seed] = lib
-	return lib
+	return cs.content.get(contentKey{seed: o.Seed, index: i}, o.Collector, &cs.use).(*media.Sample)
 }
 
-// source returns the rendered video source for a clip/profile/length,
-// cached across cells.
-func (cs *CellScratch) source(clip video.Clip, p video.Profile, seconds int) *video.Source {
+// source returns the rendered video source for a clip/profile at the
+// run's clip length.
+func (cs *CellScratch) source(o Options, clip video.Clip, p video.Profile) *video.Source {
 	if cs == nil {
-		return video.NewSource(clip, p, seconds)
+		return video.NewSource(clip, p, o.ClipSeconds)
 	}
-	k := sourceKey{clip: clip.Name, profile: p.Name, seconds: seconds}
-	if src, ok := cs.sources[k]; ok {
-		return src
-	}
-	src := video.NewSource(clip, p, seconds)
-	cs.sources[k] = src
-	return src
+	k := contentKey{video: true, clip: clip, profile: p, seconds: o.ClipSeconds}
+	return cs.content.get(k, o.Collector, &cs.use).(*video.Source)
 }

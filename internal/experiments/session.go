@@ -39,15 +39,20 @@ type Session struct {
 	// and release it. Like collector, manage it on the root session
 	// before WithContext views are taken (views copy the struct).
 	store *store.Store
+	// content is the reference media every worker's scratch shares.
+	content *contentCache
 }
 
 // NewSession creates a session with its own engine; workers <= 0 uses
 // GOMAXPROCS. Each worker gets a reusable CellScratch (monitors,
-// media/content caches) recycled between the cells it computes.
+// carcasses, rep arenas) recycled between the cells it computes; all
+// of them share the session's one reference-media cache, which starts
+// cold and, like the scratches, outlives ResetCache.
 func NewSession(workers int) *Session {
 	eng := engine.New(workers)
-	eng.SetScratch(func() engine.Scratch { return newCellScratch() })
-	return &Session{eng: eng}
+	content := newContentCache()
+	eng.SetScratch(func() engine.Scratch { return &CellScratch{content: content} })
+	return &Session{eng: eng, content: content}
 }
 
 // Default is the process-wide session behind the package-level

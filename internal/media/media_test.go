@@ -1,6 +1,7 @@
 package media
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -86,6 +87,64 @@ func TestGenerateSpeechShape(t *testing.T) {
 	}
 	if quiet < 20 {
 		t.Fatalf("too few quiet frames: %d (no speech pauses)", quiet)
+	}
+}
+
+// Library is the retained whole-set reference LibrarySample is held
+// against: the loop that used to synthesize all 20 recordings per
+// seed, kept verbatim.
+func Library(seed uint64) []*Sample {
+	out := make([]*Sample, 0, 20)
+	for i := 0; i < 20; i++ {
+		voice, f0 := "male", 110.0
+		if i%2 == 1 {
+			voice, f0 = "female", 210.0
+		}
+		rng := sim.NewRNG(seed, fmt.Sprintf("speech-%d", i))
+		pcm := GenerateSpeech(rng, 8.0, f0)
+		out = append(out, &Sample{
+			Name:  fmt.Sprintf("sample-%02d-%s", i, voice),
+			Voice: voice,
+			PCM:   ALawRoundTrip(pcm),
+		})
+	}
+	return out
+}
+
+// TestLibrarySampleMatchesLibrary: one recording synthesized alone is
+// bit-equal to the same recording synthesized as part of the set, in
+// any order of asking.
+func TestLibrarySampleMatchesLibrary(t *testing.T) {
+	if LibrarySize != 20 {
+		t.Fatalf("LibrarySize = %d, want 20", LibrarySize)
+	}
+	for _, seed := range []uint64{0, 42, 1 << 63} {
+		lib := Library(seed)
+		for i := LibrarySize - 1; i >= 0; i-- {
+			got, want := LibrarySample(seed, i), lib[i]
+			if got.Name != want.Name || got.Voice != want.Voice || len(got.PCM) != len(want.PCM) {
+				t.Fatalf("seed %d sample %d: got %s/%s/%d, want %s/%s/%d", seed, i,
+					got.Name, got.Voice, len(got.PCM), want.Name, want.Voice, len(want.PCM))
+			}
+			for j := range want.PCM {
+				if math.Float64bits(got.PCM[j]) != math.Float64bits(want.PCM[j]) {
+					t.Fatalf("seed %d sample %d differs at %d", seed, i, j)
+				}
+			}
+		}
+	}
+}
+
+func TestLibrarySampleRange(t *testing.T) {
+	for _, i := range []int{-1, LibrarySize} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("LibrarySample(1, %d) did not panic", i)
+				}
+			}()
+			LibrarySample(1, i)
+		}()
 	}
 }
 

@@ -101,24 +101,29 @@ func segmentEnvelope(i, n int) float64 {
 	return e
 }
 
-// Library synthesizes the stand-in for the ITU-recommended set of 20
-// speech samples (P.862 Annex A): 10 male (F0 ~110 Hz) and 10 female
-// (F0 ~210 Hz) recordings of eight seconds each, passed through the
-// G.711 A-law codec as the paper's error-free references were.
-func Library(seed uint64) []*Sample {
-	out := make([]*Sample, 0, 20)
-	for i := 0; i < 20; i++ {
-		voice, f0 := "male", 110.0
-		if i%2 == 1 {
-			voice, f0 = "female", 210.0
-		}
-		rng := sim.NewRNG(seed, fmt.Sprintf("speech-%d", i))
-		pcm := GenerateSpeech(rng, 8.0, f0)
-		out = append(out, &Sample{
-			Name:  fmt.Sprintf("sample-%02d-%s", i, voice),
-			Voice: voice,
-			PCM:   ALawRoundTrip(pcm),
-		})
+// LibrarySize is the number of recordings in the reference set.
+const LibrarySize = 20
+
+// LibrarySample synthesizes recording i (0 <= i < LibrarySize) of the
+// stand-in for the ITU-recommended set of 20 speech samples (P.862
+// Annex A): even indices are male (F0 ~110 Hz), odd ones female
+// (F0 ~210 Hz), eight seconds each, passed through the G.711 A-law
+// codec as the paper's error-free references were. Every recording
+// draws from its own "speech-<i>" RNG stream, so one recording is a
+// pure function of (seed, i) and costs a twentieth of the set.
+func LibrarySample(seed uint64, i int) *Sample {
+	if i < 0 || i >= LibrarySize {
+		panic(fmt.Sprintf("media: library sample %d out of range", i))
 	}
-	return out
+	voice, f0 := "male", 110.0
+	if i%2 == 1 {
+		voice, f0 = "female", 210.0
+	}
+	rng := sim.NewRNG(seed, fmt.Sprintf("speech-%d", i))
+	pcm := GenerateSpeech(rng, 8.0, f0)
+	return &Sample{
+		Name:  fmt.Sprintf("sample-%02d-%s", i, voice),
+		Voice: voice,
+		PCM:   ALawRoundTrip(pcm),
+	}
 }

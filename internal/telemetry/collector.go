@@ -71,6 +71,16 @@ func (m *SimMetrics) Add(o SimMetrics) {
 	}
 }
 
+// ContentUse is one cell's use of its session's reference-media cache
+// (speech recordings, rendered clips): how many pieces it found there,
+// how many it had to synthesize and the wall time that took. The time
+// is part of whichever phase asked — sim for a recording fetched as
+// its call starts, build for a clip — and stays 0 without a collector.
+type ContentUse struct {
+	Hits, Synthesized int
+	SynthTime         time.Duration
+}
+
 // Collector aggregates metrics from every layer of a run. A nil
 // *Collector is the disabled state: every method no-ops, so call
 // sites gate on a single nil check and pay nothing else. All fields
@@ -111,6 +121,12 @@ type Collector struct {
 	// Experiments-layer: per-cell phase breakdown.
 	PhaseNanos [PhaseCount]Counter
 	PhaseCells Counter // cells that reported a phase breakdown
+
+	// Experiments-layer: the session's reference-media cache.
+	ContentHits        Counter // pieces of content found resident (or being built)
+	ContentSynthesized Counter // pieces synthesized: first use, or again after eviction
+	ContentEvicted     Counter // pieces dropped to stay inside the byte bound
+	ContentBytes       Gauge   // resident bytes after the latest synthesis
 
 	// Adaptive replication (experiments layer): how many repetitions
 	// each rep-loop cell actually ran, and how many cells the CI
@@ -200,6 +216,7 @@ type PhaseClock struct {
 	c    *Collector
 	last time.Time
 	d    [PhaseCount]time.Duration
+	use  ContentUse
 }
 
 // Enabled reports whether the clock is recording.
@@ -216,6 +233,15 @@ func (p *PhaseClock) Mark(ph Phase) {
 	p.last = now
 }
 
+// Content notes what the cell asked of the reference-media cache, for
+// its trace event.
+func (p *PhaseClock) Content(u ContentUse) {
+	if p.c == nil {
+		return
+	}
+	p.use = u
+}
+
 // Done closes the cell: remaining time is attributed to PhaseScore,
 // the phase totals and sim counters are flushed into the collector,
 // and a trace event is emitted when tracing is enabled. cell is the
@@ -230,7 +256,7 @@ func (p *PhaseClock) Done(cell string, m SimMetrics) {
 	}
 	p.c.PhaseCells.Inc()
 	p.c.FlushSim(m)
-	p.c.traceCell(cell, p.d, m)
+	p.c.traceCell(cell, p.d, m, p.use)
 }
 
 // Snapshot is a point-in-time copy of every collector metric,
@@ -263,6 +289,13 @@ type Snapshot struct {
 	// cumulative seconds across all traced cells.
 	PhaseSeconds map[string]float64 `json:"phase_seconds"`
 	PhaseCells   uint64             `json:"phase_cells"`
+
+	// Reference-media cache: lookups that hit, pieces synthesized and
+	// evicted, and the bytes resident.
+	ContentHits        uint64 `json:"content_hits"`
+	ContentSynthesized uint64 `json:"content_synthesized"`
+	ContentEvicted     uint64 `json:"content_evicted"`
+	ContentBytes       int64  `json:"content_bytes"`
 
 	// Adaptive replication: repetitions run per rep-loop cell and the
 	// number of cells the CI stopping rule halted early.
@@ -301,11 +334,15 @@ func (c *Collector) Snapshot() Snapshot {
 			PacketRecycles: c.PacketRecycles.Value(),
 			HeapHighWater:  int(c.HeapHighWater.Value()),
 		},
-		PhaseSeconds:      make(map[string]float64, PhaseCount),
-		PhaseCells:        c.PhaseCells.Value(),
-		RepsPerCell:       c.RepsPerCell.Snapshot(),
-		CellsStoppedEarly: c.CellsStoppedEarly.Value(),
-		SweepCells:        c.SweepCells.Value(),
+		ContentHits:        c.ContentHits.Value(),
+		ContentSynthesized: c.ContentSynthesized.Value(),
+		ContentEvicted:     c.ContentEvicted.Value(),
+		ContentBytes:       c.ContentBytes.Value(),
+		PhaseSeconds:       make(map[string]float64, PhaseCount),
+		PhaseCells:         c.PhaseCells.Value(),
+		RepsPerCell:        c.RepsPerCell.Snapshot(),
+		CellsStoppedEarly:  c.CellsStoppedEarly.Value(),
+		SweepCells:         c.SweepCells.Value(),
 	}
 	for ph := Phase(0); ph < PhaseCount; ph++ {
 		s.PhaseSeconds[ph.String()] = float64(c.PhaseNanos[ph].Value()) / 1e9

@@ -72,6 +72,11 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 	}
 	counter("qoe_cell_phase_cells_total", "Cells that reported a phase breakdown.", s.PhaseCells)
 
+	counter("qoe_content_hits_total", "Reference media found in the session's content cache.", s.ContentHits)
+	counter("qoe_content_synthesized_total", "Reference media synthesized (first use, or again after eviction).", s.ContentSynthesized)
+	counter("qoe_content_evicted_total", "Reference media evicted to stay inside the cache's byte bound.", s.ContentEvicted)
+	gauge("qoe_content_resident_bytes", "Reference media bytes resident after the latest synthesis.", s.ContentBytes)
+
 	fmt.Fprintf(ew, "# HELP qoe_reps_per_cell Repetitions actually run per rep-loop cell.\n# TYPE qoe_reps_per_cell histogram\n")
 	for _, b := range s.RepsPerCell.Buckets {
 		le := "+Inf"

@@ -49,10 +49,16 @@ type TraceEvent struct {
 	// deepest its timer heap ran.
 	Events uint64 `json:"events"`
 	Heap   int    `json:"heap"`
+	// Reference media the cell found in the session's content cache and
+	// had to synthesize, and the wall time the synthesis took (already
+	// inside the phase that asked for it).
+	ContentHits  int     `json:"content_hits"`
+	ContentSynth int     `json:"content_synth"`
+	ContentMS    float64 `json:"content_ms"`
 }
 
 // traceCell emits one cell event if tracing is enabled.
-func (c *Collector) traceCell(cell string, d [PhaseCount]time.Duration, m SimMetrics) {
+func (c *Collector) traceCell(cell string, d [PhaseCount]time.Duration, m SimMetrics, u ContentUse) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.trace.enc == nil {
@@ -69,6 +75,10 @@ func (c *Collector) traceCell(cell string, d [PhaseCount]time.Duration, m SimMet
 		ScoreMS: float64(d[PhaseScore]) / 1e6,
 		Events:  m.Events(),
 		Heap:    m.HeapHighWater,
+
+		ContentHits:  u.Hits,
+		ContentSynth: u.Synthesized,
+		ContentMS:    float64(u.SynthTime) / 1e6,
 	}
 	if err := c.trace.enc.Encode(ev); err != nil {
 		c.trace.enc = nil

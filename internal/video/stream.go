@@ -1,6 +1,7 @@
 package video
 
 import (
+	"math"
 	"time"
 
 	"bufferqoe/internal/netem"
@@ -292,18 +293,27 @@ func (st *Stream) finish() {
 	n := st.src.Frames()
 	res := Result{PacketsSent: st.sent}
 
-	// Count losses: a slice not received in time means its packet was
-	// lost or late; approximate packet loss from slice coverage.
-	prev := make([]uint8, p.W*p.H)
-	copy(prev, st.src.Frame(0)) // decoder reference starts grey-ish; first I normally arrives
+	// prev is the previously decoded picture, read-only: an undamaged
+	// frame decodes to the reference itself, so prev then aliases the
+	// source's frame; a damaged one is assembled in one of two buffers
+	// (the other may still be prev).
+	prev := st.src.Frame(0) // decoder reference starts grey-ish; first I normally arrives
 	corrupt := make([]bool, p.Slices)
-	decoded := make([]uint8, p.W*p.H)
+	bufs := [2][]uint8{make([]uint8, p.W*p.H), make([]uint8, p.W*p.H)}
+	cur := 0
+	// What an undamaged frame scores: decoded == ref, so SSIM is
+	// exactly 1 and PSNR +Inf, capped to 60 (NaN for a degenerate
+	// profile — which is why it is computed, once, not assumed).
+	cleanSSIM := qoe.SSIM(prev, prev, p.W, p.H)
+	cleanPSNR := math.Min(qoe.PSNR(prev, prev), 60)
 
 	var ssimSum, psnrSum float64
 	for t := 0; t < n; t++ {
 		ref := st.src.Frame(t)
 		isI := t%p.GOP == 0
 		impaired := false
+		// Count losses: a slice not received in time means its packet
+		// was lost or late; approximate packet loss from slice coverage.
 		lostSlices := 0
 		for s := 0; s < p.Slices; s++ {
 			got := st.gotSlice[t][s]
@@ -312,35 +322,34 @@ func (st *Stream) finish() {
 			}
 			// Propagation: a P-slice decodes cleanly only if received
 			// AND its reference region was clean; an I-slice resets.
-			if got && (isI || !corrupt[s]) {
-				corrupt[s] = false
-			} else {
-				corrupt[s] = true
-			}
-			lo, hi := sliceRows(p, s)
-			if corrupt[s] {
-				impaired = true
-				copy(decoded[lo*p.W:hi*p.W], prev[lo*p.W:hi*p.W])
-			} else {
-				copy(decoded[lo*p.W:hi*p.W], ref[lo*p.W:hi*p.W])
-			}
-		}
-		if impaired {
-			res.FramesImpaired++
+			corrupt[s] = !(got && (isI || !corrupt[s]))
+			impaired = impaired || corrupt[s]
 		}
 		// Attribute slice losses back to packets (approximately: the
 		// per-frame packet count scaled by lost slice fraction).
 		if lostSlices > 0 {
 			res.PacketsLost += (lostSlices*st.packetsOfFrame(t) + p.Slices - 1) / p.Slices
 		}
-		s := qoe.SSIM(ref, decoded, p.W, p.H)
-		ssimSum += s
-		pn := qoe.PSNR(ref, decoded)
-		if pn > 60 {
-			pn = 60
+		if !impaired {
+			ssimSum += cleanSSIM
+			psnrSum += cleanPSNR
+			prev = ref
+			continue
 		}
-		psnrSum += pn
-		prev, decoded = decoded, prev
+		res.FramesImpaired++
+		decoded := bufs[cur]
+		cur ^= 1
+		for s := 0; s < p.Slices; s++ {
+			lo, hi := sliceRows(p, s)
+			from := ref
+			if corrupt[s] {
+				from = prev
+			}
+			copy(decoded[lo*p.W:hi*p.W], from[lo*p.W:hi*p.W])
+		}
+		ssimSum += qoe.SSIM(ref, decoded, p.W, p.H)
+		psnrSum += math.Min(qoe.PSNR(ref, decoded), 60)
+		prev = decoded
 	}
 	res.MeanSSIM = ssimSum / float64(n)
 	res.MeanPSNR = psnrSum / float64(n)

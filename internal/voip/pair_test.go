@@ -10,9 +10,8 @@ import (
 
 func runPair(t *testing.T, a *testbed.Testbed) PairResult {
 	t.Helper()
-	lib := media.Library(4)
 	var got *PairResult
-	StartPair(a.MediaClient, a.MediaServer, lib[0], lib[1], 0,
+	StartPair(a.MediaClient, a.MediaServer, media.LibrarySample(4, 0), media.LibrarySample(4, 1), 0,
 		func(pr PairResult) { got = &pr })
 	a.Eng.RunFor(25 * time.Second)
 	if got == nil {

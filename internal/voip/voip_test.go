@@ -11,13 +11,12 @@ import (
 
 func runCall(t *testing.T, a *testbed.Testbed, talk bool) Result {
 	t.Helper()
-	lib := media.Library(1)
 	var got *Result
 	from, to := a.MediaServer, a.MediaClient // user listens
 	if talk {
 		from, to = a.MediaClient, a.MediaServer // user talks
 	}
-	Start(from, to, lib[0], 0, func(r Result) { got = &r })
+	Start(from, to, media.LibrarySample(1, 0), 0, func(r Result) { got = &r })
 	a.Eng.RunFor(20 * time.Second)
 	if got == nil {
 		t.Fatal("call never finished")
@@ -73,7 +72,6 @@ func TestUplinkBloatDegradesListenDirectionViaDelay(t *testing.T) {
 	a.StartWorkload(testbed.MustSpec(testbed.LookupAccessScenario("long-many", testbed.DirUp)))
 	a.Eng.RunFor(10 * time.Second)
 
-	lib := media.Library(2)
 	var listen *Result
 	// The listen direction rides the clean downlink; its delay
 	// impairment comes from the conversational path, which the paper
@@ -81,7 +79,7 @@ func TestUplinkBloatDegradesListenDirectionViaDelay(t *testing.T) {
 	// by measuring the talk direction's delay and noting that z2
 	// applies to the conversation: here we verify the signal arrives
 	// clean but the talk path is impaired.
-	Start(a.MediaServer, a.MediaClient, lib[1], 0, func(r Result) { listen = &r })
+	Start(a.MediaServer, a.MediaClient, media.LibrarySample(2, 1), 0, func(r Result) { listen = &r })
 	a.Eng.RunFor(20 * time.Second)
 	if listen == nil {
 		t.Fatal("no result")
@@ -124,9 +122,8 @@ func TestPlayoutBufferLateLoss(t *testing.T) {
 	a := testbed.NewAccess(testbed.Config{BufferUp: 64, BufferDown: 256, Seed: 5})
 	a.StartWorkload(testbed.MustSpec(testbed.LookupAccessScenario("long-many", testbed.DirDown)))
 	a.Eng.RunFor(8 * time.Second)
-	lib := media.Library(3)
 	var r *Result
-	Start(a.MediaServer, a.MediaClient, lib[2], 20*time.Millisecond, func(x Result) { r = &x })
+	Start(a.MediaServer, a.MediaClient, media.LibrarySample(3, 2), 20*time.Millisecond, func(x Result) { r = &x })
 	a.Eng.RunFor(20 * time.Second)
 	if r == nil {
 		t.Fatal("no result")
@@ -150,9 +147,8 @@ func TestDeterminism(t *testing.T) {
 }
 
 func runCallQuiet(a *testbed.Testbed) Result {
-	lib := media.Library(1)
 	var got Result
-	Start(a.MediaServer, a.MediaClient, lib[0], 0, func(r Result) { got = r })
+	Start(a.MediaServer, a.MediaClient, media.LibrarySample(1, 0), 0, func(r Result) { got = r })
 	a.Eng.RunFor(20 * time.Second)
 	return got
 }
@@ -169,12 +165,11 @@ func TestAdaptivePlayoutReducesLateLoss(t *testing.T) {
 		a := testbed.NewAccess(testbed.Config{BufferUp: 64, BufferDown: 256, Seed: 21})
 		a.StartWorkload(testbed.MustSpec(testbed.LookupAccessScenario("long-many", testbed.DirDown)))
 		a.Eng.RunFor(8 * time.Second)
-		lib := media.Library(5)
 		var got Result
 		if adaptive {
-			StartAdaptive(a.MediaServer, a.MediaClient, lib[4], func(r Result) { got = r })
+			StartAdaptive(a.MediaServer, a.MediaClient, media.LibrarySample(5, 4), func(r Result) { got = r })
 		} else {
-			Start(a.MediaServer, a.MediaClient, lib[4], 0, func(r Result) { got = r })
+			Start(a.MediaServer, a.MediaClient, media.LibrarySample(5, 4), 0, func(r Result) { got = r })
 		}
 		a.Eng.RunFor(20 * time.Second)
 		return got
@@ -190,12 +185,11 @@ func TestAdaptivePlayoutReducesLateLoss(t *testing.T) {
 	// And on a clean line the adaptive buffer must not hurt quality.
 	clean := func(adaptive bool) Result {
 		a := testbed.NewAccess(testbed.Config{BufferUp: 8, BufferDown: 64, Seed: 22})
-		lib := media.Library(6)
 		var got Result
 		if adaptive {
-			StartAdaptive(a.MediaServer, a.MediaClient, lib[0], func(r Result) { got = r })
+			StartAdaptive(a.MediaServer, a.MediaClient, media.LibrarySample(6, 0), func(r Result) { got = r })
 		} else {
-			Start(a.MediaServer, a.MediaClient, lib[0], 0, func(r Result) { got = r })
+			Start(a.MediaServer, a.MediaClient, media.LibrarySample(6, 0), 0, func(r Result) { got = r })
 		}
 		a.Eng.RunFor(20 * time.Second)
 		return got
