@@ -1,0 +1,60 @@
+package experiments
+
+import (
+	"testing"
+	"time"
+
+	"bufferqoe/internal/telemetry"
+	"bufferqoe/internal/testbed"
+)
+
+// TestHeapStaysTopologySized is the budget the event core is held to:
+// the timer heap is as deep as the topology is wide (links,
+// connections, calls), not as deep as the traffic is long (packets in
+// flight, media frames not yet sent). One pinned cell per shape, at
+// the facade's default options and seed 42, must stay under its bound
+// — about twice what it measures today (106, 106, 345, 42) and well
+// under what per-packet delivery events and pre-scheduled media ticks
+// used to cost (953, 1733, 1336, 2044; DESIGN.md "Event core
+// internals" has the population table) — while firing exactly the
+// events it always fired: moving a stream of events from the heap into
+// its owner may not add, drop or merge one. The next per-packet or
+// per-frame pre-scheduling fails here, not in a profile.
+func TestHeapStaysTopologySized(t *testing.T) {
+	wifi := testbed.LinkParams{UpRate: 65e6, DownRate: 65e6, ClientDelay: 2 * time.Millisecond,
+		ServerDelay: 15 * time.Millisecond, Wifi: testbed.WifiParams{Stations: 4}}
+	cases := []struct {
+		name    string
+		spec    ProbeSpec
+		maxHeap int    // bound on SimMetrics.HeapHighWater
+		events  uint64 // events fired, unchanged since one pooled event per packet
+	}{
+		{"access-voip", ProbeSpec{Scenario: "long-many", Direction: testbed.DirDown, Buffer: 64, Media: "voip"},
+			256, 1183975},
+		{"access-video", ProbeSpec{Scenario: "long-many", Direction: testbed.DirDown, Buffer: 64, Media: "video"},
+			256, 755589},
+		{"backbone-voip", ProbeSpec{Testbed: "backbone", Scenario: "short-medium", Buffer: 749, Media: "voip"},
+			768, 5452177},
+		{"wifi-codel-bbr-voip", ProbeSpec{Scenario: "long-few", Direction: testbed.DirDown, Buffer: 64, Media: "voip",
+			Link: wifi, AQM: "codel", CC: "bbr"},
+			128, 5541677},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			s := NewSession(1)
+			col := telemetry.New()
+			s.SetCollector(col)
+			if _, err := s.Probe(tc.spec, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			m := col.Snapshot().Sim
+			if m.HeapHighWater >= tc.maxHeap {
+				t.Errorf("heap high water = %d, budget < %d: something schedules per packet or per frame again", m.HeapHighWater, tc.maxHeap)
+			}
+			if m.Events() != tc.events {
+				t.Errorf("events fired = %d, want %d: the cell no longer runs the same simulation", m.Events(), tc.events)
+			}
+		})
+	}
+}

@@ -30,7 +30,9 @@
 //
 // All randomness comes from one seeded stream per link, so cells are
 // bit-reproducible; the single owned transmit timer keeps the per-TXOP
-// event cost allocation-free.
+// event cost allocation-free, and delivered subframes propagate on a
+// netem.DelayLine, so a link costs the engine's heap two entries
+// however many frames it has in flight.
 package mac
 
 import (
@@ -137,14 +139,14 @@ type WifiLink struct {
 	eng *sim.Engine
 	rng *sim.RNG
 	med *Medium
-	dst netem.Receiver
 
 	busy     bool
 	cw       int
 	retries  int
 	collided bool
 	agg      []*netem.Packet
-	txTimer  sim.Timer // owned: fires when the current TXOP's airtime ends
+	txTimer  sim.Timer       // owned: fires when the current TXOP's airtime ends
+	line     netem.DelayLine // delivered subframes propagating toward the receiver
 }
 
 // NewWifiLink creates a wifi last hop feeding dst through queue,
@@ -157,23 +159,28 @@ func NewWifiLink(eng *sim.Engine, name string, p Params, rng *sim.RNG, queue net
 		eng:    eng,
 		rng:    rng,
 		med:    med,
-		dst:    dst,
 		cw:     CWMin,
 		agg:    make([]*netem.Packet, 0, DefaultMaxAggFrames),
 	}
 	eng.InitTimer(&w.txTimer, w)
+	w.line.Init(eng, dst)
 	return w
 }
 
 // Reset returns the link to its never-used state for carcass reuse
 // with the next cell's parameters, mirroring NewWifiLink (the owned
-// timer was already unhooked by the engine's Reset). Queued packets
-// are released back to the pool.
+// timer was already unhooked by the engine's Reset). The aggregate in
+// service, the frames in flight and, as in netem.Link.Reset, the
+// outgoing drop-tail queue's content are released back to the pool.
 func (w *WifiLink) Reset(p Params, rng *sim.RNG, queue netem.Queue) {
 	for _, pk := range w.agg {
 		pk.Release()
 	}
 	w.agg = w.agg[:0]
+	w.line.Reset()
+	if dt, ok := w.Queue.(*netem.DropTail); ok {
+		dt.Reset()
+	}
 	w.Params = p.WithDefaults()
 	w.Queue = queue
 	w.Monitor, w.Tap = nil, nil
@@ -325,21 +332,13 @@ func (w *WifiLink) Fire(now sim.Time) {
 		if w.Tap != nil {
 			w.Tap(p, now)
 		}
-		w.eng.ScheduleArg(w.Delay, w, p)
+		w.line.Push(p, now.Add(w.Delay))
 	}
 	w.TxFrames += uint64(len(w.agg))
 	w.TxAggregates++
 	w.agg = w.agg[:0]
 	w.cw, w.retries = CWMin, 0
 	w.startTxop()
-}
-
-// FireArg implements sim.ArgHandler: a frame finished propagating —
-// hand it to the receiver.
-//
-//qoe:hotpath
-func (w *WifiLink) FireArg(now sim.Time, arg any) {
-	w.dst.Receive(arg.(*netem.Packet))
 }
 
 // TransmissionTime returns the airtime of a single unaggregated frame

@@ -30,27 +30,29 @@ type JitterBox struct {
 
 	eng  *sim.Engine
 	rng  *sim.RNG
-	dst  Receiver
-	free sim.Time // earliest time the next packet may be delivered
+	free sim.Time  // earliest time the next packet may be delivered
+	line DelayLine // the free horizon makes delivery times monotone
 }
 
 // NewJitterBox creates a jitter element delivering to dst.
 func NewJitterBox(eng *sim.Engine, rng *sim.RNG, base, jitter time.Duration, dst Receiver) *JitterBox {
-	return &JitterBox{Base: base, Jitter: jitter, eng: eng, rng: rng, dst: dst}
+	j := &JitterBox{Base: base, Jitter: jitter, eng: eng, rng: rng}
+	j.line.Init(eng, dst)
+	return j
 }
 
 // Reset re-seeds the jitter element for carcass reuse: a fresh RNG
-// stream, new delay parameters, and a rewound serialization horizon,
-// exactly as NewJitterBox would leave it.
+// stream, new delay parameters, a rewound serialization horizon and
+// no packets in flight, exactly as NewJitterBox would leave it.
 func (j *JitterBox) Reset(rng *sim.RNG, base, jitter time.Duration) {
 	j.Base, j.Jitter, j.MaxJitter = base, jitter, 0
 	j.rng = rng
 	j.free = 0
+	j.line.Reset()
 }
 
 // Receive implements Receiver: it forwards the packet after the jittered
-// delay, preserving arrival order. Each delivery is a pooled
-// ArgHandler event, so the per-packet path allocates nothing.
+// delay, preserving arrival order.
 func (j *JitterBox) Receive(p *Packet) {
 	maxJ := j.MaxJitter
 	if maxJ == 0 {
@@ -65,11 +67,5 @@ func (j *JitterBox) Receive(p *Packet) {
 		deliver = j.free
 	}
 	j.free = deliver
-	j.eng.AtArg(deliver, j, p)
-}
-
-// FireArg implements sim.ArgHandler: the jittered delay elapsed —
-// deliver the packet downstream.
-func (j *JitterBox) FireArg(now sim.Time, arg any) {
-	j.dst.Receive(arg.(*Packet))
+	j.line.Push(p, deliver)
 }

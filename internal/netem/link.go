@@ -17,9 +17,11 @@ type Receiver interface {
 // delay element — the NetPath delay boxes of the backbone testbed).
 //
 // The link is its own event handler: serialization completion is an
-// owned timer dispatching to Fire, and each in-flight delivery is a
-// pooled ArgHandler event carrying the packet — the forwarding hot
-// path schedules zero closures and allocates nothing in steady state.
+// owned timer dispatching to Fire, and propagation is a DelayLine (a
+// constant delay delivers FIFO) — the link puts at most two entries
+// on the engine's heap however many packets it has in flight, and the
+// forwarding hot path schedules zero closures and allocates nothing in
+// steady state.
 type Link struct {
 	Name  string
 	Rate  float64       // bits per second; 0 = infinite
@@ -36,10 +38,10 @@ type Link struct {
 	Tap func(p *Packet, at sim.Time)
 
 	eng     *sim.Engine
-	dst     Receiver
 	busy    bool
 	txTimer sim.Timer // owned: fires when the head packet finishes serializing
 	txPkt   *Packet   // packet in service
+	line    DelayLine // packets propagating toward the receiver
 }
 
 // NewLink creates a link feeding dst through queue. No LinkMonitor is
@@ -52,9 +54,9 @@ func NewLink(eng *sim.Engine, name string, rate float64, delay time.Duration, qu
 		Delay: delay,
 		Queue: queue,
 		eng:   eng,
-		dst:   dst,
 	}
 	eng.InitTimer(&l.txTimer, l)
+	l.line.Init(eng, dst)
 	return l
 }
 
@@ -80,17 +82,19 @@ func (l *Link) AttachMonitor(m *LinkMonitor) *LinkMonitor {
 func (l *Link) NominalRate() float64 { return l.Rate }
 
 // Reset returns the link to its never-used state for carcass reuse:
-// the packet in service and any drop-tail queue content are released
-// back to the packet pool, and the monitor and tap detach (the
-// bottleneck links re-attach theirs per run). The owned transmit timer
-// needs no attention — the engine's Reset already unhooked it, and
-// Timer.Reset rearms from any state. Non-drop-tail queues (AQMs) are
-// left to the garbage collector; the testbeds rebuild those per run.
+// the packet in service, the packets in flight and any drop-tail queue
+// content are released back to the packet pool, and the monitor and
+// tap detach (the bottleneck links re-attach theirs per run). The
+// owned transmit timer needs no attention — the engine's Reset already
+// unhooked it, and Timer.Reset rearms from any state. Non-drop-tail
+// queues (AQMs) are left to the garbage collector; the testbeds
+// rebuild those per run.
 func (l *Link) Reset() {
 	if l.txPkt != nil {
 		l.txPkt.Release()
 		l.txPkt = nil
 	}
+	l.line.Reset()
 	l.busy = false
 	l.Monitor = nil
 	l.Tap = nil
@@ -112,7 +116,7 @@ func (l *Link) Send(p *Packet) bool {
 		if l.Tap != nil {
 			l.Tap(p, l.eng.Now())
 		}
-		l.eng.ScheduleArg(l.Delay, l, p)
+		l.line.Push(p, l.eng.Now().Add(l.Delay))
 		return true
 	}
 	if !l.Queue.Enqueue(p, l.eng.Now()) {
@@ -155,16 +159,8 @@ func (l *Link) Fire(now sim.Time) {
 	if l.Tap != nil {
 		l.Tap(p, now)
 	}
-	l.eng.ScheduleArg(l.Delay, l, p)
+	l.line.Push(p, now.Add(l.Delay))
 	l.transmitNext()
-}
-
-// FireArg implements sim.ArgHandler: a packet finished propagating —
-// hand it to the receiver.
-//
-//qoe:hotpath
-func (l *Link) FireArg(now sim.Time, arg any) {
-	l.dst.Receive(arg.(*Packet))
 }
 
 // TransmissionTime returns how long one packet of the given size takes

@@ -163,6 +163,8 @@ type Network struct {
 	packetID uint64
 	pktFree  []*Packet
 	recycles uint64
+	// payloadRecycles counts the pooled payloads Release handed back.
+	payloadRecycles uint64
 }
 
 // PacketRecycles reports how many packets have been returned to the
@@ -170,6 +172,15 @@ type Network struct {
 // for telemetry (recycles ≈ packets sent means steady state allocates
 // nothing).
 func (nw *Network) PacketRecycles() uint64 { return nw.recycles }
+
+// PacketsSent reports how many packets nodes have originated. With
+// PacketRecycles it states the pool-balance invariant: sent = recycled
+// + still held by a queue, a transmitter or a delay line.
+func (nw *Network) PacketsSent() uint64 { return nw.packetID }
+
+// PayloadRecycles reports how many pooled payloads (TCP segments)
+// released packets have handed back to their own pool.
+func (nw *Network) PayloadRecycles() uint64 { return nw.payloadRecycles }
 
 // NewPacket returns a zeroed packet from the network's free-list (or a
 // fresh allocation when the list is empty). The caller fills it and
@@ -197,7 +208,7 @@ func NewNetwork(eng *sim.Engine) *Network {
 // behavior-identical to a cold one.
 func (nw *Network) Reset() {
 	nw.packetID = 0
-	nw.recycles = 0
+	nw.recycles, nw.payloadRecycles = 0, 0
 }
 
 // NewNode adds a node with the given name.

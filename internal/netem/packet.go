@@ -85,9 +85,11 @@ func (f Flow) String() string {
 // link/queue/delivery pipeline, then the consuming endpoint. Whoever
 // consumes a packet (the network on local delivery, a queue on a drop)
 // calls Release to return it to the per-network free-list; holding a
-// *Packet past its Release is a use-after-free class bug. Packets
-// built with a composite literal have no pool and Release is a no-op,
-// so tests and external constructions stay safe.
+// *Packet past its Release is a use-after-free class bug. Whoever
+// drops the packet drops the payload: Release hands a pooled payload
+// (PayloadReleaser) back too, so a queue reject or an AQM drop strands
+// nothing. Packets built with a composite literal have no pool and
+// Release is a no-op, so tests and external constructions stay safe.
 type Packet struct {
 	ID   uint64
 	Flow Flow
@@ -115,15 +117,30 @@ type Packet struct {
 	pool *Network
 }
 
-// Release returns a pooled packet to its network's free-list. It is
+// PayloadReleaser is implemented by payloads that come from a pool of
+// their own (*tcp.Segment). The packet owns its payload for as long as
+// it owns itself; Release returns both.
+type PayloadReleaser interface {
+	ReleasePayload()
+}
+
+// Release returns a pooled packet to its network's free-list, handing
+// a PayloadReleaser payload back to its own pool first. It is
 // idempotent (the first call clears the pool link) and a no-op for
 // packets not obtained from Network.NewPacket.
+//
+//qoe:hotpath
 func (p *Packet) Release() {
 	nw := p.pool
 	if nw == nil {
 		return
 	}
 	p.pool = nil
+	if r, ok := p.Payload.(PayloadReleaser); ok {
+		p.Payload = nil
+		r.ReleasePayload()
+		nw.payloadRecycles++
+	}
 	nw.pktFree = append(nw.pktFree, p)
 	nw.recycles++
 }

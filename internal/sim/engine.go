@@ -29,6 +29,18 @@
 // Every arming operation — At, Schedule, the handler variants, and
 // Reset — draws one fresh sequence number, so migrating a call site
 // between tiers preserves the engine's same-instant FIFO order exactly.
+//
+// # Reserved sequence numbers
+//
+// The heap is for events whose order is not known in advance. A stream
+// of events that is provably (at, seq)-monotone — a constant-delay
+// link's deliveries, a media sender's frame ticks — lives in its owner
+// instead: the owner draws each event's sequence number when the pooled
+// event would have been scheduled (ReserveSeq), keeps the stream in its
+// own ring, and exposes only the head to the heap by arming one owned
+// timer under exactly that event's key (ResetAtSeq). Global pop order
+// is a function of the (at, seq) keys alone, so it is unchanged, while
+// heap depth tracks the number of streams, not their length.
 package sim
 
 import (
@@ -65,10 +77,13 @@ type Handler interface {
 }
 
 // ArgHandler is a Handler variant carrying a per-event payload, for
-// events that are per-object rather than per-component: a link
-// delivering one specific packet, a sender emitting one specific
-// frame. The payload is stored in the pooled Timer, so scheduling an
-// ArgHandler event with a pointer payload allocates nothing.
+// events that are per-object rather than per-component and whose
+// order the component cannot know in advance: a reordering box
+// delivering one held-back packet. (Ordered per-object streams — a
+// link's deliveries, a sender's frames — use reserved sequence
+// numbers instead.) The payload is stored in the pooled Timer, so
+// scheduling an ArgHandler event with a pointer payload allocates
+// nothing.
 type ArgHandler interface {
 	FireArg(now Time, arg any)
 }
@@ -150,11 +165,37 @@ func (t *Timer) ResetAt(at Time) {
 	if e == nil || t.h == nil && t.ah == nil {
 		panic("sim: ResetAt on a timer not prepared with InitTimer")
 	}
+	e.seq++
+	t.arm(at, e.seq)
+}
+
+// ResetAtSeq is ResetAt under a sequence number drawn earlier with
+// Engine.ReserveSeq instead of a fresh one: the timer fires exactly
+// where a pooled event scheduled at reservation time would have. The
+// caller owns the number and must arm at most one event with it.
+//
+//qoe:hotpath
+func (t *Timer) ResetAtSeq(at Time, seq uint64) {
+	e := t.eng
+	if e == nil || t.h == nil && t.ah == nil {
+		panic("sim: ResetAtSeq on a timer not prepared with InitTimer")
+	}
+	if seq == 0 || seq > e.seq {
+		panic("sim: ResetAtSeq with a sequence number that was never reserved")
+	}
+	t.arm(at, seq)
+}
+
+// arm keys the owned timer (past times clamp to now) and (re)positions
+// it in the heap.
+//
+//qoe:hotpath
+func (t *Timer) arm(at Time, seq uint64) {
+	e := t.eng
 	if at < e.now {
 		at = e.now
 	}
-	e.seq++
-	t.at, t.seq = at, e.seq
+	t.at, t.seq = at, seq
 	t.stopped, t.fired = false, false
 	if t.queued {
 		e.heapFix(t)
@@ -245,6 +286,21 @@ func (e *Engine) Reset() {
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
+
+// ReserveSeq draws n consecutive sequence numbers and returns the
+// first. The caller arms its events under them later with
+// Timer.ResetAtSeq; each orders against everything else exactly as if
+// it had been scheduled at the moment of reservation.
+//
+//qoe:hotpath
+func (e *Engine) ReserveSeq(n int) uint64 {
+	if n < 0 {
+		panic("sim: ReserveSeq with a negative count")
+	}
+	first := e.seq + 1
+	e.seq += uint64(n)
+	return first
+}
 
 // Schedule runs fn after delay d (relative to Now). A negative d is
 // treated as zero. It returns a Timer that may be stopped.

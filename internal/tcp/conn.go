@@ -241,6 +241,7 @@ func (c *Conn) emit(seg *Segment) {
 	// ACKs are sent non-ECT).
 	pkt.ECT = c.ecnOK && seg.Len > 0
 	c.Stat.SegmentsSent++
+	c.stack.segsSent++
 	c.stack.node.Send(pkt)
 }
 

@@ -60,8 +60,8 @@ type SACKBlock struct {
 	Start, End int64
 }
 
-// segPool recycles Segments between emission and receive-side
-// consumption. Segments cross stacks (a data segment is allocated by
+// segPool recycles Segments between emission and the release of the
+// packet that carries them (delivery or drop). Segments cross stacks (a data segment is allocated by
 // the server's stack and consumed by the client's), so the pool is
 // package-wide: per-stack free-lists would grow without bound on the
 // receive-heavy side while the send-heavy side kept allocating. A
@@ -82,11 +82,12 @@ func newSegment() *Segment {
 	return s
 }
 
-// releaseSegment returns a consumed segment to the pool. The caller
-// (the receive-side dispatcher) must not touch it afterwards.
+// ReleasePayload implements netem.PayloadReleaser: the packet that
+// carried the segment was consumed or dropped, and nothing may touch
+// the segment afterwards.
 //
 //qoe:hotpath
-func releaseSegment(s *Segment) { segPool.Put(s) }
+func (s *Segment) ReleasePayload() { segPool.Put(s) }
 
 // wireSize returns the on-wire IP packet size for this segment.
 func (s *Segment) wireSize() int {

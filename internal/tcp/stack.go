@@ -115,6 +115,10 @@ type Stack struct {
 	// next cell's flows allocation-free from the first connection.
 	reuse bool
 	free  []*Conn
+
+	// segsSent counts the segments this stack's connections drew from
+	// the pool and put on the wire (see SegmentsSent).
+	segsSent uint64
 }
 
 // NewStack attaches a TCP stack to a node.
@@ -137,7 +141,15 @@ func (s *Stack) Reset(cfg Config) {
 	s.cfg = Defaults(cfg)
 	clear(s.conns)
 	clear(s.listeners)
+	s.segsSent = 0
 }
+
+// SegmentsSent reports how many segments the stack has emitted, every
+// connection past and present included. Each was drawn from the
+// segment pool and rides one packet, so summed over a network's stacks
+// it is the "obtained" side of the segment pool's balance, against
+// netem.Network.PayloadRecycles.
+func (s *Stack) SegmentsSent() uint64 { return s.segsSent }
 
 // Node returns the node this stack is bound to.
 func (s *Stack) Node() *netem.Node { return s.node }
@@ -228,10 +240,11 @@ func (s *Stack) newConn(flow netem.Flow, cc CongestionControl) *Conn {
 }
 
 // dispatch routes an inbound packet to its connection, creating
-// server-side connections for SYNs to listening ports. The segment is
-// consumed here: once handling returns it goes back to the pool, so
-// connection code must copy anything it wants to keep (it does — SACK
-// blocks and timestamps are copied into connection state).
+// server-side connections for SYNs to listening ports. The segment
+// belongs to the packet, which the node releases (payload included)
+// once handling returns, so connection code must copy anything it
+// wants to keep (it does — SACK blocks and timestamps are copied into
+// connection state).
 func (s *Stack) dispatch(p *netem.Packet) {
 	seg, ok := p.Payload.(*Segment)
 	if !ok {
@@ -244,12 +257,10 @@ func (s *Stack) dispatch(p *netem.Packet) {
 	flow := p.Flow.Reverse()
 	if c, ok := s.conns[flow]; ok {
 		c.handleSegment(seg)
-		releaseSegment(seg)
 		return
 	}
 	l, ok := s.listeners[p.Flow.Dst.Port]
 	if !ok || !seg.SYN || seg.ACK {
-		releaseSegment(seg)
 		return // no listener or not a connection attempt
 	}
 	c := s.newConn(flow, s.cfg.NewCC())
@@ -261,7 +272,6 @@ func (s *Stack) dispatch(p *netem.Packet) {
 		l.accept(c)
 	}
 	c.sendSyn(true)
-	releaseSegment(seg)
 }
 
 // remove forgets a closed connection and releases ephemeral ports.

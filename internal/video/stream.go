@@ -40,6 +40,14 @@ type pktRecord struct {
 	retx bool // already retransmitted once (ARQ requests once only)
 }
 
+// tick is one entry of the sender's schedule: a data or parity packet
+// and when it leaves. Entry i fires under sequence number seq0+i.
+type tick struct {
+	at      sim.Time
+	payload any // *vpkt or *fecPkt
+	size    int // on-wire bytes
+}
+
 // Result summarizes one streamed clip.
 type Result struct {
 	// MeanSSIM / MeanPSNR average the per-frame full-reference scores
@@ -82,6 +90,16 @@ type Stream struct {
 	sent     int
 	gotSlice [][]bool // [frame][slice] received before the decode deadline
 	deadline []sim.Time
+
+	// The sender is self-clocked: the whole send schedule (data and
+	// FEC parity interleaved, in the order the ticks are created) is
+	// built at Start under one reserved block of sequence numbers, and
+	// one owned timer walks it — the heap holds the next tick, not the
+	// whole clip.
+	sched     []tick
+	seq0      uint64
+	next      int // schedule entry the armed tick sends
+	sendTimer sim.Timer
 
 	// Error recovery state (see recovery.go).
 	recovery  Recovery
@@ -177,7 +195,7 @@ func Start(from, to *netem.Node, src *Source, cfg Config, onDone func(Result)) *
 			pk := &vpkt{seq: seq, frame: t, sliceLo: lo, sliceHi: hi, stream: st}
 			size := packetWire(payload)
 			st.records = append(st.records, pktRecord{pk: pk, size: size})
-			eng.AtArg(sendAt, st, pk)
+			st.schedule(sendAt, pk, size)
 			st.sent++
 			if sendAt > lastSend {
 				lastSend = sendAt
@@ -195,32 +213,58 @@ func Start(from, to *netem.Node, src *Source, cfg Config, onDone func(Result)) *
 	st.gotPkt = make([]bool, len(st.records))
 	st.nacked = make([]bool, len(st.records))
 	st.parityGot = make([]bool, (len(st.records)+st.fecGroup-1)/st.fecGroup)
+	eng.InitTimer(&st.sendTimer, st)
+	st.seq0 = eng.ReserveSeq(len(st.sched))
+	st.armSend()
 	end := time.Duration(n)*frameIv + StartupDelay + 3*time.Second
-	eng.ScheduleHandler(end, st)
+	eng.ScheduleHandler(end, clipEnd{st})
 	return st
 }
 
-// FireArg implements sim.ArgHandler: one packet's send tick. The
-// payload identifies the data packet (its size is recorded in
-// records) or parity packet (always a full cell) to transmit, so the
-// per-packet schedule path allocates nothing.
-func (st *Stream) FireArg(now sim.Time, arg any) {
-	switch pk := arg.(type) {
-	case *vpkt:
-		st.send(pk, st.records[pk.seq].size)
-	case *fecPkt:
-		st.send(pk, packetWire(tsPayload))
+// schedule appends one send tick. The owned timer can only walk a
+// schedule whose times never decrease; the pacing clock guarantees
+// that, and a builder that broke it would silently reorder packets, so
+// it fails loudly instead.
+func (st *Stream) schedule(at sim.Time, payload any, size int) {
+	if n := len(st.sched); n > 0 && at < st.sched[n-1].at {
+		panic("video: send schedule built out of time order")
+	}
+	st.sched = append(st.sched, tick{at: at, payload: payload, size: size})
+}
+
+// armSend arms the send timer for the next schedule entry under its
+// reserved sequence number; after the last entry it stays unarmed.
+//
+//qoe:hotpath
+func (st *Stream) armSend() {
+	if st.next < len(st.sched) {
+		st.sendTimer.ResetAtSeq(st.sched[st.next].at, st.seq0+uint64(st.next))
 	}
 }
 
-// Fire implements sim.Handler: the clip (plus drain) ended — evaluate.
-func (st *Stream) Fire(now sim.Time) { st.finish() }
+// Fire implements sim.Handler: one packet's send tick. The next tick
+// is armed before the packet enters the network.
+//
+//qoe:hotpath
+func (st *Stream) Fire(now sim.Time) {
+	tk := &st.sched[st.next]
+	st.next++
+	st.armSend()
+	st.send(tk.payload, tk.size)
+}
+
+// clipEnd is the end-of-clip handler: the clip (plus drain) ended —
+// evaluate.
+type clipEnd struct{ *Stream }
+
+func (e clipEnd) Fire(sim.Time) { e.finish() }
 
 // scheduleParity emits the XOR parity packet covering data sequence
-// numbers [lo, hi) right after the group's last member.
+// numbers [lo, hi) right after the group's last member. A parity
+// packet is always a full cell.
 func (st *Stream) scheduleParity(lo, hi int, at sim.Time) {
 	fp := &fecPkt{groupLo: lo, groupHi: hi, stream: st}
-	st.eng.AtArg(at, st, fp)
+	st.schedule(at, fp, packetWire(tsPayload))
 }
 
 // send transmits one payload (data, parity) toward the receiver.

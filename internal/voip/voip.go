@@ -69,17 +69,41 @@ type Call struct {
 	received []bool
 	rtps     []rtp // preallocated per-frame payloads
 	onDone   func(Result)
+
+	// The sender is self-clocked: frame i leaves at sendTime(i) under
+	// sequence number seq0+i, reserved at call start, and one owned
+	// timer walks the frames — the heap holds the next tick, not the
+	// whole call.
+	sendTimer sim.Timer
+	seq0      uint64
+	next      int // frame the armed tick sends
 }
 
-// FireArg implements sim.ArgHandler: one frame's send tick. The
-// payload is the preallocated rtp of that frame, so the per-packet
-// schedule path allocates nothing.
-func (c *Call) FireArg(now sim.Time, arg any) {
-	c.sendFrame(arg.(*rtp))
+// Fire implements sim.Handler: frame c.next's send tick. The next
+// tick is armed before the frame enters the network.
+//
+//qoe:hotpath
+func (c *Call) Fire(now sim.Time) {
+	i := c.next
+	c.next++
+	c.armSend()
+	c.sendFrame(&c.rtps[i])
 }
 
-// Fire implements sim.Handler: the drain deadline — evaluate the call.
-func (c *Call) Fire(now sim.Time) { c.finish() }
+// armSend arms the send timer for frame c.next under its reserved
+// sequence number; after the last frame it stays unarmed.
+//
+//qoe:hotpath
+func (c *Call) armSend() {
+	if c.next < len(c.rtps) {
+		c.sendTimer.ResetAtSeq(c.sendTime(c.next), c.seq0+uint64(c.next))
+	}
+}
+
+// callEnd is the drain deadline's handler: evaluate the call.
+type callEnd struct{ *Call }
+
+func (e callEnd) Fire(sim.Time) { e.finish() }
 
 // StartAdaptive streams a call whose receiver uses a Ramjee-style
 // adaptive playout buffer (EWMA delay estimate plus four deviations)
@@ -118,13 +142,15 @@ func Start(from, to *netem.Node, sample *media.Sample, playout time.Duration, on
 
 	n := sample.Frames()
 	c.rtps = make([]rtp, n)
-	for i := 0; i < n; i++ {
+	for i := range c.rtps {
 		c.rtps[i] = rtp{seq: i, call: c}
-		eng.ScheduleArg(time.Duration(i)*FrameInterval, c, &c.rtps[i])
 	}
+	eng.InitTimer(&c.sendTimer, c)
+	c.seq0 = eng.ReserveSeq(n)
+	c.armSend()
 	// Evaluate after the last deadline plus a generous network drain.
 	drain := time.Duration(n)*FrameInterval + playout + 5*time.Second
-	eng.ScheduleHandler(drain, c)
+	eng.ScheduleHandler(drain, callEnd{c})
 	return c
 }
 
