@@ -208,6 +208,7 @@ func WholeCellTelemetry(b *testing.B) {
 			TimerRecycles:  sm.TimerRecycles,
 			PacketRecycles: a.Net.PacketRecycles(),
 			HeapHighWater:  sm.HeapHighWater,
+			NearHighWater:  sm.NearHighWater,
 		})
 	}
 	b.StopTimer()

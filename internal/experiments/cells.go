@@ -231,6 +231,7 @@ func simMetricsOf(se *sim.Engine, nw *netem.Network) telemetry.SimMetrics {
 		TimerRecycles:  m.TimerRecycles,
 		PacketRecycles: nw.PacketRecycles(),
 		HeapHighWater:  m.HeapHighWater,
+		NearHighWater:  m.NearHighWater,
 	}
 }
 

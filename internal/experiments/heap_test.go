@@ -20,6 +20,11 @@ import (
 // events it always fired: moving a stream of events from the heap into
 // its owner may not add, drop or merge one. The next per-packet or
 // per-frame pre-scheduling fails here, not in a profile.
+//
+// The near tier — the heap nearly every event sifts through — has a
+// budget of its own, about twice what it measures (11, 11, 16, 18): a
+// change that files far-off deadlines among the timers due within a
+// millisecond fails here too.
 func TestHeapStaysTopologySized(t *testing.T) {
 	wifi := testbed.LinkParams{UpRate: 65e6, DownRate: 65e6, ClientDelay: 2 * time.Millisecond,
 		ServerDelay: 15 * time.Millisecond, Wifi: testbed.WifiParams{Stations: 4}}
@@ -27,17 +32,18 @@ func TestHeapStaysTopologySized(t *testing.T) {
 		name    string
 		spec    ProbeSpec
 		maxHeap int    // bound on SimMetrics.HeapHighWater
+		maxNear int    // bound on SimMetrics.NearHighWater
 		events  uint64 // events fired, unchanged since one pooled event per packet
 	}{
 		{"access-voip", ProbeSpec{Scenario: "long-many", Direction: testbed.DirDown, Buffer: 64, Media: "voip"},
-			256, 1183975},
+			256, 24, 1183975},
 		{"access-video", ProbeSpec{Scenario: "long-many", Direction: testbed.DirDown, Buffer: 64, Media: "video"},
-			256, 755589},
+			256, 24, 755589},
 		{"backbone-voip", ProbeSpec{Testbed: "backbone", Scenario: "short-medium", Buffer: 749, Media: "voip"},
-			768, 5452177},
+			768, 32, 5452177},
 		{"wifi-codel-bbr-voip", ProbeSpec{Scenario: "long-few", Direction: testbed.DirDown, Buffer: 64, Media: "voip",
 			Link: wifi, AQM: "codel", CC: "bbr"},
-			128, 5541677},
+			128, 36, 5541677},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -51,6 +57,9 @@ func TestHeapStaysTopologySized(t *testing.T) {
 			m := col.Snapshot().Sim
 			if m.HeapHighWater >= tc.maxHeap {
 				t.Errorf("heap high water = %d, budget < %d: something schedules per packet or per frame again", m.HeapHighWater, tc.maxHeap)
+			}
+			if m.NearHighWater >= tc.maxNear {
+				t.Errorf("near-tier high water = %d, budget < %d: far-off deadlines are filed among the timers due soon", m.NearHighWater, tc.maxNear)
 			}
 			if m.Events() != tc.events {
 				t.Errorf("events fired = %d, want %d: the cell no longer runs the same simulation", m.Events(), tc.events)

@@ -41,7 +41,7 @@ type Node struct {
 
 	eng      *sim.Engine
 	net      *Network
-	routes   map[NodeID]Egress
+	routes   []Egress // by destination NodeID; nil means the default route
 	defRoute Egress
 	handlers map[portKey]Handler
 	nextPort uint16
@@ -66,6 +66,9 @@ func (n *Node) Reset() {
 
 // SetRoute installs a next-hop egress for a destination node.
 func (n *Node) SetRoute(dst NodeID, l Egress) {
+	if int(dst) >= len(n.routes) {
+		n.routes = append(n.routes, make([]Egress, int(dst)+1-len(n.routes))...)
+	}
 	n.routes[dst] = l
 }
 
@@ -141,8 +144,11 @@ func (n *Node) Receive(p *Packet) {
 }
 
 func (n *Node) forward(p *Packet) bool {
-	l, ok := n.routes[p.Flow.Dst.Node]
-	if !ok {
+	var l Egress
+	if dst := uint(p.Flow.Dst.Node); dst < uint(len(n.routes)) {
+		l = n.routes[dst]
+	}
+	if l == nil {
 		l = n.defRoute
 	}
 	if l == nil {
@@ -218,7 +224,6 @@ func (nw *Network) NewNode(name string) *Node {
 		Name:     name,
 		eng:      nw.Engine,
 		net:      nw,
-		routes:   make(map[NodeID]Egress),
 		handlers: make(map[portKey]Handler),
 	}
 	nw.nodes = append(nw.nodes, n)

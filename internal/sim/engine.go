@@ -1,6 +1,6 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
-// The engine maintains a virtual clock and an event heap. All model
+// The engine maintains a virtual clock and an event queue. All model
 // components (links, queues, protocol endpoints, applications) schedule
 // callbacks on a shared *Engine; the engine executes them in
 // non-decreasing time order. Events scheduled for the same instant run
@@ -29,6 +29,15 @@
 // Every arming operation — At, Schedule, the handler variants, and
 // Reset — draws one fresh sequence number, so migrating a call site
 // between tiers preserves the engine's same-instant FIFO order exactly.
+//
+// # Two tiers of time
+//
+// The queue is two index-tracked 4-ary min-heaps on the same (at, seq)
+// key, shared by all three scheduling tiers: timers armed to fire
+// within a millisecond of being armed, and timers armed further out.
+// Dispatch pops the smaller root, so the order is that of one heap,
+// while the events that fire — nearly all of them packet hops — sift
+// through the few timers due soon instead of every pending deadline.
 //
 // # Reserved sequence numbers
 //
@@ -96,8 +105,8 @@ type ArgHandler interface {
 type Timer struct {
 	at  Time
 	seq uint64
-	// idx is the timer's position in the engine's event heap, valid
-	// only while queued. Tracking it makes Stop an O(log n) eager
+	// idx is the timer's position in its tier's heap, valid only
+	// while queued. Tracking it makes Stop an O(log n) eager
 	// removal instead of leaving cancelled timers to be drained at
 	// their deadline (which let long runs with many cancelled
 	// retransmission timers grow the heap without bound).
@@ -105,6 +114,7 @@ type Timer struct {
 	// queued reports heap membership; false in the zero value, so an
 	// embedded timer is safely unarmed before InitTimer runs.
 	queued  bool
+	far     bool // a queued timer's tier: the far heap, else the near one
 	pooled  bool // recycled into the engine free-list when it fires
 	stopped bool
 	fired   bool
@@ -209,8 +219,9 @@ func (t *Timer) arm(at Time, seq uint64) {
 type Engine struct {
 	now     Time
 	seq     uint64
-	events  []*Timer // index-tracked 4-ary min-heap on (at, seq)
-	free    []*Timer // recycled pooled one-shot timers
+	near    timerHeap // timers armed to fire within nearHorizon
+	far     timerHeap // timers armed to fire nearHorizon or later
+	free    []*Timer  // recycled pooled one-shot timers
 	running bool
 	halted  bool
 
@@ -233,7 +244,7 @@ type Engine struct {
 
 // Metrics is a snapshot of the engine's internal counters: events
 // fired per scheduling tier, pooled-timer recycles, and the deepest
-// the event heap ever ran. Read it with Engine.Metrics after (or
+// the event heaps ever ran. Read it with Engine.Metrics after (or
 // during) a run.
 type Metrics struct {
 	// Per-tier fired-event counts. Their sum equals Executed.
@@ -243,8 +254,12 @@ type Metrics struct {
 	EventsOwned   uint64 // owned reschedulable timers
 	// TimerRecycles counts pooled timers returned to the free-list.
 	TimerRecycles uint64
-	// HeapHighWater is the maximum number of queued events observed.
+	// HeapHighWater is the maximum number of queued events observed,
+	// both tiers together.
 	HeapHighWater int
+	// NearHighWater is the deepest the near tier ran: the heap that
+	// almost every dispatched event sifts through.
+	NearHighWater int
 }
 
 // Metrics returns a copy of the engine's telemetry counters.
@@ -267,8 +282,19 @@ func (e *Engine) Reset() {
 	if e.running {
 		panic("sim: Reset during Run")
 	}
-	for i, t := range e.events {
-		e.events[i] = nil
+	e.near = e.discard(e.near)
+	e.far = e.discard(e.far)
+	e.now, e.seq = 0, 0
+	e.halted = false
+	e.Executed = 0
+	e.met = Metrics{}
+}
+
+// discard unhooks every timer of one tier for Reset and returns the
+// emptied tier, its backing array kept.
+func (e *Engine) discard(h timerHeap) timerHeap {
+	for i, t := range h {
+		h[i] = nil
 		t.queued = false
 		switch {
 		case t.pooled:
@@ -277,11 +303,7 @@ func (e *Engine) Reset() {
 			t.fn = nil
 		}
 	}
-	e.events = e.events[:0]
-	e.now, e.seq = 0, 0
-	e.halted = false
-	e.Executed = 0
-	e.met = Metrics{}
+	return h[:0]
 }
 
 // Now returns the current simulation time.
@@ -426,7 +448,7 @@ func (e *Engine) recycle(t *Timer) {
 
 // Pending reports the number of events in the queue. Stopped timers
 // are removed eagerly, so they are never counted.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return len(e.near) + len(e.far) }
 
 // Halt stops the run loop after the current event completes. Unlike
 // draining the queue, pending events remain queued.
@@ -451,9 +473,9 @@ func (e *Engine) RunUntil(t Time) {
 	//lint:allow qoelint/hotpath one closure per RunUntil call, not per event; dispatch below is allocation-free
 	defer func() { e.running = false }()
 
-	for len(e.events) > 0 && !e.halted {
-		next := e.events[0]
-		if next.at > t {
+	for !e.halted {
+		next := e.next()
+		if next == nil || next.at > t {
 			break
 		}
 		e.heapRemove(next)
@@ -510,12 +532,27 @@ func (e *Engine) maxEventsExceeded() {
 
 // --- event heap -------------------------------------------------------
 //
-// A 4-ary min-heap on (at, seq) with index tracking. The wider node
+// Two 4-ary min-heaps on (at, seq) with index tracking, one per tier
+// of time (see the package doc): the near tier holds timers armed to
+// fire less than nearHorizon out — packet hops, serialization ticks,
+// media frames — and the far tier everything else, mostly
+// retransmission and delayed-ACK deadlines that are stopped long before
+// they are due. A far timer is never migrated; it wins the root
+// comparison in next when its time comes. Within a tier, the wider node
 // fans out better than a binary heap for this workload: sift-downs
-// touch fewer levels (fewer cache lines) and the hot path — push a
-// timer, pop the minimum — is dominated by sift-up, which is cheaper
-// the shallower the tree. Index tracking is what makes eager Stop and
-// in-place Reset O(log n).
+// touch fewer levels (fewer cache lines) and push is dominated by
+// sift-up, which is cheaper the shallower the tree. Index tracking is
+// what makes eager Stop and in-place Reset O(log n).
+
+// nearHorizon is the filing rule's threshold: a timer armed to fire
+// less than this long after the current time goes to the near tier.
+// Anything from 100 µs to 10 ms measures the same; at 100 ms the
+// delayed ACKs land in the near tier and most of the gain is lost.
+const nearHorizon = Time(time.Millisecond)
+
+// timerHeap is one tier: a 4-ary min-heap whose timers know their
+// index.
+type timerHeap []*Timer
 
 // less orders timers by (time, sequence); seq is unique, so the order
 // is total and pop order is independent of heap layout.
@@ -528,70 +565,128 @@ func less(a, b *Timer) bool {
 	return a.seq < b.seq
 }
 
+// next returns the earliest queued timer across both tiers, or nil.
+//
 //qoe:hotpath
-func (e *Engine) heapPush(t *Timer) {
-	t.idx = len(e.events)
-	t.queued = true
-	e.events = append(e.events, t)
-	if n := len(e.events); n > e.met.HeapHighWater {
-		e.met.HeapHighWater = n
+func (e *Engine) next() *Timer {
+	if len(e.near) == 0 {
+		if len(e.far) == 0 {
+			return nil
+		}
+		return e.far[0]
 	}
-	e.siftUp(t.idx)
+	if len(e.far) == 0 || less(e.near[0], e.far[0]) {
+		return e.near[0]
+	}
+	return e.far[0]
 }
 
-// heapRemove unlinks the timer at any position.
+// tier returns the heap a queued timer lives in.
+//
+//qoe:hotpath
+func (e *Engine) tier(t *Timer) *timerHeap {
+	if t.far {
+		return &e.far
+	}
+	return &e.near
+}
+
+// heapPush files a timer by the horizon rule and queues it.
+//
+//qoe:hotpath
+func (e *Engine) heapPush(t *Timer) {
+	t.queued = true
+	t.far = t.at-e.now >= nearHorizon
+	if t.far {
+		e.far.push(t)
+	} else {
+		e.near.push(t)
+		if n := len(e.near); n > e.met.NearHighWater {
+			e.met.NearHighWater = n
+		}
+	}
+	if n := len(e.near) + len(e.far); n > e.met.HeapHighWater {
+		e.met.HeapHighWater = n
+	}
+}
+
+// heapRemove unlinks a queued timer from its tier.
 //
 //qoe:hotpath
 func (e *Engine) heapRemove(t *Timer) {
-	i := t.idx
-	last := len(e.events) - 1
-	if i != last {
-		e.events[i] = e.events[last]
-		e.events[i].idx = i
-	}
-	e.events[last] = nil
-	e.events = e.events[:last]
+	e.tier(t).remove(t)
 	t.queued = false
-	if i < last {
-		if !e.siftDown(i) {
-			e.siftUp(i)
-		}
-	}
 }
 
-// heapFix repositions a timer whose key changed in place (Reset on an
-// armed timer).
+// heapFix repositions a queued timer whose key changed (Reset on an
+// armed timer): in place if it stays in its tier, otherwise by moving
+// it to the tier its new deadline files it in.
 //
 //qoe:hotpath
 func (e *Engine) heapFix(t *Timer) {
-	if !e.siftDown(t.idx) {
-		e.siftUp(t.idx)
+	if t.far == (t.at-e.now >= nearHorizon) {
+		e.tier(t).fix(t.idx)
+		return
+	}
+	e.heapRemove(t)
+	e.heapPush(t)
+}
+
+//qoe:hotpath
+func (h *timerHeap) push(t *Timer) {
+	t.idx = len(*h)
+	*h = append(*h, t)
+	h.siftUp(t.idx)
+}
+
+// remove unlinks the timer at any position.
+//
+//qoe:hotpath
+func (h *timerHeap) remove(t *Timer) {
+	s := *h
+	i := t.idx
+	last := len(s) - 1
+	if i != last {
+		s[i] = s[last]
+		s[i].idx = i
+	}
+	s[last] = nil
+	*h = s[:last]
+	if i < last {
+		h.fix(i)
 	}
 }
 
 //qoe:hotpath
-func (e *Engine) siftUp(i int) {
-	t := e.events[i]
+func (h timerHeap) fix(i int) {
+	if !h.siftDown(i) {
+		h.siftUp(i)
+	}
+}
+
+//qoe:hotpath
+func (h timerHeap) siftUp(i int) {
+	t := h[i]
 	for i > 0 {
 		parent := (i - 1) / 4
-		p := e.events[parent]
+		p := h[parent]
 		if !less(t, p) {
 			break
 		}
-		e.events[i] = p
+		h[i] = p
 		p.idx = i
 		i = parent
 	}
-	e.events[i] = t
+	h[i] = t
 	t.idx = i
 }
 
 // siftDown reports whether the element moved.
 //
 //qoe:hotpath
-func (e *Engine) siftDown(i int) bool {
-	t := e.events[i]
-	n := len(e.events)
+func (h timerHeap) siftDown(i int) bool {
+	t := h[i]
+	n := len(h)
 	start := i
 	for {
 		first := 4*i + 1
@@ -604,18 +699,18 @@ func (e *Engine) siftDown(i int) bool {
 			end = n
 		}
 		for c := first + 1; c < end; c++ {
-			if less(e.events[c], e.events[min]) {
+			if less(h[c], h[min]) {
 				min = c
 			}
 		}
-		if !less(e.events[min], t) {
+		if !less(h[min], t) {
 			break
 		}
-		e.events[i] = e.events[min]
-		e.events[i].idx = i
+		h[i] = h[min]
+		h[i].idx = i
 		i = min
 	}
-	e.events[i] = t
+	h[i] = t
 	t.idx = i
 	return i != start
 }

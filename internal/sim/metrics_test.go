@@ -68,3 +68,32 @@ func TestMetricsHighWaterSurvivesDrain(t *testing.T) {
 		t.Fatalf("high water = %d, want 10", hw)
 	}
 }
+
+// TestNearHighWaterCountsTheNearTier files timers on both sides of the
+// horizon: HeapHighWater counts both tiers, NearHighWater only the
+// timers armed to fire within the horizon, including one re-armed into
+// the near tier from the far one.
+func TestNearHighWaterCountsTheNearTier(t *testing.T) {
+	e := New()
+	h := &countHandler{}
+	var owned Timer
+	e.InitTimer(&owned, h)
+	for i := 0; i < 3; i++ {
+		e.ScheduleHandler(time.Duration(nearHorizon)-1, h)
+	}
+	for i := 0; i < 4; i++ {
+		e.ScheduleHandler(time.Duration(nearHorizon)+time.Duration(i), h)
+	}
+	owned.Reset(time.Second)
+	if m := e.Metrics(); m.HeapHighWater != 8 || m.NearHighWater != 3 {
+		t.Fatalf("high water = %d, near %d; want 8, 3", m.HeapHighWater, m.NearHighWater)
+	}
+	owned.Reset(0)
+	if m := e.Metrics(); m.HeapHighWater != 8 || m.NearHighWater != 4 {
+		t.Fatalf("after a re-arm into the near tier: high water = %d, near %d; want 8, 4", m.HeapHighWater, m.NearHighWater)
+	}
+	e.Run()
+	if h.fired != 8 || e.Pending() != 0 {
+		t.Fatalf("fired %d, pending %d; want 8, 0", h.fired, e.Pending())
+	}
+}

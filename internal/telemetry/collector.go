@@ -48,8 +48,10 @@ type SimMetrics struct {
 	TimerRecycles uint64 `json:"timer_recycles"`
 	// PacketRecycles counts netem packets returned to the packet pool.
 	PacketRecycles uint64 `json:"packet_recycles"`
-	// HeapHighWater is the deepest the timer heap ever ran.
+	// HeapHighWater is the deepest the timer heap ever ran, both tiers
+	// together; NearHighWater the deepest its near tier ran.
 	HeapHighWater int `json:"heap_high_water"`
+	NearHighWater int `json:"near_high_water"`
 }
 
 // Events returns the total events fired across all tiers.
@@ -66,9 +68,8 @@ func (m *SimMetrics) Add(o SimMetrics) {
 	m.EventsOwned += o.EventsOwned
 	m.TimerRecycles += o.TimerRecycles
 	m.PacketRecycles += o.PacketRecycles
-	if o.HeapHighWater > m.HeapHighWater {
-		m.HeapHighWater = o.HeapHighWater
-	}
+	m.HeapHighWater = max(m.HeapHighWater, o.HeapHighWater)
+	m.NearHighWater = max(m.NearHighWater, o.NearHighWater)
 }
 
 // ContentUse is one cell's use of its session's reference-media cache
@@ -117,6 +118,7 @@ type Collector struct {
 	TimerRecycles  Counter
 	PacketRecycles Counter
 	HeapHighWater  HighWater
+	NearHighWater  HighWater
 
 	// Experiments-layer: per-cell phase breakdown.
 	PhaseNanos [PhaseCount]Counter
@@ -195,6 +197,7 @@ func (c *Collector) FlushSim(m SimMetrics) {
 	c.TimerRecycles.Add(m.TimerRecycles)
 	c.PacketRecycles.Add(m.PacketRecycles)
 	c.HeapHighWater.Observe(int64(m.HeapHighWater))
+	c.NearHighWater.Observe(int64(m.NearHighWater))
 }
 
 // StartCell begins a per-cell phase clock. On a nil collector it
@@ -333,6 +336,7 @@ func (c *Collector) Snapshot() Snapshot {
 			TimerRecycles:  c.TimerRecycles.Value(),
 			PacketRecycles: c.PacketRecycles.Value(),
 			HeapHighWater:  int(c.HeapHighWater.Value()),
+			NearHighWater:  int(c.NearHighWater.Value()),
 		},
 		ContentHits:        c.ContentHits.Value(),
 		ContentSynthesized: c.ContentSynthesized.Value(),

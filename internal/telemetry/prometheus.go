@@ -65,6 +65,7 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 	counter("qoe_sim_timer_recycles_total", "Pooled timers returned to the free list.", s.Sim.TimerRecycles)
 	counter("qoe_net_packet_recycles_total", "Packets returned to the netem packet pool.", s.Sim.PacketRecycles)
 	gauge("qoe_sim_heap_high_water", "Deepest the simulator timer heap ever ran.", int64(s.Sim.HeapHighWater))
+	gauge("qoe_sim_near_high_water", "Deepest the near tier of the simulator timer heap ever ran.", int64(s.Sim.NearHighWater))
 
 	fmt.Fprintf(ew, "# HELP qoe_cell_phase_seconds_total Per-cell wall time by phase.\n# TYPE qoe_cell_phase_seconds_total counter\n")
 	for ph := Phase(0); ph < PhaseCount; ph++ {

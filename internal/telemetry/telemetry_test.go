@@ -117,7 +117,7 @@ func TestNilCollectorIsFree(t *testing.T) {
 
 func TestRecordingIsAllocationFree(t *testing.T) {
 	c := New()
-	m := SimMetrics{EventsClosure: 3, EventsPooled: 5, HeapHighWater: 12}
+	m := SimMetrics{EventsClosure: 3, EventsPooled: 5, HeapHighWater: 12, NearHighWater: 4}
 	allocs := testing.AllocsPerRun(100, func() {
 		c.CacheHits.Inc()
 		c.CellsInFlight.Add(1)
@@ -144,7 +144,7 @@ func TestPhaseClockAndSnapshot(t *testing.T) {
 	pc.Mark(PhaseSim)
 	pc.Done("voip/access/short-few/down@64", SimMetrics{
 		EventsClosure: 2, EventsPooled: 3, EventsArg: 4, EventsOwned: 5,
-		TimerRecycles: 6, PacketRecycles: 7, HeapHighWater: 8,
+		TimerRecycles: 6, PacketRecycles: 7, HeapHighWater: 8, NearHighWater: 3,
 	})
 	s := c.Snapshot()
 	if s.PhaseCells != 1 {
@@ -153,8 +153,8 @@ func TestPhaseClockAndSnapshot(t *testing.T) {
 	if got := s.Sim.Events(); got != 14 {
 		t.Fatalf("events = %d, want 14", got)
 	}
-	if s.Sim.HeapHighWater != 8 {
-		t.Fatalf("heap high water = %d, want 8", s.Sim.HeapHighWater)
+	if s.Sim.HeapHighWater != 8 || s.Sim.NearHighWater != 3 {
+		t.Fatalf("heap high water = %d, near %d; want 8, 3", s.Sim.HeapHighWater, s.Sim.NearHighWater)
 	}
 	for _, ph := range []string{"build", "sim", "score"} {
 		if _, ok := s.PhaseSeconds[ph]; !ok {
@@ -167,13 +167,16 @@ func TestPhaseClockAndSnapshot(t *testing.T) {
 }
 
 func TestSimMetricsAdd(t *testing.T) {
-	a := SimMetrics{EventsClosure: 1, HeapHighWater: 5}
-	a.Add(SimMetrics{EventsClosure: 2, EventsOwned: 3, HeapHighWater: 4, TimerRecycles: 9})
+	a := SimMetrics{EventsClosure: 1, HeapHighWater: 5, NearHighWater: 2}
+	a.Add(SimMetrics{EventsClosure: 2, EventsOwned: 3, HeapHighWater: 4, NearHighWater: 3, TimerRecycles: 9})
 	if a.EventsClosure != 3 || a.EventsOwned != 3 || a.TimerRecycles != 9 {
 		t.Fatalf("add mismatch: %+v", a)
 	}
 	if a.HeapHighWater != 5 {
 		t.Fatalf("high water = %d, want max(5,4)=5", a.HeapHighWater)
+	}
+	if a.NearHighWater != 3 {
+		t.Fatalf("near high water = %d, want max(2,3)=3", a.NearHighWater)
 	}
 }
 
@@ -183,7 +186,7 @@ func TestTraceEvents(t *testing.T) {
 	c.TraceTo(&buf)
 	pc := c.StartCell()
 	pc.Mark(PhaseBuild)
-	pc.Done("web/backbone/tcpmix@256", SimMetrics{EventsClosure: 100, HeapHighWater: 40})
+	pc.Done("web/backbone/tcpmix@256", SimMetrics{EventsClosure: 100, HeapHighWater: 40, NearHighWater: 9})
 	pc2 := c.StartCell()
 	pc2.Done("web/backbone/tcpmix@512", SimMetrics{})
 
@@ -198,7 +201,7 @@ func TestTraceEvents(t *testing.T) {
 	if ev.Kind != "cell" || ev.Cell != "web/backbone/tcpmix@256" {
 		t.Fatalf("trace event = %+v", ev)
 	}
-	if ev.Events != 100 || ev.Heap != 40 {
+	if ev.Events != 100 || ev.Heap != 40 || ev.Near != 9 {
 		t.Fatalf("trace sim fields = %+v", ev)
 	}
 
@@ -239,7 +242,7 @@ func TestWritePrometheus(t *testing.T) {
 	c.CacheMisses.Add(7)
 	c.CellsInFlight.Add(2)
 	c.CellWall.Observe(0.02)
-	c.FlushSim(SimMetrics{EventsClosure: 11, EventsPooled: 22, HeapHighWater: 33})
+	c.FlushSim(SimMetrics{EventsClosure: 11, EventsPooled: 22, HeapHighWater: 33, NearHighWater: 5})
 	c.SweepCells.Add(10)
 
 	var buf bytes.Buffer
@@ -254,6 +257,7 @@ func TestWritePrometheus(t *testing.T) {
 		"qoe_sim_events_total{tier=\"closure\"} 11",
 		"qoe_sim_events_total{tier=\"pooled\"} 22",
 		"qoe_sim_heap_high_water 33",
+		"qoe_sim_near_high_water 5",
 		"qoe_cell_wall_seconds_bucket{le=\"+Inf\"} 1",
 		"qoe_cell_wall_seconds_count 1",
 		"qoe_cell_phase_seconds_total{phase=\"build\"}",

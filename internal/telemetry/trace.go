@@ -46,9 +46,10 @@ type TraceEvent struct {
 	SimMS   float64 `json:"sim_ms"`
 	ScoreMS float64 `json:"score_ms"`
 	// Events is the total simulator events the cell fired; Heap the
-	// deepest its timer heap ran.
+	// deepest its timer heap ran, Near the deepest its near tier ran.
 	Events uint64 `json:"events"`
 	Heap   int    `json:"heap"`
+	Near   int    `json:"near"`
 	// Reference media the cell found in the session's content cache and
 	// had to synthesize, and the wall time the synthesis took (already
 	// inside the phase that asked for it).
@@ -75,6 +76,7 @@ func (c *Collector) traceCell(cell string, d [PhaseCount]time.Duration, m SimMet
 		ScoreMS: float64(d[PhaseScore]) / 1e6,
 		Events:  m.Events(),
 		Heap:    m.HeapHighWater,
+		Near:    m.NearHighWater,
 
 		ContentHits:  u.Hits,
 		ContentSynth: u.Synthesized,

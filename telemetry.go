@@ -105,10 +105,12 @@ type Metrics struct {
 	SimEventsByTier map[string]uint64 `json:"sim_events_by_tier"`
 	// TimerRecycles / PacketRecycles count pool reuse in the simulator
 	// core and the packet layer; HeapHighWater is the deepest any
-	// cell's timer heap ran.
+	// cell's timer heap ran, NearHighWater the deepest its near tier
+	// (timers due within a millisecond of arming) ran.
 	TimerRecycles  uint64 `json:"timer_recycles"`
 	PacketRecycles uint64 `json:"packet_recycles"`
 	HeapHighWater  int    `json:"heap_high_water"`
+	NearHighWater  int    `json:"near_high_water"`
 
 	// PhaseSeconds is cumulative per-cell wall time by phase ("build",
 	// "sim", "score") across the PhaseCells cells that reported a
@@ -153,6 +155,7 @@ func metricsFromSnapshot(s telemetry.Snapshot) Metrics {
 		TimerRecycles:  s.Sim.TimerRecycles,
 		PacketRecycles: s.Sim.PacketRecycles,
 		HeapHighWater:  s.Sim.HeapHighWater,
+		NearHighWater:  s.Sim.NearHighWater,
 		PhaseSeconds:   s.PhaseSeconds,
 		PhaseCells:     s.PhaseCells,
 		SweepCells:     s.SweepCells,
