@@ -26,10 +26,9 @@ type Egress interface {
 	Send(p *Packet) bool
 }
 
-type portKey struct {
-	proto Protocol
-	port  uint16
-}
+// portKey packs a protocol/port pair into one word for the handler
+// map, so a delivery hashes a uint32 rather than a padded struct.
+func portKey(proto Protocol, port uint16) uint32 { return uint32(proto)<<16 | uint32(port) }
 
 // Node is a host, switch, or router. Hosts bind transport handlers to
 // ports; switches and routers only forward. Routing is static: an
@@ -43,7 +42,7 @@ type Node struct {
 	net      *Network
 	routes   []Egress // by destination NodeID; nil means the default route
 	defRoute Egress
-	handlers map[portKey]Handler
+	handlers map[uint32]Handler // by portKey
 	nextPort uint16
 	// Forwarded counts transit packets, Delivered local deliveries,
 	// Undeliverable packets with no route or handler.
@@ -79,7 +78,7 @@ func (n *Node) SetDefaultRoute(l Egress) { n.defRoute = l }
 // Bind registers a handler for a protocol/port pair. It panics on
 // double binds, which are always programming errors in the models.
 func (n *Node) Bind(proto Protocol, port uint16, h Handler) {
-	k := portKey{proto, port}
+	k := portKey(proto, port)
 	if _, dup := n.handlers[k]; dup {
 		panic(fmt.Sprintf("netem: %s: double bind %v port %d", n.Name, proto, port))
 	}
@@ -88,7 +87,7 @@ func (n *Node) Bind(proto Protocol, port uint16, h Handler) {
 
 // Unbind removes a port binding.
 func (n *Node) Unbind(proto Protocol, port uint16) {
-	delete(n.handlers, portKey{proto, port})
+	delete(n.handlers, portKey(proto, port))
 }
 
 // AllocPort returns an unused ephemeral port for the protocol.
@@ -98,7 +97,7 @@ func (n *Node) AllocPort(proto Protocol) uint16 {
 		if n.nextPort < 10000 {
 			n.nextPort = 10000
 		}
-		if _, used := n.handlers[portKey{proto, n.nextPort}]; !used {
+		if _, used := n.handlers[portKey(proto, n.nextPort)]; !used {
 			return n.nextPort
 		}
 	}
@@ -128,7 +127,7 @@ func (n *Node) Send(p *Packet) bool {
 // they need and not retain the *Packet.
 func (n *Node) Receive(p *Packet) {
 	if p.Flow.Dst.Node == n.ID {
-		h, ok := n.handlers[portKey{p.Flow.Proto, p.Flow.Dst.Port}]
+		h, ok := n.handlers[portKey(p.Flow.Proto, p.Flow.Dst.Port)]
 		if !ok {
 			n.Undeliverable++
 			p.Release()
@@ -224,7 +223,7 @@ func (nw *Network) NewNode(name string) *Node {
 		Name:     name,
 		eng:      nw.Engine,
 		net:      nw,
-		handlers: make(map[portKey]Handler),
+		handlers: make(map[uint32]Handler),
 	}
 	nw.nodes = append(nw.nodes, n)
 	return n

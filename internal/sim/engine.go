@@ -32,12 +32,15 @@
 //
 // # Two tiers of time
 //
-// The queue is two index-tracked 4-ary min-heaps on the same (at, seq)
-// key, shared by all three scheduling tiers: timers armed to fire
-// within a millisecond of being armed, and timers armed further out.
-// Dispatch pops the smaller root, so the order is that of one heap,
-// while the events that fire — nearly all of them packet hops — sift
-// through the few timers due soon instead of every pending deadline.
+// The queue is split by one total (at, seq) key into two tiers, shared
+// by all three scheduling tiers: timers armed to fire within a
+// millisecond of being armed, and timers armed further out. The far
+// tier is an index-tracked 4-ary min-heap. The near tier is a sorted
+// run of slots that carry their key inline, latest first, so the
+// earliest near timer is the last slot. Dispatch pops the smaller of
+// the last slot and the far root, so the order is that of one heap,
+// while the events that fire — nearly all of them packet hops — pop by
+// truncating a run of a few timers due soon, with no sift at all.
 //
 // # Reserved sequence numbers
 //
@@ -105,16 +108,17 @@ type ArgHandler interface {
 type Timer struct {
 	at  Time
 	seq uint64
-	// idx is the timer's position in its tier's heap, valid only
-	// while queued. Tracking it makes Stop an O(log n) eager
-	// removal instead of leaving cancelled timers to be drained at
-	// their deadline (which let long runs with many cancelled
-	// retransmission timers grow the heap without bound).
+	// idx is the timer's position in the far heap, valid only while
+	// it is queued in the far tier; a near timer's slot is scanned for.
+	// Tracking it makes Stop an O(log n) eager removal instead of
+	// leaving cancelled timers to be drained at their deadline (which
+	// let long runs with many cancelled retransmission timers grow the
+	// heap without bound).
 	idx int
 	// queued reports heap membership; false in the zero value, so an
 	// embedded timer is safely unarmed before InitTimer runs.
 	queued  bool
-	far     bool // a queued timer's tier: the far heap, else the near one
+	far     bool // a queued timer's tier: the far heap, else the near run
 	pooled  bool // recycled into the engine free-list when it fires
 	stopped bool
 	fired   bool
@@ -196,8 +200,10 @@ func (t *Timer) ResetAtSeq(at Time, seq uint64) {
 	t.arm(at, seq)
 }
 
-// arm keys the owned timer (past times clamp to now) and (re)positions
-// it in the heap.
+// arm keys the owned timer (past times clamp to now) and (re)queues
+// it. A queued timer leaves its tier before it is re-keyed, since a
+// near slot holds the key it was filed under; only a re-arm that stays
+// in the far heap is repositioned in place.
 //
 //qoe:hotpath
 func (t *Timer) arm(at Time, seq uint64) {
@@ -205,13 +211,17 @@ func (t *Timer) arm(at Time, seq uint64) {
 	if at < e.now {
 		at = e.now
 	}
-	t.at, t.seq = at, seq
 	t.stopped, t.fired = false, false
 	if t.queued {
-		e.heapFix(t)
-	} else {
-		e.heapPush(t)
+		if t.far && at-e.now >= nearHorizon {
+			t.at, t.seq = at, seq
+			e.far.fix(t.idx)
+			return
+		}
+		e.heapRemove(t)
 	}
+	t.at, t.seq = at, seq
+	e.heapPush(t)
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable;
@@ -219,9 +229,9 @@ func (t *Timer) arm(at Time, seq uint64) {
 type Engine struct {
 	now     Time
 	seq     uint64
-	near    timerHeap // timers armed to fire within nearHorizon
-	far     timerHeap // timers armed to fire nearHorizon or later
-	free    []*Timer  // recycled pooled one-shot timers
+	near    []nearSlot // timers armed to fire within nearHorizon, latest first
+	far     timerHeap  // timers armed to fire nearHorizon or later
+	free    []*Timer   // recycled pooled one-shot timers
 	running bool
 	halted  bool
 
@@ -282,28 +292,32 @@ func (e *Engine) Reset() {
 	if e.running {
 		panic("sim: Reset during Run")
 	}
-	e.near = e.discard(e.near)
-	e.far = e.discard(e.far)
+	for i, s := range e.near {
+		e.near[i] = nearSlot{}
+		e.discard(s.t)
+	}
+	e.near = e.near[:0]
+	for i, t := range e.far {
+		e.far[i] = nil
+		e.discard(t)
+	}
+	e.far = e.far[:0]
 	e.now, e.seq = 0, 0
 	e.halted = false
 	e.Executed = 0
 	e.met = Metrics{}
 }
 
-// discard unhooks every timer of one tier for Reset and returns the
-// emptied tier, its backing array kept.
-func (e *Engine) discard(h timerHeap) timerHeap {
-	for i, t := range h {
-		h[i] = nil
-		t.queued = false
-		switch {
-		case t.pooled:
-			e.recycle(t)
-		case t.fn != nil:
-			t.fn = nil
-		}
+// discard unhooks one queued timer for Reset; the caller empties the
+// tiers, keeping their backing arrays.
+func (e *Engine) discard(t *Timer) {
+	t.queued = false
+	switch {
+	case t.pooled:
+		e.recycle(t)
+	case t.fn != nil:
+		t.fn = nil
 	}
-	return h[:0]
 }
 
 // Now returns the current simulation time.
@@ -474,11 +488,10 @@ func (e *Engine) RunUntil(t Time) {
 	defer func() { e.running = false }()
 
 	for !e.halted {
-		next := e.next()
-		if next == nil || next.at > t {
+		next := e.pop(t)
+		if next == nil {
 			break
 		}
-		e.heapRemove(next)
 		if next.at > e.now {
 			e.now = next.at
 		}
@@ -530,19 +543,25 @@ func (e *Engine) maxEventsExceeded() {
 	panic(fmt.Sprintf("sim: exceeded MaxEvents=%d at t=%v", e.MaxEvents, e.now))
 }
 
-// --- event heap -------------------------------------------------------
+// --- event queue ------------------------------------------------------
 //
-// Two 4-ary min-heaps on (at, seq) with index tracking, one per tier
-// of time (see the package doc): the near tier holds timers armed to
-// fire less than nearHorizon out — packet hops, serialization ticks,
-// media frames — and the far tier everything else, mostly
-// retransmission and delayed-ACK deadlines that are stopped long before
-// they are due. A far timer is never migrated; it wins the root
-// comparison in next when its time comes. Within a tier, the wider node
-// fans out better than a binary heap for this workload: sift-downs
-// touch fewer levels (fewer cache lines) and push is dominated by
-// sift-up, which is cheaper the shallower the tree. Index tracking is
-// what makes eager Stop and in-place Reset O(log n).
+// Two tiers on one (at, seq) key, one per tier of time (see the package
+// doc). The near tier holds timers armed to fire less than nearHorizon
+// out — packet hops, serialization ticks, media frames — and the far
+// tier everything else, mostly retransmission and delayed-ACK deadlines
+// that are stopped long before they are due. A far timer is never
+// migrated; it wins the root comparison in pop when its time comes.
+//
+// The near tier is small (a mean of 6–9 timers on the backbone, at
+// most 20 across the experiment registry), so it is a sorted run
+// rather than a heap: a pop truncates it, and a push shifts only the
+// slots due sooner, which on the backbone is 2–4. Each slot carries its
+// key, so neither walks through *Timer pointers. The far tier is a
+// 4-ary min-heap with index tracking, which is what makes eager Stop
+// and in-place Reset O(log n): the wider node fans out better than a
+// binary heap here, since sift-downs touch fewer levels (fewer cache
+// lines) and push is dominated by sift-up, cheaper the shallower the
+// tree.
 
 // nearHorizon is the filing rule's threshold: a timer armed to fire
 // less than this long after the current time goes to the near tier.
@@ -550,7 +569,15 @@ func (e *Engine) maxEventsExceeded() {
 // delayed ACKs land in the near tier and most of the gain is lost.
 const nearHorizon = Time(time.Millisecond)
 
-// timerHeap is one tier: a 4-ary min-heap whose timers know their
+// nearSlot is one near-tier entry: a queued timer under the key it was
+// filed with.
+type nearSlot struct {
+	at  Time
+	seq uint64
+	t   *Timer
+}
+
+// timerHeap is the far tier: a 4-ary min-heap whose timers know their
 // index.
 type timerHeap []*Timer
 
@@ -565,30 +592,31 @@ func less(a, b *Timer) bool {
 	return a.seq < b.seq
 }
 
-// next returns the earliest queued timer across both tiers, or nil.
+// pop dequeues the earliest queued timer across both tiers and returns
+// it, or returns nil if the queue is empty or that timer is due after
+// limit.
 //
 //qoe:hotpath
-func (e *Engine) next() *Timer {
-	if len(e.near) == 0 {
-		if len(e.far) == 0 {
-			return nil
+func (e *Engine) pop(limit Time) *Timer {
+	if n := len(e.near); n > 0 {
+		s := e.near[n-1]
+		if len(e.far) == 0 || s.at < e.far[0].at || s.at == e.far[0].at && s.seq < e.far[0].seq {
+			if s.at > limit {
+				return nil
+			}
+			e.near[n-1].t = nil
+			e.near = e.near[:n-1]
+			s.t.queued = false
+			return s.t
 		}
-		return e.far[0]
 	}
-	if len(e.far) == 0 || less(e.near[0], e.far[0]) {
-		return e.near[0]
+	if len(e.far) == 0 || e.far[0].at > limit {
+		return nil
 	}
-	return e.far[0]
-}
-
-// tier returns the heap a queued timer lives in.
-//
-//qoe:hotpath
-func (e *Engine) tier(t *Timer) *timerHeap {
-	if t.far {
-		return &e.far
-	}
-	return &e.near
+	t := e.far[0]
+	e.far.remove(t)
+	t.queued = false
+	return t
 }
 
 // heapPush files a timer by the horizon rule and queues it.
@@ -600,7 +628,7 @@ func (e *Engine) heapPush(t *Timer) {
 	if t.far {
 		e.far.push(t)
 	} else {
-		e.near.push(t)
+		e.nearPush(t)
 		if n := len(e.near); n > e.met.NearHighWater {
 			e.met.NearHighWater = n
 		}
@@ -614,22 +642,46 @@ func (e *Engine) heapPush(t *Timer) {
 //
 //qoe:hotpath
 func (e *Engine) heapRemove(t *Timer) {
-	e.tier(t).remove(t)
+	if t.far {
+		e.far.remove(t)
+	} else {
+		e.nearRemove(t)
+	}
 	t.queued = false
 }
 
-// heapFix repositions a queued timer whose key changed (Reset on an
-// armed timer): in place if it stays in its tier, otherwise by moving
-// it to the tier its new deadline files it in.
+// nearPush inserts t into the near run under its key: the slots due
+// sooner, all at the tail, move up one place.
 //
 //qoe:hotpath
-func (e *Engine) heapFix(t *Timer) {
-	if t.far == (t.at-e.now >= nearHorizon) {
-		e.tier(t).fix(t.idx)
-		return
+func (e *Engine) nearPush(t *Timer) {
+	at, seq := t.at, t.seq
+	s := append(e.near, nearSlot{})
+	i := len(s) - 1
+	for ; i > 0; i-- {
+		p := s[i-1]
+		if p.at > at || p.at == at && p.seq > seq {
+			break
+		}
+		s[i] = p
 	}
-	e.heapRemove(t)
-	e.heapPush(t)
+	s[i] = nearSlot{at, seq, t}
+	e.near = s
+}
+
+// nearRemove unlinks t from the near run (Stop, or a re-arm), scanning
+// for its slot from the tail, where the timers due soonest sit.
+//
+//qoe:hotpath
+func (e *Engine) nearRemove(t *Timer) {
+	s := e.near
+	i := len(s) - 1
+	for s[i].t != t {
+		i--
+	}
+	copy(s[i:], s[i+1:])
+	s[len(s)-1] = nearSlot{}
+	e.near = s[:len(s)-1]
 }
 
 //qoe:hotpath

@@ -13,7 +13,8 @@ import (
 // (at, seq) order — over a plain sorted list, and orderScript replays one
 // byte-decoded stream of operations against it and against the real
 // Engine. Fire traces, Executed, Pending, Armed, Stop answers and both
-// high-water marks must agree after every operation.
+// high-water marks must agree after every operation, and the real
+// engine's tiers must pass checkTiers after every one.
 
 const (
 	scriptOwned   = 4 // owned timers, labels 0..3
@@ -60,6 +61,8 @@ type orderModel interface {
 	pending() int
 	executed() uint64
 	highWater() (all, near int)
+	// invariant reports a broken internal invariant, or nil.
+	invariant() error
 }
 
 // orderScript decodes operations from bytes and records what a model
@@ -70,6 +73,7 @@ type orderScript struct {
 	act   [scriptOwned]fireAction
 	fires int
 	label int
+	err   error // the first invariant the model broke
 }
 
 // fired records one event and runs an owned timer's action. Actions stop
@@ -160,13 +164,23 @@ func (s *orderScript) run(data []byte) {
 		pos++
 		return data[pos-1]
 	}
-	for pos < len(data) {
+	for n := 0; pos < len(data); n++ {
 		s.step(int(next())%opCount, next)
 		s.observe()
+		s.check(n)
 	}
 	s.m.runUntil(maxTime)
 	s.m.runUntil(maxTime) // once more, in case a Halt cut the first short
 	s.observe()
+	s.check(-1)
+}
+
+// check keeps the first invariant failure, tagged with the operation
+// that caused it (-1: the final drain).
+func (s *orderScript) check(op int) {
+	if err := s.m.invariant(); err != nil && s.err == nil {
+		s.err = fmt.Errorf("after operation %d: %w", op, err)
+	}
 }
 
 func (s *orderScript) step(op int, next func() byte) {
@@ -381,6 +395,7 @@ func (r *refEngine) handleArmed(h int) bool { return r.handles[h] != nil }
 func (r *refEngine) pending() int           { return len(r.q) }
 func (r *refEngine) executed() uint64       { return r.execs }
 func (r *refEngine) highWater() (int, int)  { return r.high, r.nearHigh }
+func (r *refEngine) invariant() error       { return nil }
 
 // --- the real engine ------------------------------------------------------
 
@@ -423,9 +438,9 @@ type slotFirer struct {
 func (f *slotFirer) Fire(now Time) {
 	m, t := f.m, &f.m.owned[f.slot]
 	wasFar := t.far
-	if wasFar && len(m.e.near) > 0 {
+	if n := len(m.e.near); wasFar && n > 0 {
 		m.seen |= farBeatsNear
-		if m.e.near[0].at == t.at {
+		if m.e.near[n-1].at == t.at {
 			m.seen |= farWinsTie
 		}
 	}
@@ -509,13 +524,12 @@ func (m *engineModel) resetAtSeq(slot int, at Time, seq uint64) {
 func (m *engineModel) stop(slot int) bool {
 	t := &m.owned[slot]
 	if t.queued {
-		root := t.idx == 0
 		switch {
-		case t.far && root:
+		case t.far && t.idx == 0:
 			m.seen |= stopFarRoot
 		case t.far:
 			m.seen |= stopFarInner
-		case root:
+		case m.e.near[len(m.e.near)-1].t == t: // the earliest near slot
 			m.seen |= stopNearRoot
 		default:
 			m.seen |= stopNearInner
@@ -545,6 +559,61 @@ func (m *engineModel) highWater() (int, int) {
 	return met.HeapHighWater, met.NearHighWater
 }
 
+func (m *engineModel) invariant() error {
+	var timers []*Timer
+	for i := range m.owned {
+		timers = append(timers, &m.owned[i])
+	}
+	for _, h := range m.handles {
+		if h != nil {
+			timers = append(timers, h)
+		}
+	}
+	return checkTiers(m.e, timers)
+}
+
+// checkTiers reports the first way e's queue breaks its layout: the
+// near run strictly descending by (at, seq), each slot holding its
+// timer's key, the far tier a 4-ary heap whose timers know their index,
+// every queued timer flagged with its own tier, and Pending counting
+// both. Each of known (timers the caller holds) must sit in exactly
+// the tier its flags name, or in none if it is not queued.
+func checkTiers(e *Engine, known []*Timer) error {
+	in := map[*Timer]int{}
+	for i, s := range e.near {
+		if i > 0 {
+			if p := e.near[i-1]; p.at < s.at || p.at == s.at && p.seq <= s.seq {
+				return fmt.Errorf("near slots %d (%v,%d) and %d (%v,%d) are not strictly descending", i-1, p.at, p.seq, i, s.at, s.seq)
+			}
+		}
+		if s.t.at != s.at || s.t.seq != s.seq {
+			return fmt.Errorf("near slot %d holds key (%v,%d), its timer (%v,%d)", i, s.at, s.seq, s.t.at, s.t.seq)
+		}
+		if !s.t.queued || s.t.far {
+			return fmt.Errorf("near slot %d: timer queued=%v far=%v", i, s.t.queued, s.t.far)
+		}
+		in[s.t]++
+	}
+	for i, t := range e.far {
+		if i > 0 && less(t, e.far[(i-1)/4]) {
+			return fmt.Errorf("far heap entry %d orders before its parent", i)
+		}
+		if t.idx != i || !t.queued || !t.far {
+			return fmt.Errorf("far heap entry %d: idx=%d queued=%v far=%v", i, t.idx, t.queued, t.far)
+		}
+		in[t]++
+	}
+	for _, t := range known {
+		if n := in[t]; t.queued && n != 1 || !t.queued && n != 0 {
+			return fmt.Errorf("timer (%v,%d) queued=%v sits in the tiers %d times", t.at, t.seq, t.queued, n)
+		}
+	}
+	if n := len(e.near) + len(e.far); n != e.Pending() {
+		return fmt.Errorf("tiers hold %d timers, Pending reports %d", n, e.Pending())
+	}
+	return nil
+}
+
 // compareOrder runs data against both implementations and reports the
 // first observation where they part, plus the cases the real engine's
 // run reached.
@@ -556,6 +625,9 @@ func compareOrder(data []byte) (scriptCase, error) {
 	em := newEngineModel(got)
 	got.m = em
 	got.run(data)
+	if got.err != nil {
+		return em.seen, got.err
+	}
 	for i := range min(len(ref.log), len(got.log)) {
 		if ref.log[i] != got.log[i] {
 			lo := max(0, i-6)
@@ -637,4 +709,63 @@ func FuzzEventOrder(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// --- near-run mutants ---------------------------------------------------------
+
+// nearMutants are nearPush with one deliberate fault each. checkTiers
+// must reject the run each one builds from the keys of nearMutantKeys,
+// while the real nearPush passes.
+var nearMutants = []struct {
+	name string
+	push func(e *Engine, t *Timer)
+}{
+	{"ties broken by at alone", func(e *Engine, t *Timer) {
+		s := append(e.near, nearSlot{})
+		i := len(s) - 1
+		for ; i > 0 && s[i-1].at < t.at; i-- {
+			s[i] = s[i-1]
+		}
+		s[i] = nearSlot{t.at, t.seq, t}
+		e.near = s
+	}},
+	{"insertion stops one slot early", func(e *Engine, t *Timer) {
+		s := append(e.near, nearSlot{})
+		i := len(s) - 1
+		for ; i > 1; i-- {
+			p := s[i-1]
+			if p.at > t.at || p.at == t.at && p.seq > t.seq {
+				break
+			}
+			s[i] = p
+		}
+		s[i] = nearSlot{t.at, t.seq, t}
+		e.near = s
+	}},
+}
+
+// nearMutantKeys fill a near run the way a busy link does: same-instant
+// events in FIFO order, then one due after everything queued.
+var nearMutantKeys = []struct {
+	at  Time
+	seq uint64
+}{{10, 1}, {10, 2}, {5, 3}, {10, 4}, {20, 5}}
+
+func TestNearRunRejectsMutants(t *testing.T) {
+	build := func(push func(*Engine, *Timer)) *Engine {
+		e := New()
+		for _, k := range nearMutantKeys {
+			tm := &Timer{at: k.at, seq: k.seq, eng: e, queued: true}
+			push(e, tm)
+		}
+		return e
+	}
+	if err := checkTiers(build((*Engine).nearPush), nil); err != nil {
+		t.Fatalf("nearPush: %v", err)
+	}
+	for _, m := range nearMutants {
+		if checkTiers(build(m.push), nil) == nil {
+			t.Errorf("mutant %q passes checkTiers", m.name)
+		}
+	}
 }

@@ -106,7 +106,7 @@ type Stack struct {
 	eng  *sim.Engine
 	cfg  Config
 
-	conns     map[netem.Flow]*Conn // keyed by local->remote flow
+	conns     map[uint64]*Conn // by connKey of the local->remote flow
 	listeners map[uint16]*Listener
 
 	// Conn reuse (opt-in, see SetConnReuse): closed connections park
@@ -127,7 +127,7 @@ func NewStack(node *netem.Node, cfg Config) *Stack {
 		node:      node,
 		eng:       node.Engine(),
 		cfg:       Defaults(cfg),
-		conns:     make(map[netem.Flow]*Conn),
+		conns:     make(map[uint64]*Conn),
 		listeners: make(map[uint16]*Listener),
 	}
 }
@@ -208,7 +208,7 @@ func (s *Stack) DialCC(remote netem.Addr, cc CongestionControl) *Conn {
 	s.node.Bind(netem.ProtoTCP, port, netem.HandlerFunc(func(p *netem.Packet) {
 		s.dispatch(p)
 	}))
-	s.conns[flow] = c
+	s.conns[connKey(flow)] = c
 	c.sendSyn(false)
 	return c
 }
@@ -239,6 +239,13 @@ func (s *Stack) newConn(flow netem.Flow, cc CongestionControl) *Conn {
 	return c
 }
 
+// connKey packs what tells a stack's connections apart — the remote
+// node, the remote port and the local port of a local->remote flow —
+// into one word. The local node and the protocol are the stack's own.
+func connKey(f netem.Flow) uint64 {
+	return uint64(uint32(f.Dst.Node))<<32 | uint64(f.Dst.Port)<<16 | uint64(f.Src.Port)
+}
+
 // dispatch routes an inbound packet to its connection, creating
 // server-side connections for SYNs to listening ports. The segment
 // belongs to the packet, which the node releases (payload included)
@@ -255,7 +262,7 @@ func (s *Stack) dispatch(p *netem.Packet) {
 	seg.CE = p.CE
 	// The local->remote flow is the reverse of the packet's flow.
 	flow := p.Flow.Reverse()
-	if c, ok := s.conns[flow]; ok {
+	if c, ok := s.conns[connKey(flow)]; ok {
 		c.handleSegment(seg)
 		return
 	}
@@ -267,7 +274,7 @@ func (s *Stack) dispatch(p *netem.Packet) {
 	c.state = StateSynReceived
 	c.tsRecent = seg.TSval
 	c.ecnOK = s.cfg.ECN && seg.ECNSetup
-	s.conns[flow] = c
+	s.conns[connKey(flow)] = c
 	if l.accept != nil {
 		l.accept(c)
 	}
@@ -276,7 +283,7 @@ func (s *Stack) dispatch(p *netem.Packet) {
 
 // remove forgets a closed connection and releases ephemeral ports.
 func (s *Stack) remove(c *Conn) {
-	delete(s.conns, c.flow)
+	delete(s.conns, connKey(c.flow))
 	port := c.flow.Src.Port
 	if _, listening := s.listeners[port]; !listening {
 		s.node.Unbind(netem.ProtoTCP, port)
