@@ -17,6 +17,7 @@ package engine
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -113,18 +114,49 @@ func (s CellSpec) Canonical() CellSpec {
 // content address it had before adaptive replication existed (the
 // persistent store stays valid across the upgrade); the suffix cannot
 // collide with a suffix-free key because those always end in "cdn=<n>".
+// The store names cell files after the key's hash, so the rendering
+// is fixed byte for byte: name=value fields joined by '|', integers in
+// decimal, durations in nanoseconds (key_test.go keeps the equivalent
+// fmt.Sprintf as the reference). It is appended by hand on a stack
+// buffer because a warm re-query renders one key per cell.
 //
 //qoe:encodes CellSpec
 func (s CellSpec) Key() string {
 	c := s.Canonical()
-	k := fmt.Sprintf("tb=%s|sc=%s|dir=%s|buf=%d|bufup=%d|media=%s|var=%s|link=%s|seed=%d|dur=%d|warm=%d|reps=%d|clip=%d|cdn=%d",
-		c.Testbed, c.Scenario, c.Direction, c.Buffer, c.BufferUp,
-		c.Media, c.Variant, c.Link, c.Seed,
-		int64(c.Duration), int64(c.Warmup), c.Reps, c.ClipSeconds, c.CDNFlows)
+	var buf [256]byte
+	b := append(buf[:0], "tb="...)
+	b = append(b, c.Testbed...)
+	b = append(b, "|sc="...)
+	b = append(b, c.Scenario...)
+	b = append(b, "|dir="...)
+	b = append(b, c.Direction...)
+	b = append(b, "|buf="...)
+	b = strconv.AppendInt(b, int64(c.Buffer), 10)
+	b = append(b, "|bufup="...)
+	b = strconv.AppendInt(b, int64(c.BufferUp), 10)
+	b = append(b, "|media="...)
+	b = append(b, c.Media...)
+	b = append(b, "|var="...)
+	b = append(b, c.Variant...)
+	b = append(b, "|link="...)
+	b = append(b, c.Link...)
+	b = append(b, "|seed="...)
+	b = strconv.AppendUint(b, c.Seed, 10)
+	b = append(b, "|dur="...)
+	b = strconv.AppendInt(b, int64(c.Duration), 10)
+	b = append(b, "|warm="...)
+	b = strconv.AppendInt(b, int64(c.Warmup), 10)
+	b = append(b, "|reps="...)
+	b = strconv.AppendInt(b, int64(c.Reps), 10)
+	b = append(b, "|clip="...)
+	b = strconv.AppendInt(b, int64(c.ClipSeconds), 10)
+	b = append(b, "|cdn="...)
+	b = strconv.AppendInt(b, int64(c.CDNFlows), 10)
 	if c.Stop != "" {
-		k += "|stop=" + c.Stop
+		b = append(b, "|stop="...)
+		b = append(b, c.Stop...)
 	}
-	return k
+	return string(b)
 }
 
 // String is a compact human-readable form for logs and errors.

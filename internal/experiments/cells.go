@@ -132,9 +132,11 @@ func linkTag(lp testbed.LinkParams) string {
 // its CellSpec name, its constructor and Table 1 workload table, and
 // the paper's per-testbed choices.
 type network struct {
-	name   string // CellSpec.Testbed
-	build  func(testbed.Config) *testbed.Testbed
-	preset func(name string, dir testbed.Direction) (testbed.Spec, error)
+	name  string // CellSpec.Testbed
+	build func(testbed.Config) *testbed.Testbed
+	// preset looks up a Table 1 workload masked by direction, in table
+	// form and uncompiled, so a name check is a map lookup.
+	preset func(name string, dir testbed.Direction) (testbed.Workload, error)
 	// duplex networks congest either direction (both bottleneck queues
 	// are under test, calls are bidirectional); the others are
 	// downstream-only as in the paper.
@@ -147,14 +149,14 @@ type network struct {
 
 var (
 	accessNet = &network{
-		name: "access", build: testbed.NewAccess, preset: testbed.LookupAccessScenario,
+		name: "access", build: testbed.NewAccess, preset: testbed.AccessPreset,
 		duplex: true, webModel: qoe.AccessWebModel, cc: "cubic",
 		scenarios: testbed.AccessScenarioNames, buffers: sizing.AccessBufferSizes,
 	}
 	backboneNet = &network{
 		name: "backbone", build: testbed.NewBackbone,
-		preset: func(name string, _ testbed.Direction) (testbed.Spec, error) {
-			return testbed.LookupBackboneScenario(name)
+		preset: func(name string, _ testbed.Direction) (testbed.Workload, error) {
+			return testbed.BackboneWorkload(name)
 		},
 		webModel: qoe.BackboneWebModel, cc: "reno",
 		scenarios: testbed.BackboneScenarioNames, buffers: sizing.BackboneBufferSizes,
@@ -162,33 +164,36 @@ var (
 	networks = map[string]*network{accessNet.name: accessNet, backboneNet.name: backboneNet}
 )
 
-// workload bundles the canonical workload axis of a cell: the
-// scenario/direction strings the CellSpec carries (cache key and CRN
-// seed stimulus) and the resolved session populations the cell
-// starts.
-type workload struct {
-	name string       // CellSpec.Scenario: preset name or canonical mix encoding
-	dir  string       // CellSpec.Direction: "" for custom mixes (they encode direction)
-	spec testbed.Spec // populations to start; empty = idle (noBG)
+// workloadAxis names a cell's workload the way its CellSpec carries
+// it — the Scenario and Direction strings that enter the cache key and
+// the CRN seed: a custom mix's canonical encoding (it names its own
+// directions, so Direction is ""), or the Table 1 preset name and the
+// congestion direction (CellSpec.Canonical drops the direction where
+// none exists).
+func workloadAxis(scenario string, dir testbed.Direction, mix *testbed.Workload) (name, direction string) {
+	if mix != nil {
+		return mix.Encode(), ""
+	}
+	return scenario, dir.String()
 }
 
-// workload resolves a cell's workload: a custom mix when non-nil, the
-// named Table 1 preset masked by dir otherwise. It runs at task-build
-// time on the caller's goroutine — workers only ever see an
-// already-resolved Spec. Preset names on this path are either literals
+// populations resolves the session populations a cell starts: the
+// custom mix when non-nil (name is its canonical encoding), the named
+// Table 1 preset masked by dir otherwise. It runs inside the cell's
+// task, so only when the cell is computed; a cache or store hit never
+// resolves its workload. Preset names on this path are either literals
 // from the preset tables (experiment grids) or pre-validated by
-// ProbeSpec.normalize, so the panic is a programming-error guard, not
-// a reachable worker crash.
-func (n *network) workload(scenario string, dir testbed.Direction, mix *testbed.Workload) workload {
+// ProbeSpec.normalize on the caller's goroutine, so the panic is a
+// programming-error guard, not a reachable worker crash.
+func (n *network) populations(name string, dir testbed.Direction, mix *testbed.Workload) testbed.Spec {
 	if mix != nil {
-		return workload{name: mix.Encode(), spec: mix.Spec(mix.Encode())}
+		return mix.Spec(name)
 	}
-	spec, err := n.preset(scenario, dir)
+	w, err := n.preset(name, dir)
 	if err != nil {
 		panic("experiments: " + err.Error())
 	}
-	// CellSpec.Canonical drops the direction where none exists.
-	return workload{name: scenario, dir: dir.String(), spec: spec}
+	return w.TableSpec(name)
 }
 
 // joinTags joins non-empty canonical tag fragments with ";".
@@ -286,9 +291,9 @@ type foreground struct {
 // CellSpec a configuration maps to — its cache key, store address and
 // CRN seed — is decided in exactly one place.
 func cellTask(o Options, n *network, scenario string, dir testbed.Direction, buf int, v variant, fg foreground) engine.Task {
-	wl := n.workload(scenario, dir, v.mix)
+	name, direction := workloadAxis(scenario, dir, v.mix)
 	sp := engine.CellSpec{
-		Testbed: n.name, Scenario: wl.name, Direction: wl.dir,
+		Testbed: n.name, Scenario: name, Direction: direction,
 		Buffer: buf, BufferUp: v.bufUp, Media: fg.media,
 		Variant: joinTags(fg.lead, v.tag, fg.trail), Link: linkTag(v.link),
 		Seed: o.Seed,
@@ -318,8 +323,8 @@ func cellTask(o Options, n *network, scenario string, dir testbed.Direction, buf
 		tb := n.build(cfg)
 		// Idle workloads (noBG and empty mixes) leave the testbed
 		// untouched.
-		if wl.spec.HasTraffic() {
-			tb.StartWorkload(wl.spec)
+		if wl := n.populations(name, dir, v.mix); wl.HasTraffic() {
+			tb.StartWorkload(wl)
 		}
 		val := fg.run(n, tb, oc, cs, &pc)
 		finishCell(&pc, sp, tb.Eng, tb.Net, cs)

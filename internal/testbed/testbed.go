@@ -595,16 +595,27 @@ var AccessScenarioNames = []string{"noBG", "long-few", "long-many", "short-few",
 // unknown name or out-of-range direction. Parallelism and think times
 // are the calibration documented in the package comment of harpoon.
 func LookupAccessScenario(name string, dir Direction) (Spec, error) {
-	switch dir {
-	case DirDown, DirUp, DirBidir:
-	default:
-		return Spec{}, fmt.Errorf("unknown direction %d (want DirDown, DirUp, DirBidir)", dir)
-	}
-	w, err := AccessWorkload(name)
+	w, err := AccessPreset(name, dir)
 	if err != nil {
 		return Spec{}, err
 	}
-	return tableSpec(name, w.Mask(dir)), nil
+	return w.TableSpec(name), nil
+}
+
+// AccessPreset is LookupAccessScenario without the compile: the named
+// access workload masked by dir, in table form. Checking a name with it
+// costs a map lookup.
+func AccessPreset(name string, dir Direction) (Workload, error) {
+	switch dir {
+	case DirDown, DirUp, DirBidir:
+	default:
+		return Workload{}, fmt.Errorf("unknown direction %d (want DirDown, DirUp, DirBidir)", dir)
+	}
+	w, err := AccessWorkload(name)
+	if err != nil {
+		return Workload{}, err
+	}
+	return w.Mask(dir), nil
 }
 
 // BackboneScenarioNames lists the backbone workloads of Table 1.
@@ -618,15 +629,15 @@ func LookupBackboneScenario(name string) (Spec, error) {
 	if err != nil {
 		return Spec{}, err
 	}
-	return tableSpec(name, w), nil
+	return w.TableSpec(name), nil
 }
 
-// tableSpec compiles a preset workload verbatim — table form, not the
+// TableSpec compiles a preset workload verbatim — table form, not the
 // canonical loops form — so preset populations are byte-identical to
-// the paper's Table 1 rows (custom mixes compile via Workload.Spec
-// instead; the two forms provably start identical loop populations,
-// covered by the facade's preset-vs-mix bit-identity test).
-func tableSpec(name string, w Workload) Spec {
+// the paper's Table 1 rows (custom mixes compile via Spec instead; the
+// two forms provably start identical loop populations, covered by the
+// facade's preset-vs-mix bit-identity test).
+func (w Workload) TableSpec(name string) Spec {
 	out := Spec{Name: name}
 	for _, c := range w.Up {
 		out.Up = append(out.Up, c.spec())
