@@ -679,7 +679,6 @@ func runBenchJSON(path string, stdout, stderr io.Writer) int {
 		name string
 		fn   func(*testing.B)
 	}{
-		{"SimCore", bench.SimCore},
 		{"SimCoreHandler", bench.SimCoreHandler},
 		{"LinkForward", bench.LinkForward},
 		{"WholeCell", bench.WholeCell},

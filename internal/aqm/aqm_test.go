@@ -172,9 +172,9 @@ func TestCoDelOnLink(t *testing.T) {
 	// Offer 2 Mbit/s for 4 s: persistent overload.
 	for i := 0; i < 670; i++ {
 		d := time.Duration(i) * 6 * time.Millisecond
-		eng.Schedule(d, func() {
+		eng.ScheduleHandler(d, sim.Func(func() {
 			l.Send(&netem.Packet{Size: 1500})
-		})
+		}))
 	}
 	eng.Run()
 	if q.Drops == 0 {

@@ -5,8 +5,8 @@
 //
 // The three levels mirror the layers of the simulation core:
 //
-//   - SimCore: the event engine alone — a schedule/fire/stop cycle,
-//     the atom every model operation decomposes into.
+//   - SimCoreHandler: the event engine alone — a schedule/fire/stop
+//     cycle, the atom every model operation decomposes into.
 //   - LinkForward: the netem hot path — packets serialized through a
 //     rate/delay link into a sink, exercising queue, transmit and
 //     delivery events.
@@ -47,33 +47,15 @@ import (
 	"bufferqoe/internal/voip"
 )
 
-// SimCore measures one schedule/fire plus one schedule/stop cycle on
-// the event engine, the pattern TCP retransmission timers generate at
-// scale.
-func SimCore(b *testing.B) {
-	b.ReportAllocs()
-	eng := sim.New()
-	fired := 0
-	fn := func() { fired++ }
-	for i := 0; i < b.N; i++ {
-		eng.Schedule(time.Microsecond, fn)
-		t := eng.Schedule(time.Millisecond, fn)
-		t.Stop()
-		eng.RunFor(2 * time.Microsecond)
-	}
-	if fired == 0 {
-		b.Fatal("no events fired")
-	}
-}
-
 // tickHandler counts pooled-handler fires.
 type tickHandler struct{ n int }
 
 func (h *tickHandler) Fire(now sim.Time) { h.n++ }
 
-// SimCoreHandler is SimCore on the zero-allocation tiers: a pooled
-// handler one-shot that fires plus an owned timer armed and stopped —
-// the pattern the migrated link/TCP schedulers generate.
+// SimCoreHandler measures one schedule/fire plus one arm/stop cycle on
+// the event engine: a pooled one-shot that fires plus an owned timer
+// armed and stopped, the pattern TCP retransmission timers and link
+// ticks generate at scale.
 func SimCoreHandler(b *testing.B) {
 	b.ReportAllocs()
 	eng := sim.New()
@@ -144,12 +126,12 @@ func WholeCell(b *testing.B) {
 		a := testbed.NewAccess(testbed.Config{BufferUp: 64, BufferDown: 64, Seed: 42, Scratch: &scr})
 		a.StartWorkload(wl)
 		got := false
-		a.Eng.Schedule(2*time.Second, func() {
+		a.Eng.ScheduleHandler(2*time.Second, sim.Func(func() {
 			voip.Start(a.MediaServer, a.MediaClient, ref, 0, func(r voip.Result) {
 				got = true
 				a.Eng.Halt()
 			})
-		})
+		}))
 		a.Eng.RunFor(60 * time.Second)
 		if !got {
 			b.Fatal("call did not complete")
@@ -187,12 +169,12 @@ func WholeCellTelemetry(b *testing.B) {
 		a := testbed.NewAccess(testbed.Config{BufferUp: 64, BufferDown: 64, Seed: 42, Scratch: &scr})
 		a.StartWorkload(wl)
 		got := false
-		a.Eng.Schedule(2*time.Second, func() {
+		a.Eng.ScheduleHandler(2*time.Second, sim.Func(func() {
 			voip.Start(a.MediaServer, a.MediaClient, ref, 0, func(r voip.Result) {
 				got = true
 				a.Eng.Halt()
 			})
-		})
+		}))
 		pc.Mark(telemetry.PhaseBuild)
 		a.Eng.RunFor(60 * time.Second)
 		pc.Mark(telemetry.PhaseSim)
@@ -201,9 +183,7 @@ func WholeCellTelemetry(b *testing.B) {
 		}
 		sm := a.Eng.Metrics()
 		pc.Done("bench/short-few@64", telemetry.SimMetrics{
-			EventsClosure:  sm.EventsClosure,
 			EventsPooled:   sm.EventsPooled,
-			EventsArg:      sm.EventsArg,
 			EventsOwned:    sm.EventsOwned,
 			TimerRecycles:  sm.TimerRecycles,
 			PacketRecycles: a.Net.PacketRecycles(),
@@ -251,7 +231,7 @@ func wifiLink() testbed.LinkParams {
 // VoIP cell with the bottleneck pair replaced by contending WifiLinks
 // (CSMA/CA backoff, collision retries, A-MPDU aggregation). Gated in
 // CI with its own allocs/op budget — the MAC's contend/transmit loop
-// runs on owned timers and pooled arg events, so the wireless service
+// runs on owned timers and delay lines, so the wireless service
 // process must not reintroduce per-event allocation.
 func WifiCell(b *testing.B) {
 	b.ReportAllocs()
@@ -267,12 +247,12 @@ func WifiCell(b *testing.B) {
 		a := testbed.NewAccess(cfg)
 		a.StartWorkload(wl)
 		got := false
-		a.Eng.Schedule(2*time.Second, func() {
+		a.Eng.ScheduleHandler(2*time.Second, sim.Func(func() {
 			voip.Start(a.MediaServer, a.MediaClient, ref, 0, func(r voip.Result) {
 				got = true
 				a.Eng.Halt()
 			})
-		})
+		}))
 		a.Eng.RunFor(60 * time.Second)
 		if !got {
 			b.Fatal("call did not complete")
@@ -304,12 +284,12 @@ func PacedCell(b *testing.B) {
 		a := testbed.NewAccess(cfg)
 		a.StartWorkload(wl)
 		got := false
-		a.Eng.Schedule(2*time.Second, func() {
+		a.Eng.ScheduleHandler(2*time.Second, sim.Func(func() {
 			voip.Start(a.MediaServer, a.MediaClient, ref, 0, func(r voip.Result) {
 				got = true
 				a.Eng.Halt()
 			})
-		})
+		}))
 		a.Eng.RunFor(60 * time.Second)
 		if !got {
 			b.Fatal("call did not complete")
@@ -373,7 +353,7 @@ func CellRepLoop(b *testing.B) {
 		a.StartWorkload(wl)
 		for i := 0; i < reps; i++ {
 			i := i
-			a.Eng.Schedule(2*time.Second+time.Duration(i)*16*time.Second, func() {
+			a.Eng.ScheduleHandler(2*time.Second+time.Duration(i)*16*time.Second, sim.Func(func() {
 				voip.StartPair(a.MediaClient, a.MediaServer,
 					lib[2*i], lib[2*i+1], 0,
 					func(pr voip.PairResult) {
@@ -383,7 +363,7 @@ func CellRepLoop(b *testing.B) {
 							a.Eng.Halt()
 						}
 					})
-			})
+			}))
 		}
 		a.Eng.RunFor(2 * time.Minute)
 		if listen.N() != reps {

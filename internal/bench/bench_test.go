@@ -2,7 +2,6 @@ package bench
 
 import "testing"
 
-func BenchmarkSimCore(b *testing.B)            { SimCore(b) }
 func BenchmarkSimCoreHandler(b *testing.B)     { SimCoreHandler(b) }
 func BenchmarkLinkForward(b *testing.B)        { LinkForward(b) }
 func BenchmarkWholeCell(b *testing.B)          { WholeCell(b) }

@@ -229,9 +229,7 @@ func msToDuration(ms float64) time.Duration {
 func simMetricsOf(se *sim.Engine, nw *netem.Network) telemetry.SimMetrics {
 	m := se.Metrics()
 	return telemetry.SimMetrics{
-		EventsClosure:  m.EventsClosure,
 		EventsPooled:   m.EventsPooled,
-		EventsArg:      m.EventsArg,
 		EventsOwned:    m.EventsOwned,
 		TimerRecycles:  m.TimerRecycles,
 		PacketRecycles: nw.PacketRecycles(),
@@ -368,7 +366,7 @@ var voipFG = foreground{
 func runCalls(tb *testbed.Testbed, o Options, cs *CellScratch, adaptive bool, each func(voip.Result) (done bool)) {
 	for i := 0; i < o.Reps; i++ {
 		i := i
-		tb.Eng.Schedule(o.Warmup+time.Duration(i)*callSpacing, func() {
+		tb.Eng.ScheduleHandler(o.Warmup+time.Duration(i)*callSpacing, sim.Func(func() {
 			done := func(r voip.Result) {
 				if each(r) {
 					tb.Eng.Halt()
@@ -379,7 +377,7 @@ func runCalls(tb *testbed.Testbed, o Options, cs *CellScratch, adaptive bool, ea
 			} else {
 				voip.Start(tb.MediaServer, tb.MediaClient, cs.speech(o, i), 0, done)
 			}
-		})
+		}))
 	}
 	tb.Eng.RunFor(cellCap)
 }
@@ -515,7 +513,7 @@ func httpVideoFG(player string) foreground {
 				}
 			}
 			remaining := o.Reps
-			var next func()
+			var next sim.Func
 			next = func() {
 				if remaining == 0 {
 					tb.Eng.Halt()
@@ -525,10 +523,10 @@ func httpVideoFG(player string) foreground {
 				watch(func(mos, bitrate float64) {
 					mosS.Add(mos)
 					rateS.Add(bitrate)
-					tb.Eng.Schedule(time.Second, next)
+					tb.Eng.ScheduleHandler(time.Second, next)
 				})
 			}
-			tb.Eng.Schedule(o.Warmup, next)
+			tb.Eng.ScheduleHandler(o.Warmup, next)
 			pc.Mark(telemetry.PhaseBuild)
 			tb.Eng.RunFor(cellCap)
 			pc.Mark(telemetry.PhaseSim)

@@ -35,7 +35,7 @@ func runVoIPPair(a *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.P
 	listenS, talkS := cs.sample(0), cs.sample(1)
 	for i := 0; i < o.Reps; i++ {
 		i := i
-		a.Eng.Schedule(o.Warmup+time.Duration(i)*callSpacing, func() {
+		a.Eng.ScheduleHandler(o.Warmup+time.Duration(i)*callSpacing, sim.Func(func() {
 			voip.StartPair(a.MediaClient, a.MediaServer,
 				cs.speech(o, 2*i), cs.speech(o, 2*i+1), 0,
 				func(pr voip.PairResult) {
@@ -45,7 +45,7 @@ func runVoIPPair(a *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.P
 						a.Eng.Halt()
 					}
 				})
-		})
+		}))
 	}
 	a.Eng.RunFor(cellCap)
 	pc.Mark(telemetry.PhaseSim)
@@ -126,7 +126,7 @@ func videoReps(se *sim.Engine, o Options, cs *CellScratch, pc *telemetry.PhaseCl
 	ssims, psnrs, mosS := cs.sample(0), cs.sample(1), cs.sample(2)
 	spacing := time.Duration(o.ClipSeconds)*time.Second + video.StartupDelay + 5*time.Second
 	for i := 0; i < o.Reps; i++ {
-		se.Schedule(o.Warmup+time.Duration(i)*spacing, func() {
+		se.ScheduleHandler(o.Warmup+time.Duration(i)*spacing, sim.Func(func() {
 			start(func(r video.Result) {
 				ssims.Add(r.MeanSSIM)
 				psnrs.Add(r.MeanPSNR)
@@ -135,7 +135,7 @@ func videoReps(se *sim.Engine, o Options, cs *CellScratch, pc *telemetry.PhaseCl
 					se.Halt()
 				}
 			})
-		})
+		}))
 	}
 	se.RunFor(cellCap)
 	pc.Mark(telemetry.PhaseSim)
@@ -191,7 +191,7 @@ func webReps(se *sim.Engine, o Options, cs *CellScratch, pc *telemetry.PhaseCloc
 	rule := o.stop()
 	plts, mosS := cs.sample(0), cs.sample(1)
 	remaining := o.Reps
-	var next func()
+	var next sim.Func
 	next = func() {
 		if remaining == 0 {
 			se.Halt()
@@ -205,10 +205,10 @@ func webReps(se *sim.Engine, o Options, cs *CellScratch, pc *telemetry.PhaseCloc
 				se.Halt()
 				return
 			}
-			se.Schedule(time.Second, next)
+			se.ScheduleHandler(time.Second, next)
 		})
 	}
-	se.Schedule(o.Warmup, next)
+	se.ScheduleHandler(o.Warmup, next)
 	se.RunFor(cellCap)
 	pc.Mark(telemetry.PhaseSim)
 	recordReps(o, plts.N(), plts.N() < o.Reps)

@@ -121,23 +121,23 @@ func (g *Generator) Start(spec Spec) {
 		i := i
 		if spec.Infinite {
 			delay := time.Duration(g.rng.Uniform(0, 1) * float64(time.Second))
-			g.eng.Schedule(delay, func() { g.startInfinite(i) })
+			g.eng.ScheduleHandler(delay, sim.Func(func() { g.startInfinite(i) }))
 			continue
 		}
 		delay := time.Duration(g.rng.Exponential(spec.Think.Seconds()) * float64(time.Second))
-		g.eng.Schedule(delay, func() { g.runLoop(i, spec, size) })
+		g.eng.ScheduleHandler(delay, sim.Func(func() { g.runLoop(i, spec, size) }))
 	}
 }
 
 // StartConcurrencySampling records the in-flight transfer count every
 // interval.
 func (g *Generator) StartConcurrencySampling(interval time.Duration) {
-	var tick func()
+	var tick sim.Func
 	tick = func() {
 		g.stats.Concurrent.Add(float64(g.active))
-		g.eng.Schedule(interval, tick)
+		g.eng.ScheduleHandler(interval, tick)
 	}
-	g.eng.Schedule(interval, tick)
+	g.eng.ScheduleHandler(interval, tick)
 }
 
 func (g *Generator) pickSender(i int) *tcp.Stack {
@@ -160,7 +160,7 @@ func (g *Generator) startInfinite(i int) {
 		// would.
 		g.active--
 		g.stats.Aborted++
-		g.eng.Schedule(time.Second, func() { g.startInfinite(i) })
+		g.eng.ScheduleHandler(time.Second, sim.Func(func() { g.startInfinite(i) }))
 	}
 }
 
@@ -190,6 +190,6 @@ func (g *Generator) runLoop(i int, spec Spec, size func(*sim.RNG) int64) {
 			g.stats.CompletionSec.Add(g.eng.Now().Sub(start).Seconds())
 		}
 		think := time.Duration(g.rng.Exponential(spec.Think.Seconds()) * float64(time.Second))
-		g.eng.Schedule(think, func() { g.runLoop(i, spec, size) })
+		g.eng.ScheduleHandler(think, sim.Func(func() { g.runLoop(i, spec, size) }))
 	}
 }

@@ -161,7 +161,7 @@ type abrSession struct {
 	stalls       int
 	stallTime    time.Duration
 	done         bool
-	guard        *sim.Timer
+	guard        sim.Timer
 }
 
 // WatchABR streams the clip with the configured adaptation and
@@ -173,9 +173,10 @@ func WatchABR(st *tcp.Stack, server netem.Addr, cfg ABRConfig, onDone func(ABRRe
 		start: st.Node().Engine().Now(),
 	}
 	eng := st.Node().Engine()
-	s.guard = eng.Schedule(cfg.Deadline, s.finish)
+	eng.InitTimer(&s.guard, sim.Func(s.finish))
+	s.guard.Reset(cfg.Deadline)
 	s.maybeFetch()
-	eng.Schedule(tick, s.step)
+	eng.ScheduleHandler(tick, sim.Func(s.step))
 }
 
 // pickRate implements the two adaptation algorithms.
@@ -306,7 +307,7 @@ func (s *abrSession) step() {
 		}
 	}
 	s.maybeFetch()
-	eng.Schedule(tick, s.step)
+	eng.ScheduleHandler(tick, sim.Func(s.step))
 }
 
 func (s *abrSession) finish() {

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"bufferqoe/internal/netem"
+	"bufferqoe/internal/sim"
 	"bufferqoe/internal/tcp"
 )
 
@@ -145,13 +146,15 @@ func Watch(st *tcp.Stack, server netem.Addr, cfg Config, onDone func(Result)) {
 		conn.Abort(nil)
 		onDone(res)
 	}
-	guard := eng.Schedule(cfg.Deadline, finish)
+	var guard sim.Timer
+	eng.InitTimer(&guard, sim.Func(finish))
+	guard.Reset(cfg.Deadline)
 
 	buffered := func() time.Duration {
 		media := time.Duration(float64(rxBytes) * 8 / cfg.Bitrate * float64(time.Second))
 		return media - played
 	}
-	var step func()
+	var step sim.Func
 	step = func() {
 		if done {
 			return
@@ -181,9 +184,9 @@ func Watch(st *tcp.Stack, server netem.Addr, cfg Config, onDone func(Result)) {
 				playing = true
 			}
 		}
-		eng.Schedule(tick, step)
+		eng.ScheduleHandler(tick, step)
 	}
-	eng.Schedule(tick, step)
+	eng.ScheduleHandler(tick, step)
 }
 
 // MokMOS computes the IM 2011 regression from the session's waiting

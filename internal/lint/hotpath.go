@@ -21,7 +21,7 @@ var Hotpath = &analysis.Analyzer{
 Inside a function annotated //qoe:hotpath, flags:
 
   - function literals (each closure allocates; hoist to a method,
-    pooled sim.Handler/ArgHandler, or package function),
+    a sim.Handler on the component, or package function),
   - any fmt.* call (formatting allocates and reflects),
   - implicit conversion of a non-pointer-shaped value to an interface
     (boxing allocates; pointers, funcs, channels and maps are exempt,

@@ -138,7 +138,7 @@ func TestJitterBoxAddsDelayWithoutReordering(t *testing.T) {
 		p := mkpkt(100)
 		p.ID = uint64(i + 1)
 		at := time.Duration(i) * time.Millisecond
-		eng.Schedule(at, func() { jb.Receive(p) })
+		eng.ScheduleHandler(at, sim.Func(func() { jb.Receive(p) }))
 	}
 	eng.Run()
 	if len(s.pkts) != n {
@@ -181,7 +181,7 @@ func TestJitterBoxTruncatesExtremes(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		p := mkpkt(100)
 		p.ID = uint64(i)
-		eng.Schedule(time.Duration(i)*time.Second, func() { jb.Receive(p) })
+		eng.ScheduleHandler(time.Duration(i)*time.Second, sim.Func(func() { jb.Receive(p) }))
 	}
 	eng.Run()
 	if worst > base+max {

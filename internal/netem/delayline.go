@@ -6,7 +6,7 @@ import "bufferqoe/internal/sim"
 // with non-decreasing delivery times wait in a ring and reach the
 // receiver in push order. It is the reserved-sequence pattern of
 // package sim applied to packets: each push draws the sequence number
-// a pooled per-packet event would have drawn, and one owned timer is
+// a per-packet one-shot would have drawn, and one owned timer is
 // armed for the head of the ring under exactly that (at, seq) key. The
 // engine's pop order is what it would be with one heap entry per
 // packet in flight, while the heap holds one entry per hop.
@@ -53,9 +53,11 @@ func (d *DelayLine) Reset() {
 }
 
 // Push hands the line a packet to deliver at the given time (clamped
-// to now). Delivery times must not decrease from one push to the next:
-// that is what makes the stream FIFO, and a hop that cannot promise it
-// (ReorderBox) belongs on the heap instead.
+// to now), drawing its sequence number now, as scheduling a one-shot
+// for the packet would. Delivery times must not decrease from one push
+// to the next: that is what makes the stream FIFO. A hop whose packets
+// overtake one another splits them into streams that each keep this
+// promise, as ReorderBox does.
 //
 //qoe:hotpath
 func (d *DelayLine) Push(p *Packet, at sim.Time) {

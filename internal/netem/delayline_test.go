@@ -15,16 +15,16 @@ type pusher interface {
 }
 
 // pooledLine is the propagation stage DelayLine replaced, kept as the
-// reference: one pooled ArgHandler event per packet in flight, keyed by
-// the sequence number drawn at push time.
+// reference: one pooled one-shot per packet in flight, keyed by the
+// sequence number drawn at push time.
 type pooledLine struct {
 	eng *sim.Engine
 	dst Receiver
 }
 
-func (r *pooledLine) Push(p *Packet, at sim.Time) { r.eng.AtArg(at, r, p) }
-
-func (r *pooledLine) FireArg(_ sim.Time, arg any) { r.dst.Receive(arg.(*Packet)) }
+func (r *pooledLine) Push(p *Packet, at sim.Time) {
+	r.eng.AtHandler(at, sim.Func(func() { r.dst.Receive(p) }))
+}
 
 // delivery is one line of the trace the two implementations must
 // agree on. Rival events log receiver -1.
@@ -71,7 +71,7 @@ func runLines(seed uint64, mk func(*sim.Engine, Receiver) pusher) (trace []deliv
 		lines[i] = mk(eng, tr)
 	}
 	rival := func(at sim.Time, id uint64) {
-		eng.At(at, func() { trace = append(trace, delivery{eng.Now(), -1, id}) })
+		eng.AtHandler(at, sim.Func(func() { trace = append(trace, delivery{eng.Now(), -1, id}) }))
 	}
 	const grid = 50 * time.Microsecond
 	var id uint64
@@ -80,10 +80,10 @@ func runLines(seed uint64, mk func(*sim.Engine, Receiver) pusher) (trace []deliv
 		pid, li := id, rng.IntN(len(lines))
 		due := at.Add(delays[li])
 		rival(due, pid+1<<40) // drawn before the delivery's number
-		eng.At(at, func() {
+		eng.AtHandler(at, sim.Func(func() {
 			lines[li].Push(&Packet{ID: pid}, eng.Now().Add(delays[li]))
 			rival(due, pid+2<<40) // drawn right after it
-		})
+		}))
 	}
 	var at sim.Time
 	for i := 0; i < 600; i++ { // trickle

@@ -156,7 +156,7 @@ func (m *LinkMonitor) StartSampling(eng *sim.Engine, interval time.Duration) {
 	m.started = true
 	m.startTime = eng.Now()
 	m.lastBytes = m.BytesSent
-	var tick func()
+	var tick sim.Func
 	tick = func() {
 		sent := m.BytesSent - m.lastBytes
 		m.lastBytes = m.BytesSent
@@ -164,9 +164,9 @@ func (m *LinkMonitor) StartSampling(eng *sim.Engine, interval time.Duration) {
 		if cap > 0 {
 			m.UtilSamples.Add(100 * float64(sent) / cap)
 		}
-		eng.Schedule(interval, tick)
+		eng.ScheduleHandler(interval, tick)
 	}
-	eng.Schedule(interval, tick)
+	eng.ScheduleHandler(interval, tick)
 }
 
 // MeanUtilization returns the overall utilization percentage since the

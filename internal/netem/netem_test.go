@@ -223,7 +223,7 @@ func TestLinkMonitorUtilization(t *testing.T) {
 	// Send 1000 B every ms for 1 s => 8 Mbit/s exactly => 100% util.
 	for i := 0; i < 1000; i++ {
 		d := time.Duration(i) * time.Millisecond
-		eng.Schedule(d, func() { l.Send(mkpkt(1000)) })
+		eng.ScheduleHandler(d, sim.Func(func() { l.Send(mkpkt(1000)) }))
 	}
 	eng.RunUntil(sim.Time(1 * time.Second))
 	if got := l.Monitor.MeanUtilization(eng.Now()); math.Abs(got-100) > 1.0 {

@@ -7,7 +7,7 @@ import (
 )
 
 // ReorderBox is a delay element that reorders packets: with probability
-// Prob a packet is held back by Extra while its successors are
+// Prob a packet is held back by ReorderLag while its successors are
 // delivered on time and overtake it. This is the netem-style reorder
 // model (the bassosimone/netem lesson: TCP robustness against
 // reordering — spurious dup-ACKs, DSACK-less retransmits — is a
@@ -15,51 +15,49 @@ import (
 // JitterBox serializes delivery and preserves arrival order).
 //
 // Unlike JitterBox there is no FIFO horizon: a held packet does NOT
-// block the packets behind it — that is the whole point.
+// block the packets behind it — that is the whole point. Each of the
+// two streams is FIFO on its own, though: on-time packets leave at
+// their arrival instant and held ones a constant lag after it, so each
+// stream is a DelayLine.
 type ReorderBox struct {
 	// Prob is the probability a packet is held back.
 	Prob float64
-	// Extra is how long a held packet lags its on-time peers. Zero
-	// means a default of 5 ms, enough to let several full-size packets
-	// at access rates overtake.
-	Extra time.Duration
 
-	eng *sim.Engine
-	rng *sim.RNG
-	dst Receiver
+	eng          *sim.Engine
+	rng          *sim.RNG
+	onTime, held DelayLine
 }
 
-// DefaultReorderLag is the hold-back applied to reordered packets when
-// Extra is left zero.
-const DefaultReorderLag = 5 * time.Millisecond
+// ReorderLag is how long a held packet lags its on-time peers: enough
+// to let several full-size packets at access rates overtake.
+const ReorderLag = 5 * time.Millisecond
 
 // NewReorderBox creates a reordering element delivering to dst.
 func NewReorderBox(eng *sim.Engine, rng *sim.RNG, prob float64, dst Receiver) *ReorderBox {
-	return &ReorderBox{Prob: prob, eng: eng, rng: rng, dst: dst}
+	r := &ReorderBox{Prob: prob, eng: eng, rng: rng}
+	r.onTime.Init(eng, dst)
+	r.held.Init(eng, dst)
+	return r
 }
 
-// Reset re-seeds the element for carcass reuse: a fresh RNG stream and
-// new reorder probability, exactly as NewReorderBox would leave it.
+// Reset re-seeds the element for carcass reuse: a fresh RNG stream,
+// a new reorder probability and no packets held, exactly as
+// NewReorderBox would leave it.
 func (r *ReorderBox) Reset(rng *sim.RNG, prob float64) {
-	r.Prob, r.Extra = prob, 0
-	r.rng = rng
+	r.Prob, r.rng = prob, rng
+	r.onTime.Reset()
+	r.held.Reset()
 }
 
-// Receive implements Receiver: on-time packets are forwarded
-// immediately (a zero-delay pooled event keeps delivery ordering
-// deterministic relative to held packets), held packets after Extra.
+// Receive implements Receiver: on-time packets are forwarded at the
+// current instant (still through the event queue, which keeps their
+// delivery ordered against held packets), held packets ReorderLag
+// later.
 func (r *ReorderBox) Receive(p *Packet) {
-	var d time.Duration
+	now := r.eng.Now()
 	if r.rng.Bool(r.Prob) {
-		d = r.Extra
-		if d == 0 {
-			d = DefaultReorderLag
-		}
+		r.held.Push(p, now.Add(ReorderLag))
+	} else {
+		r.onTime.Push(p, now)
 	}
-	r.eng.ScheduleArg(d, r, p)
-}
-
-// FireArg implements sim.ArgHandler: deliver the packet downstream.
-func (r *ReorderBox) FireArg(now sim.Time, arg any) {
-	r.dst.Receive(arg.(*Packet))
 }

@@ -6,49 +6,39 @@
 // non-decreasing time order. Events scheduled for the same instant run
 // in FIFO order of scheduling, which keeps runs bit-for-bit reproducible.
 //
-// # Scheduling tiers
+// # Two kinds of event
 //
-// Three tiers trade convenience against allocation cost:
-//
-//   - Closure one-shots (At, Schedule) allocate one Timer per call and
-//     return the handle. They are the convenient tier for setup and
-//     low-frequency application logic, and the returned handle may be
-//     Stop()ped at any point before it fires.
-//   - Pooled one-shots (AtHandler, ScheduleHandler, AtArg, ScheduleArg)
-//     dispatch to a Handler/ArgHandler instead of a closure. Their
-//     Timer comes from a per-engine free-list and is recycled the
-//     moment it fires, so steady-state scheduling allocates nothing.
-//     No handle is returned — a recycled timer must never be reachable
-//     from model code — so pooled events cannot be cancelled.
-//   - Owned timers (InitTimer, Reset, Stop) are embedded in a model
-//     component and rearmed in place for the component's lifetime: the
-//     reschedulable retransmission/delayed-ACK timers of a TCP
-//     connection, a link's serialization tick. They are never pooled
-//     while owned, so a retained handle is always safe.
-//
-// Every arming operation — At, Schedule, the handler variants, and
-// Reset — draws one fresh sequence number, so migrating a call site
-// between tiers preserves the engine's same-instant FIFO order exactly.
+// Every event is a Handler; Func makes a closure one. A one-shot
+// (ScheduleHandler, AtHandler) takes its Timer from a per-engine
+// free-list and recycles it the moment it fires, so steady-state
+// scheduling allocates nothing; no handle is returned, so a one-shot
+// cannot be cancelled. An owned timer (InitTimer, Reset, Stop) is
+// embedded in a model component and rearmed in place for the
+// component's lifetime — a TCP connection's retransmission timer, a
+// link's serialization tick, a fetch's deadline guard — and is never
+// pooled, so a retained handle is always safe. Every arming operation
+// draws one fresh sequence number when it is called, so moving a call
+// site from one kind to the other preserves same-instant FIFO order.
 //
 // # Two tiers of time
 //
 // The queue is split by one total (at, seq) key into two tiers, shared
-// by all three scheduling tiers: timers armed to fire within a
-// millisecond of being armed, and timers armed further out. The far
-// tier is an index-tracked 4-ary min-heap. The near tier is a sorted
-// run of slots that carry their key inline, latest first, so the
-// earliest near timer is the last slot. Dispatch pops the smaller of
-// the last slot and the far root, so the order is that of one heap,
-// while the events that fire — nearly all of them packet hops — pop by
-// truncating a run of a few timers due soon, with no sift at all.
+// by both kinds of event: timers armed to fire within a millisecond of
+// being armed, and timers armed further out. The far tier is an
+// index-tracked 4-ary min-heap. The near tier is a sorted run of slots
+// that carry their key inline, latest first, so the earliest near
+// timer is the last slot. Dispatch pops the smaller of the last slot
+// and the far root, so the order is that of one heap, while the events
+// that fire — nearly all of them packet hops — pop by truncating a run
+// of a few timers due soon, with no sift at all.
 //
 // # Reserved sequence numbers
 //
 // The heap is for events whose order is not known in advance. A stream
 // of events that is provably (at, seq)-monotone — a constant-delay
 // link's deliveries, a media sender's frame ticks — lives in its owner
-// instead: the owner draws each event's sequence number when the pooled
-// event would have been scheduled (ReserveSeq), keeps the stream in its
+// instead: the owner draws each event's sequence number when a one-shot
+// would have been scheduled (ReserveSeq), keeps the stream in its
 // own ring, and exposes only the head to the heap by arming one owned
 // timer under exactly that event's key (ResetAtSeq). Global pop order
 // is a function of the (at, seq) keys alone, so it is unchanged, while
@@ -82,29 +72,24 @@ func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 func (t Time) String() string { return time.Duration(t).String() }
 
 // Handler is a component that reacts to a timer firing. Implementing
-// it (instead of passing closures) lets a component schedule its
-// recurring ticks with zero per-event allocation.
+// it on a component lets the component schedule its recurring ticks
+// with zero per-event allocation.
 type Handler interface {
 	Fire(now Time)
 }
 
-// ArgHandler is a Handler variant carrying a per-event payload, for
-// events that are per-object rather than per-component and whose
-// order the component cannot know in advance: a reordering box
-// delivering one held-back packet. (Ordered per-object streams — a
-// link's deliveries, a sender's frames — use reserved sequence
-// numbers instead.) The payload is stored in the pooled Timer, so
-// scheduling an ArgHandler event with a pointer payload allocates
-// nothing.
-type ArgHandler interface {
-	FireArg(now Time, arg any)
-}
+// Func adapts an ordinary function to a Handler, as http.HandlerFunc
+// does for HTTP: sim.Func(fn) is a Handler that calls fn.
+type Func func()
 
-// A Timer is a scheduled event. Closure timers (from At/Schedule) are
-// one-shot handles that may be stopped before firing. Owned timers
-// (prepared with InitTimer and embedded in a component) are rearmed in
-// place with Reset. Timers are not safe for concurrent use; the engine
-// is a single-threaded simulator by design.
+// Fire implements Handler by calling f.
+func (f Func) Fire(Time) { f() }
+
+// A Timer is a scheduled event. Owned timers (prepared with InitTimer
+// and embedded in a component) are rearmed in place with Reset and
+// cancelled with Stop; pooled one-shot timers never leave the engine.
+// Timers are not safe for concurrent use; the engine is a
+// single-threaded simulator by design.
 type Timer struct {
 	at  Time
 	seq uint64
@@ -117,17 +102,12 @@ type Timer struct {
 	idx int
 	// queued reports heap membership; false in the zero value, so an
 	// embedded timer is safely unarmed before InitTimer runs.
-	queued  bool
-	far     bool // a queued timer's tier: the far heap, else the near run
-	pooled  bool // recycled into the engine free-list when it fires
-	stopped bool
-	fired   bool
+	queued bool
+	far    bool // a queued timer's tier: the far heap, else the near run
+	pooled bool // recycled into the engine free-list when it fires
 
 	eng *Engine
-	fn  func()
 	h   Handler
-	ah  ArgHandler
-	arg any
 }
 
 // Stop cancels the timer, removing it from the event heap immediately.
@@ -136,17 +116,12 @@ type Timer struct {
 //
 //qoe:hotpath
 func (t *Timer) Stop() bool {
-	if t == nil || t.stopped || t.fired || !t.queued {
+	if t == nil || !t.queued {
 		return false
 	}
-	t.stopped = true
 	t.eng.heapRemove(t)
-	t.fn = nil // release closure for GC
 	return true
 }
-
-// Stopped reports whether the timer was cancelled before firing.
-func (t *Timer) Stopped() bool { return t != nil && t.stopped }
 
 // When returns the absolute time the timer fires (or was scheduled to
 // fire).
@@ -157,10 +132,10 @@ func (t *Timer) When() Time { return t.at }
 func (t *Timer) Armed() bool { return t != nil && t.queued }
 
 // Reset (re)arms an owned timer to fire d after the engine's current
-// time, clearing any stopped/fired state. It must only be used on
-// timers prepared with InitTimer. Like every arming operation it draws
-// a fresh sequence number, so a Reset orders after events already
-// scheduled for the same instant.
+// time, whether it is armed, stopped or has fired. It must only be
+// used on timers prepared with InitTimer. Like every arming operation
+// it draws a fresh sequence number, so a Reset orders after events
+// already scheduled for the same instant.
 //
 //qoe:hotpath
 func (t *Timer) Reset(d time.Duration) {
@@ -176,7 +151,7 @@ func (t *Timer) Reset(d time.Duration) {
 //qoe:hotpath
 func (t *Timer) ResetAt(at Time) {
 	e := t.eng
-	if e == nil || t.h == nil && t.ah == nil {
+	if e == nil || t.h == nil {
 		panic("sim: ResetAt on a timer not prepared with InitTimer")
 	}
 	e.seq++
@@ -185,13 +160,13 @@ func (t *Timer) ResetAt(at Time) {
 
 // ResetAtSeq is ResetAt under a sequence number drawn earlier with
 // Engine.ReserveSeq instead of a fresh one: the timer fires exactly
-// where a pooled event scheduled at reservation time would have. The
+// where a one-shot scheduled at reservation time would have. The
 // caller owns the number and must arm at most one event with it.
 //
 //qoe:hotpath
 func (t *Timer) ResetAtSeq(at Time, seq uint64) {
 	e := t.eng
-	if e == nil || t.h == nil && t.ah == nil {
+	if e == nil || t.h == nil {
 		panic("sim: ResetAtSeq on a timer not prepared with InitTimer")
 	}
 	if seq == 0 || seq > e.seq {
@@ -211,7 +186,6 @@ func (t *Timer) arm(at Time, seq uint64) {
 	if at < e.now {
 		at = e.now
 	}
-	t.stopped, t.fired = false, false
 	if t.queued {
 		if t.far && at-e.now >= nearHorizon {
 			t.at, t.seq = at, seq
@@ -253,15 +227,12 @@ type Engine struct {
 }
 
 // Metrics is a snapshot of the engine's internal counters: events
-// fired per scheduling tier, pooled-timer recycles, and the deepest
-// the event heaps ever ran. Read it with Engine.Metrics after (or
-// during) a run.
+// fired per kind, pooled-timer recycles, and the deepest the event
+// heaps ever ran. Read it with Engine.Metrics after (or during) a run.
 type Metrics struct {
-	// Per-tier fired-event counts. Their sum equals Executed.
-	EventsClosure uint64 // closure one-shots (At/Schedule)
-	EventsPooled  uint64 // pooled Handler one-shots
-	EventsArg     uint64 // pooled ArgHandler one-shots
-	EventsOwned   uint64 // owned reschedulable timers
+	// Fired-event counts per kind of event. Their sum equals Executed.
+	EventsPooled uint64 // pooled one-shots
+	EventsOwned  uint64 // owned reschedulable timers
 	// TimerRecycles counts pooled timers returned to the free-list.
 	TimerRecycles uint64
 	// HeapHighWater is the maximum number of queued events observed,
@@ -285,9 +256,9 @@ func New() *Engine {
 // — while keeping the pooled-timer free-list warm, so a reused engine
 // behaves bit-identically to a new one but stops paying the
 // steady-state timer allocations again. Pending events are discarded:
-// pooled timers are recycled, closure timers release their closures,
-// and owned timers are simply unhooked (their components may rearm
-// them with Reset/ResetAt as usual). MaxEvents is preserved.
+// pooled timers are recycled and owned timers are simply unhooked
+// (their components may rearm them with Reset/ResetAt as usual).
+// MaxEvents is preserved.
 func (e *Engine) Reset() {
 	if e.running {
 		panic("sim: Reset during Run")
@@ -312,11 +283,8 @@ func (e *Engine) Reset() {
 // tiers, keeping their backing arrays.
 func (e *Engine) discard(t *Timer) {
 	t.queued = false
-	switch {
-	case t.pooled:
+	if t.pooled {
 		e.recycle(t)
-	case t.fn != nil:
-		t.fn = nil
 	}
 }
 
@@ -336,31 +304,6 @@ func (e *Engine) ReserveSeq(n int) uint64 {
 	first := e.seq + 1
 	e.seq += uint64(n)
 	return first
-}
-
-// Schedule runs fn after delay d (relative to Now). A negative d is
-// treated as zero. It returns a Timer that may be stopped.
-func (e *Engine) Schedule(d time.Duration, fn func()) *Timer {
-	if d < 0 {
-		d = 0
-	}
-	return e.At(e.now.Add(d), fn)
-}
-
-// At runs fn at absolute time t. Times in the past are clamped to Now.
-// The returned Timer is not pooled: the handle stays valid (and
-// Stop-able) for as long as the caller retains it.
-func (e *Engine) At(t Time, fn func()) *Timer {
-	if fn == nil {
-		panic("sim: At called with nil function")
-	}
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	tm := &Timer{at: t, seq: e.seq, eng: e, fn: fn}
-	e.heapPush(tm)
-	return tm
 }
 
 // InitTimer prepares an owned, reschedulable timer dispatching to h.
@@ -393,46 +336,13 @@ func (e *Engine) ScheduleHandler(d time.Duration, h Handler) {
 }
 
 // AtHandler fires h at absolute time t (clamped to Now), using a
-// pooled Timer.
+// Timer taken from the free-list (or allocated when it is empty).
 //
 //qoe:hotpath
 func (e *Engine) AtHandler(t Time, h Handler) {
 	if h == nil {
 		panic("sim: AtHandler called with nil handler")
 	}
-	tm := e.getPooled(t)
-	tm.h = h
-}
-
-// ScheduleArg fires h with the given payload after delay d, using a
-// pooled Timer.
-//
-//qoe:hotpath
-func (e *Engine) ScheduleArg(d time.Duration, h ArgHandler, arg any) {
-	if d < 0 {
-		d = 0
-	}
-	e.AtArg(e.now.Add(d), h, arg)
-}
-
-// AtArg fires h with the given payload at absolute time t (clamped to
-// Now), using a pooled Timer.
-//
-//qoe:hotpath
-func (e *Engine) AtArg(t Time, h ArgHandler, arg any) {
-	if h == nil {
-		panic("sim: AtArg called with nil handler")
-	}
-	tm := e.getPooled(t)
-	tm.ah = h
-	tm.arg = arg
-}
-
-// getPooled takes a timer from the free-list (or allocates one), arms
-// it at t with a fresh sequence number, and pushes it on the heap.
-//
-//qoe:hotpath
-func (e *Engine) getPooled(t Time) *Timer {
 	if t < e.now {
 		t = e.now
 	}
@@ -445,17 +355,15 @@ func (e *Engine) getPooled(t Time) *Timer {
 		tm = &Timer{eng: e}
 	}
 	e.seq++
-	tm.at, tm.seq, tm.pooled = t, e.seq, true
+	tm.at, tm.seq, tm.pooled, tm.h = t, e.seq, true, h
 	e.heapPush(tm)
-	return tm
 }
 
 // recycle returns a pooled timer to the free-list.
 //
 //qoe:hotpath
 func (e *Engine) recycle(t *Timer) {
-	t.h, t.ah, t.arg, t.fn = nil, nil, nil, nil
-	t.stopped, t.fired, t.pooled = false, false, false
+	t.h, t.pooled = nil, false
 	e.free = append(e.free, t)
 	e.met.TimerRecycles++
 }
@@ -499,32 +407,17 @@ func (e *Engine) RunUntil(t Time) {
 		if e.MaxEvents != 0 && e.Executed > e.MaxEvents {
 			e.maxEventsExceeded()
 		}
-		// Read the dispatch target into locals first: a pooled timer is
+		// Read the handler into a local first: a pooled timer is
 		// recycled before its handler runs, so the handler (or anything
 		// it schedules) may immediately reuse the Timer struct.
-		switch {
-		case next.fn != nil:
-			fn := next.fn
-			next.fn = nil
-			next.fired = true
-			e.met.EventsClosure++
-			fn()
-		case next.ah != nil:
-			h, arg := next.ah, next.arg
+		h := next.h
+		if next.pooled {
 			e.recycle(next)
-			e.met.EventsArg++
-			h.FireArg(e.now, arg)
-		default:
-			h := next.h
-			if next.pooled {
-				e.recycle(next)
-				e.met.EventsPooled++
-			} else {
-				next.fired = true
-				e.met.EventsOwned++
-			}
-			h.Fire(e.now)
+			e.met.EventsPooled++
+		} else {
+			e.met.EventsOwned++
 		}
+		h.Fire(e.now)
 	}
 	if !e.halted && e.now < t && t != Time(1<<63-1) {
 		e.now = t

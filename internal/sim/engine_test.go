@@ -10,9 +10,9 @@ import (
 func TestScheduleOrder(t *testing.T) {
 	e := New()
 	var got []int
-	e.Schedule(3*time.Millisecond, func() { got = append(got, 3) })
-	e.Schedule(1*time.Millisecond, func() { got = append(got, 1) })
-	e.Schedule(2*time.Millisecond, func() { got = append(got, 2) })
+	e.ScheduleHandler(3*time.Millisecond, Func(func() { got = append(got, 3) }))
+	e.ScheduleHandler(1*time.Millisecond, Func(func() { got = append(got, 1) }))
+	e.ScheduleHandler(2*time.Millisecond, Func(func() { got = append(got, 2) }))
 	e.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -27,7 +27,7 @@ func TestSameInstantFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(time.Millisecond, func() { got = append(got, i) })
+		e.ScheduleHandler(time.Millisecond, Func(func() { got = append(got, i) }))
 	}
 	e.Run()
 	for i := range got {
@@ -40,7 +40,7 @@ func TestSameInstantFIFO(t *testing.T) {
 func TestClockAdvances(t *testing.T) {
 	e := New()
 	var at Time
-	e.Schedule(5*time.Second, func() { at = e.Now() })
+	e.ScheduleHandler(5*time.Second, Func(func() { at = e.Now() }))
 	e.Run()
 	if at != Time(5*time.Second) {
 		t.Fatalf("event ran at %v, want 5s", at)
@@ -53,8 +53,8 @@ func TestClockAdvances(t *testing.T) {
 func TestRunUntilStopsAndAdvances(t *testing.T) {
 	e := New()
 	fired := 0
-	e.Schedule(1*time.Second, func() { fired++ })
-	e.Schedule(10*time.Second, func() { fired++ })
+	e.ScheduleHandler(1*time.Second, Func(func() { fired++ }))
+	e.ScheduleHandler(10*time.Second, Func(func() { fired++ }))
 	e.RunUntil(Time(2 * time.Second))
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1", fired)
@@ -71,7 +71,9 @@ func TestRunUntilStopsAndAdvances(t *testing.T) {
 func TestTimerStop(t *testing.T) {
 	e := New()
 	ran := false
-	tm := e.Schedule(time.Second, func() { ran = true })
+	var tm Timer
+	e.InitTimer(&tm, Func(func() { ran = true }))
+	tm.Reset(time.Second)
 	if !tm.Stop() {
 		t.Fatal("Stop returned false on pending timer")
 	}
@@ -86,8 +88,9 @@ func TestTimerStop(t *testing.T) {
 
 func TestStopAfterFire(t *testing.T) {
 	e := New()
-	var tm *Timer
-	tm = e.Schedule(time.Millisecond, func() {})
+	var tm Timer
+	e.InitTimer(&tm, Func(func() {}))
+	tm.Reset(time.Millisecond)
 	e.Run()
 	if tm.Stop() {
 		t.Fatal("Stop after fire returned true")
@@ -97,14 +100,14 @@ func TestStopAfterFire(t *testing.T) {
 func TestReschedulingInsideEvent(t *testing.T) {
 	e := New()
 	count := 0
-	var tick func()
+	var tick Func
 	tick = func() {
 		count++
 		if count < 5 {
-			e.Schedule(time.Second, tick)
+			e.ScheduleHandler(time.Second, tick)
 		}
 	}
-	e.Schedule(time.Second, tick)
+	e.ScheduleHandler(time.Second, tick)
 	e.Run()
 	if count != 5 {
 		t.Fatalf("count = %d, want 5", count)
@@ -118,12 +121,12 @@ func TestHalt(t *testing.T) {
 	e := New()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		e.Schedule(time.Duration(i)*time.Millisecond, func() {
+		e.ScheduleHandler(time.Duration(i)*time.Millisecond, Func(func() {
 			count++
 			if count == 3 {
 				e.Halt()
 			}
-		})
+		}))
 	}
 	e.Run()
 	if count != 3 {
@@ -136,12 +139,14 @@ func TestHalt(t *testing.T) {
 
 func TestNegativeDelayClamped(t *testing.T) {
 	e := New()
-	e.Schedule(time.Second, func() {
-		tm := e.Schedule(-time.Minute, func() {})
+	var tm Timer
+	e.InitTimer(&tm, Func(func() {}))
+	e.ScheduleHandler(time.Second, Func(func() {
+		tm.Reset(-time.Minute)
 		if tm.When() != e.Now() {
-			t.Errorf("negative delay scheduled at %v, want now %v", tm.When(), e.Now())
+			t.Errorf("negative delay armed for %v, want now %v", tm.When(), e.Now())
 		}
-	})
+	}))
 	e.Run()
 }
 
@@ -175,7 +180,7 @@ func TestPropertyExecutionSorted(t *testing.T) {
 		for i, d := range delays {
 			d := time.Duration(d) * time.Microsecond
 			i := i
-			e.Schedule(d, func() { fired = append(fired, rec{e.Now(), i}) })
+			e.ScheduleHandler(d, Func(func() { fired = append(fired, rec{e.Now(), i}) }))
 		}
 		e.Run()
 		if len(fired) != len(delays) {
@@ -269,9 +274,9 @@ func TestUniformRange(t *testing.T) {
 func TestMaxEventsGuard(t *testing.T) {
 	e := New()
 	e.MaxEvents = 10
-	var loop func()
-	loop = func() { e.Schedule(time.Millisecond, loop) }
-	e.Schedule(time.Millisecond, loop)
+	var loop Func
+	loop = func() { e.ScheduleHandler(time.Millisecond, loop) }
+	e.ScheduleHandler(time.Millisecond, loop)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic from MaxEvents guard")

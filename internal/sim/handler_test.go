@@ -12,15 +12,16 @@ import (
 // retransmission timers used to grow the heap without bound).
 func TestStopShrinksPending(t *testing.T) {
 	e := New()
-	var timers []*Timer
-	for i := 0; i < 100; i++ {
-		timers = append(timers, e.Schedule(time.Hour, func() {}))
+	timers := make([]Timer, 100)
+	for i := range timers {
+		e.InitTimer(&timers[i], Func(func() {}))
+		timers[i].Reset(time.Hour)
 	}
 	if e.Pending() != 100 {
 		t.Fatalf("pending = %d, want 100", e.Pending())
 	}
-	for i, tm := range timers {
-		tm.Stop()
+	for i := range timers {
+		timers[i].Stop()
 		if got, want := e.Pending(), 100-i-1; got != want {
 			t.Fatalf("after %d stops: pending = %d, want %d", i+1, got, want)
 		}
@@ -32,12 +33,11 @@ func TestStopShrinksPending(t *testing.T) {
 func TestStopKeepsOrder(t *testing.T) {
 	e := New()
 	var fired []int
-	var timers []*Timer
-	for i := 0; i < 200; i++ {
-		i := i
+	timers := make([]Timer, 200)
+	for i := range timers {
+		e.InitTimer(&timers[i], Func(func() { fired = append(fired, i) }))
 		// Deliberately colliding deadlines to exercise seq tie-breaks.
-		d := time.Duration(i%13) * time.Millisecond
-		timers = append(timers, e.Schedule(d, func() { fired = append(fired, i) }))
+		timers[i].Reset(time.Duration(i%13) * time.Millisecond)
 	}
 	for i := 1; i < len(timers); i += 2 {
 		timers[i].Stop()
@@ -82,9 +82,13 @@ type countingHandler struct {
 
 func (h *countingHandler) Fire(now Time) { h.n++; h.last = now }
 
-type recordingArgHandler struct{ got []any }
+// recorder is a component's own Handler: it logs its id when it fires.
+type recorder struct {
+	got *[]int
+	id  int
+}
 
-func (h *recordingArgHandler) FireArg(now Time, arg any) { h.got = append(h.got, arg) }
+func (r *recorder) Fire(Time) { *r.got = append(*r.got, r.id) }
 
 func TestHandlerOneShot(t *testing.T) {
 	e := New()
@@ -97,19 +101,6 @@ func TestHandlerOneShot(t *testing.T) {
 	}
 	if h.last != Time(3*time.Millisecond) {
 		t.Fatalf("last fire at %v, want 3ms", h.last)
-	}
-}
-
-func TestArgHandlerPayloadOrder(t *testing.T) {
-	e := New()
-	h := &recordingArgHandler{}
-	a, b, c := &struct{ x int }{1}, &struct{ x int }{2}, &struct{ x int }{3}
-	e.ScheduleArg(2*time.Millisecond, h, b)
-	e.ScheduleArg(time.Millisecond, h, a)
-	e.ScheduleArg(2*time.Millisecond, h, c)
-	e.Run()
-	if len(h.got) != 3 || h.got[0] != a || h.got[1] != b || h.got[2] != c {
-		t.Fatalf("payload order = %v", h.got)
 	}
 }
 
@@ -137,6 +128,17 @@ func TestPooledTimersRecycle(t *testing.T) {
 	}
 	if len(e.free) != before {
 		t.Fatalf("free-list drifted from %d to %d in steady state", before, len(e.free))
+	}
+	// A prebuilt Func is a Handler like any other: scheduling it
+	// neither grows the free-list nor allocates.
+	n := 0
+	fn := Func(func() { n++ })
+	allocs := testing.AllocsPerRun(100, func() {
+		e.ScheduleHandler(time.Microsecond, fn)
+		e.RunFor(time.Microsecond)
+	})
+	if n != 101 || allocs != 0 || len(e.free) != before {
+		t.Fatalf("Func one-shots: fired %d of 101, %v allocs per event, free-list %d (was %d)", n, allocs, len(e.free), before)
 	}
 }
 
@@ -223,33 +225,29 @@ func TestOwnedTimerRepositionsInPlace(t *testing.T) {
 	}
 }
 
-// TestMixedTiersSameInstantFIFO checks that closure, pooled-handler
-// and owned-timer events scheduled for the same instant fire in
-// scheduling order — the property the bit-identical migration of the
-// model code relies on.
+// TestMixedTiersSameInstantFIFO checks that one-shots (a Func and a
+// component's own Handler) and owned-timer events scheduled for the
+// same instant fire in scheduling order — the property the
+// bit-identical migration of the model code relies on.
 func TestMixedTiersSameInstantFIFO(t *testing.T) {
 	e := New()
 	var got []int
-	rec := func(i int) func() { return func() { got = append(got, i) } }
-	fh := &funcFirer{fn: func(Time) { got = append(got, 1) }}
-	ah := &funcArgFirer{fn: func(_ Time, a any) { got = append(got, a.(int)) }}
-	own := &funcFirer{fn: func(Time) { got = append(got, 3) }}
+	rec := func(i int) Func { return func() { got = append(got, i) } }
 	var ot Timer
-	e.InitTimer(&ot, own)
+	e.InitTimer(&ot, rec(2))
 
-	e.Schedule(time.Millisecond, rec(0))
-	e.ScheduleHandler(time.Millisecond, fh)
-	e.ScheduleArg(time.Millisecond, ah, 2)
+	e.ScheduleHandler(time.Millisecond, rec(0))
+	e.ScheduleHandler(time.Millisecond, &recorder{&got, 1})
 	ot.Reset(time.Millisecond)
-	e.Schedule(time.Millisecond, rec(4))
+	e.ScheduleHandler(time.Millisecond, rec(3))
 	e.Run()
 	for i := range got {
 		if got[i] != i {
 			t.Fatalf("mixed-tier order = %v", got)
 		}
 	}
-	if len(got) != 5 {
-		t.Fatalf("fired %d events, want 5", len(got))
+	if len(got) != 4 {
+		t.Fatalf("fired %d events, want 4", len(got))
 	}
 }
 
@@ -264,18 +262,10 @@ func TestZeroValueTimerUnarmed(t *testing.T) {
 	if tm.Stop() {
 		t.Fatal("Stop on zero-value timer returned true")
 	}
-	if tm.Stopped() {
-		t.Fatal("zero-value timer reports stopped after no-op Stop")
+	if tm.Armed() {
+		t.Fatal("zero-value timer reports armed after no-op Stop")
 	}
 }
-
-type funcFirer struct{ fn func(Time) }
-
-func (f *funcFirer) Fire(now Time) { f.fn(now) }
-
-type funcArgFirer struct{ fn func(Time, any) }
-
-func (f *funcArgFirer) FireArg(now Time, arg any) { f.fn(now, arg) }
 
 // Property: random interleavings of schedules and eager stops always
 // fire the surviving events sorted by (time, scheduling order).
@@ -289,9 +279,9 @@ func TestPropertyStopsPreserveOrder(t *testing.T) {
 		var fired []rec
 		var live []*Timer
 		for i, op := range ops {
-			d := time.Duration(op%97) * time.Microsecond
-			i := i
-			tm := e.Schedule(d, func() { fired = append(fired, rec{e.Now(), i}) })
+			tm := new(Timer)
+			e.InitTimer(tm, Func(func() { fired = append(fired, rec{e.Now(), i}) }))
+			tm.Reset(time.Duration(op%97) * time.Microsecond)
 			live = append(live, tm)
 			if op%3 == 0 && len(live) > 1 {
 				// Stop a pseudo-random earlier timer.

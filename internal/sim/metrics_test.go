@@ -9,56 +9,45 @@ type countHandler struct{ fired int }
 
 func (h *countHandler) Fire(Time) { h.fired++ }
 
-type countArgHandler struct{ args []any }
-
-func (h *countArgHandler) FireArg(_ Time, a any) { h.args = append(h.args, a) }
-
 func TestMetricsPerTier(t *testing.T) {
 	e := New()
 	ch := &countHandler{}
-	ah := &countArgHandler{}
 
-	// One of each tier: closure, pooled Handler, pooled ArgHandler, and
-	// an owned timer that fires twice (Reset rearm).
-	e.Schedule(time.Millisecond, func() {})
+	// Two pooled one-shots, a component's Handler and a Func, then an
+	// owned timer that fires twice (Reset rearm) and the pooled Func
+	// that rearms it.
+	e.ScheduleHandler(time.Millisecond, Func(func() {}))
 	e.ScheduleHandler(2*time.Millisecond, ch)
-	e.ScheduleArg(3*time.Millisecond, ah, "p")
 	var owned Timer
 	e.InitTimer(&owned, ch)
 	owned.Reset(4 * time.Millisecond)
-	e.At(Time(0).Add(5*time.Millisecond), func() { owned.Reset(time.Millisecond) })
+	e.AtHandler(Time(0).Add(5*time.Millisecond), Func(func() { owned.Reset(time.Millisecond) }))
 	e.Run()
 
 	m := e.Metrics()
-	if m.EventsClosure != 2 {
-		t.Fatalf("closure events = %d, want 2", m.EventsClosure)
-	}
-	if m.EventsPooled != 1 {
-		t.Fatalf("pooled events = %d, want 1", m.EventsPooled)
-	}
-	if m.EventsArg != 1 {
-		t.Fatalf("arg events = %d, want 1", m.EventsArg)
+	if m.EventsPooled != 3 {
+		t.Fatalf("pooled events = %d, want 3", m.EventsPooled)
 	}
 	if m.EventsOwned != 2 {
 		t.Fatalf("owned events = %d, want 2", m.EventsOwned)
 	}
-	if sum := m.EventsClosure + m.EventsPooled + m.EventsArg + m.EventsOwned; sum != e.Executed {
-		t.Fatalf("tier sum = %d, Executed = %d", sum, e.Executed)
+	if sum := m.EventsPooled + m.EventsOwned; sum != e.Executed {
+		t.Fatalf("sum over kinds = %d, Executed = %d", sum, e.Executed)
 	}
-	// Both pooled events recycled their timers.
-	if m.TimerRecycles != 2 {
-		t.Fatalf("timer recycles = %d, want 2", m.TimerRecycles)
+	// Every pooled event recycled its timer.
+	if m.TimerRecycles != 3 {
+		t.Fatalf("timer recycles = %d, want 3", m.TimerRecycles)
 	}
-	// Five timers were queued before anything fired.
-	if m.HeapHighWater != 5 {
-		t.Fatalf("heap high water = %d, want 5", m.HeapHighWater)
+	// Four timers were queued before anything fired.
+	if m.HeapHighWater != 4 {
+		t.Fatalf("heap high water = %d, want 4", m.HeapHighWater)
 	}
 }
 
 func TestMetricsHighWaterSurvivesDrain(t *testing.T) {
 	e := New()
 	for i := 0; i < 10; i++ {
-		e.Schedule(time.Duration(i)*time.Millisecond, func() {})
+		e.ScheduleHandler(time.Duration(i)*time.Millisecond, Func(func() {}))
 	}
 	e.Run()
 	if e.Pending() != 0 {

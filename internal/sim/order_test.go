@@ -17,10 +17,9 @@ import (
 // engine's tiers must pass checkTiers after every one.
 
 const (
-	scriptOwned   = 4 // owned timers, labels 0..3
-	scriptHandles = 3 // retained closure handles
-	scriptFires   = 2000
-	maxTime       = Time(1<<63 - 1)
+	scriptOwned = 4 // owned timers, labels 0..3
+	scriptFires = 2000
+	maxTime     = Time(1<<63 - 1)
 )
 
 // obs is one observation of a script run: an event fired, an answer
@@ -44,20 +43,16 @@ type fireAction struct {
 // script.
 type orderModel interface {
 	now() Time
-	at(t Time, label, handle int)
 	scheduleHandler(d time.Duration, label int)
-	scheduleArg(d time.Duration, label int)
 	reset(slot int, d time.Duration)
 	resetAt(slot int, at Time)
 	reserveSeq(n int) uint64
 	resetAtSeq(slot int, at Time, seq uint64)
 	stop(slot int) bool
-	stopHandle(h int) bool
 	halt()
 	runUntil(t Time)
 	engineReset()
 	armed(slot int) bool
-	handleArmed(h int) bool
 	pending() int
 	executed() uint64
 	highWater() (all, near int)
@@ -135,14 +130,11 @@ func scriptDelay(sel, raw byte) time.Duration {
 
 // Operation codes.
 const (
-	opAt = iota
-	opScheduleHandler
-	opScheduleArg
+	opScheduleHandler = iota
 	opReset
 	opResetAt
 	opReserveArm
 	opStop
-	opStopHandle
 	opAction
 	opRunUntil
 	opEngineReset
@@ -188,13 +180,8 @@ func (s *orderScript) step(op int, next func() byte) {
 	s.label++
 	label := 100 + s.label
 	switch op {
-	case opAt:
-		h := int(next()) % scriptHandles
-		m.at(m.now().Add(scriptDelay(next(), next())), label, h)
 	case opScheduleHandler:
 		m.scheduleHandler(scriptDelay(next(), next()), label)
-	case opScheduleArg:
-		m.scheduleArg(scriptDelay(next(), next()), label)
 	case opReset:
 		slot := int(next()) % scriptOwned
 		m.reset(slot, scriptDelay(next(), next()))
@@ -214,9 +201,6 @@ func (s *orderScript) step(op int, next func() byte) {
 	case opStop:
 		slot := int(next()) % scriptOwned
 		s.log = append(s.log, obs{"stop", int64(slot), b2i(m.stop(slot))})
-	case opStopHandle:
-		h := int(next()) % scriptHandles
-		s.log = append(s.log, obs{"stop-handle", int64(h), b2i(m.stopHandle(h))})
 	case opAction:
 		slot := int(next()) % scriptOwned
 		f := next()
@@ -240,9 +224,6 @@ func (s *orderScript) observe() {
 	for i := 0; i < scriptOwned; i++ {
 		s.log = append(s.log, obs{"armed", int64(i), b2i(m.armed(i))})
 	}
-	for i := 0; i < scriptHandles; i++ {
-		s.log = append(s.log, obs{"handle-armed", int64(i), b2i(m.handleArmed(i))})
-	}
 	all, near := m.highWater()
 	s.log = append(s.log, obs{"high-water", int64(all), int64(near)})
 }
@@ -262,7 +243,6 @@ type refEngine struct {
 	seq      uint64
 	q        []*refEvent // sorted by (at, seq)
 	owned    [scriptOwned]*refEvent
-	handles  [scriptHandles]*refEvent
 	halted   bool
 	execs    uint64
 	high     int
@@ -306,19 +286,10 @@ func (r *refEngine) unlink(ev *refEvent) {
 
 func (r *refEngine) now() Time { return r.clock }
 
-func (r *refEngine) at(t Time, label, handle int) {
-	r.seq++
-	ev := &refEvent{label: label}
-	r.arm(ev, t, r.seq)
-	r.handles[handle] = ev
-}
-
 func (r *refEngine) scheduleHandler(d time.Duration, label int) {
 	r.seq++
 	r.arm(&refEvent{label: label}, r.clock.Add(max(d, 0)), r.seq)
 }
-
-func (r *refEngine) scheduleArg(d time.Duration, label int) { r.scheduleHandler(d, label) }
 
 func (r *refEngine) reset(slot int, d time.Duration) { r.resetAt(slot, r.clock.Add(max(d, 0))) }
 
@@ -352,16 +323,6 @@ func (r *refEngine) stop(slot int) bool {
 	return true
 }
 
-func (r *refEngine) stopHandle(h int) bool {
-	ev := r.handles[h]
-	if ev == nil {
-		return false
-	}
-	r.unlink(ev)
-	r.handles[h] = nil
-	return true
-}
-
 func (r *refEngine) halt() { r.halted = true }
 
 func (r *refEngine) runUntil(t Time) {
@@ -374,11 +335,6 @@ func (r *refEngine) runUntil(t Time) {
 		if ev.label < scriptOwned && r.owned[ev.label] == ev {
 			r.owned[ev.label] = nil
 		}
-		for h, hev := range r.handles {
-			if hev == ev {
-				r.handles[h] = nil
-			}
-		}
 		r.s.fired(ev.label)
 	}
 	if !r.halted && r.clock < t && t != maxTime {
@@ -390,12 +346,11 @@ func (r *refEngine) engineReset() {
 	*r = refEngine{s: r.s}
 }
 
-func (r *refEngine) armed(slot int) bool    { return r.owned[slot] != nil }
-func (r *refEngine) handleArmed(h int) bool { return r.handles[h] != nil }
-func (r *refEngine) pending() int           { return len(r.q) }
-func (r *refEngine) executed() uint64       { return r.execs }
-func (r *refEngine) highWater() (int, int)  { return r.high, r.nearHigh }
-func (r *refEngine) invariant() error       { return nil }
+func (r *refEngine) armed(slot int) bool   { return r.owned[slot] != nil }
+func (r *refEngine) pending() int          { return len(r.q) }
+func (r *refEngine) executed() uint64      { return r.execs }
+func (r *refEngine) highWater() (int, int) { return r.high, r.nearHigh }
+func (r *refEngine) invariant() error      { return nil }
 
 // --- the real engine ------------------------------------------------------
 
@@ -421,13 +376,11 @@ const (
 )
 
 type engineModel struct {
-	s       *orderScript
-	e       *Engine
-	owned   [scriptOwned]Timer
-	handles [scriptHandles]*Timer
-	firers  [scriptOwned]slotFirer
-	arg     funcArgFirer
-	seen    scriptCase
+	s      *orderScript
+	e      *Engine
+	owned  [scriptOwned]Timer
+	firers [scriptOwned]slotFirer
+	seen   scriptCase
 }
 
 type slotFirer struct {
@@ -457,34 +410,20 @@ func (f *slotFirer) Fire(now Time) {
 	}
 }
 
-type labelFirer struct {
-	s     *orderScript
-	label int
-}
-
-func (f *labelFirer) Fire(Time) { f.s.fired(f.label) }
-
 func newEngineModel(s *orderScript) *engineModel {
 	m := &engineModel{s: s, e: New()}
 	for i := range m.owned {
 		m.firers[i] = slotFirer{m, i}
 		m.e.InitTimer(&m.owned[i], &m.firers[i])
 	}
-	m.arg.fn = func(_ Time, a any) { s.fired(a.(int)) }
 	return m
 }
 
 func (m *engineModel) now() Time { return m.e.Now() }
 
-func (m *engineModel) at(t Time, label, handle int) {
-	m.handles[handle] = m.e.At(t, func() { m.s.fired(label) })
-}
-
 func (m *engineModel) scheduleHandler(d time.Duration, label int) {
-	m.e.ScheduleHandler(d, &labelFirer{m.s, label})
+	m.e.ScheduleHandler(d, Func(func() { m.s.fired(label) }))
 }
-
-func (m *engineModel) scheduleArg(d time.Duration, label int) { m.e.ScheduleArg(d, &m.arg, label) }
 
 // rearmed notes a queued timer's re-arm that crossed the horizon.
 func (m *engineModel) rearmed(t *Timer, wasQueued, wasFar bool) {
@@ -538,9 +477,8 @@ func (m *engineModel) stop(slot int) bool {
 	return t.Stop()
 }
 
-func (m *engineModel) stopHandle(h int) bool { return m.handles[h].Stop() }
-func (m *engineModel) halt()                 { m.e.Halt() }
-func (m *engineModel) runUntil(t Time)       { m.e.RunUntil(t) }
+func (m *engineModel) halt()           { m.e.Halt() }
+func (m *engineModel) runUntil(t Time) { m.e.RunUntil(t) }
 
 func (m *engineModel) engineReset() {
 	if len(m.e.near) > 0 && len(m.e.far) > 0 {
@@ -549,10 +487,9 @@ func (m *engineModel) engineReset() {
 	m.e.Reset()
 }
 
-func (m *engineModel) armed(slot int) bool    { return m.owned[slot].Armed() }
-func (m *engineModel) handleArmed(h int) bool { return m.handles[h].Armed() }
-func (m *engineModel) pending() int           { return m.e.Pending() }
-func (m *engineModel) executed() uint64       { return m.e.Executed }
+func (m *engineModel) armed(slot int) bool { return m.owned[slot].Armed() }
+func (m *engineModel) pending() int        { return m.e.Pending() }
+func (m *engineModel) executed() uint64    { return m.e.Executed }
 
 func (m *engineModel) highWater() (int, int) {
 	met := m.e.Metrics()
@@ -563,11 +500,6 @@ func (m *engineModel) invariant() error {
 	var timers []*Timer
 	for i := range m.owned {
 		timers = append(timers, &m.owned[i])
-	}
-	for _, h := range m.handles {
-		if h != nil {
-			timers = append(timers, h)
-		}
 	}
 	return checkTiers(m.e, timers)
 }
@@ -667,13 +599,14 @@ var eventOrderSeeds = [][]byte{
 	// armed first, so it fires first.
 	ops(reset(0, dFar), runFor(dAbove, 0), runFor(dRand, 128), runFor(dRand, 128), runFor(dRand, 128), runFor(dRand, 128),
 		reset(1, dBelow), pooled(dBelow, 0), runFor(dFar, 0)),
-	// Engine.Reset with every kind of timer in both tiers, then reuse.
-	ops([]byte{opAt, 0, dFar, 0, opAt, 1, dZero, 0, opScheduleArg, dAbove, 0, opScheduleArg, dBelow, 0},
-		pooled(dFar, 0), reset(0, dBelow), reset(1, dFar), []byte{opEngineReset},
-		[]byte{opStopHandle, 0}, reset(0, dFar), runFor(dFar, 0), []byte{opAt, 2, dRand, 77}, stop(0)),
+	// Engine.Reset with pooled and owned timers in both tiers, then
+	// reuse: a timer the reset unhooked cannot be stopped.
+	ops(pooled(dFar, 0), pooled(dZero, 0), pooled(dAbove, 0), pooled(dBelow, 0),
+		reset(0, dBelow), reset(1, dFar), []byte{opEngineReset},
+		stop(1), reset(0, dFar), runFor(dFar, 0), pooled(dRand, 77), stop(0)),
 	// Halt from inside Fire leaves the rest queued; Halt outside a run
 	// changes nothing.
-	ops(action(0, 2, 0), reset(0, dBelow), reset(1, dAbove), []byte{opAt, 0, dAt, 0, opHalt}, runFor(dFar, 0), runFor(dFar, 0)),
+	ops(action(0, 2, 0), reset(0, dBelow), reset(1, dAbove), pooled(dAt, 0), []byte{opHalt}, runFor(dFar, 0), runFor(dFar, 0)),
 	// Reserved numbers: arm under the middle of a block, in the past
 	// (clamped) and across the horizon.
 	ops(runFor(dRand, 200), []byte{opReserveArm, 2<<2 | 1<<4, dFar, 0, opResetAt, 0x80 | 2, dAbove, 0},

@@ -7,21 +7,21 @@ import (
 
 // TestReservedSeqOrdersAtReservation is the rule the delay lines and
 // the self-clocked media senders rest on: an owned timer armed under a
-// reserved number fires where a pooled event scheduled at reservation
+// reserved number fires where a one-shot scheduled at reservation
 // time would have — before everything drawn later for the same
 // instant, however late the arming happens.
 func TestReservedSeqOrdersAtReservation(t *testing.T) {
 	e := New()
 	var got []int
-	own := &funcFirer{fn: func(Time) { got = append(got, 1) }}
+	rec := func(i int) Func { return func() { got = append(got, i) } }
 	var ot Timer
-	e.InitTimer(&ot, own)
+	e.InitTimer(&ot, rec(1))
 	at := Time(time.Millisecond)
 
-	e.At(at, func() { got = append(got, 0) })
+	e.AtHandler(at, rec(0))
 	seq := e.ReserveSeq(1)
-	e.At(at, func() { got = append(got, 2) })
-	e.At(at, func() { got = append(got, 3) })
+	e.AtHandler(at, rec(2))
+	e.AtHandler(at, rec(3))
 	ot.ResetAtSeq(at, seq) // armed last, ordered second
 	e.Run()
 	if len(got) != 4 {
@@ -51,7 +51,7 @@ func TestReserveSeqBlock(t *testing.T) {
 }
 
 // TestReservedBlockMatchesPooledEvents replays a pre-scheduled stream
-// (one pooled event per tick, as the media senders used to do) and its
+// (one pooled one-shot per tick, as the media senders used to do) and its
 // self-clocked twin (one reserved block, one owned timer walking it)
 // against the same competing same-instant events, and requires the
 // same global firing order and the same Executed count.
@@ -60,33 +60,31 @@ func TestReservedBlockMatchesPooledEvents(t *testing.T) {
 	at := func(i int) Time { return Time(time.Duration(i/3) * time.Millisecond) } // runs of equal times
 	run := func(selfClocked bool) (order []int, executed uint64, highWater int) {
 		e := New()
-		rival := &funcArgFirer{fn: func(_ Time, a any) { order = append(order, a.(int)) }}
+		rival := func(i int) Func { return func() { order = append(order, i) } }
 		for i := 0; i < ticks; i++ {
-			e.AtArg(at(i), rival, 1000+i) // drawn before the stream
+			e.AtHandler(at(i), rival(1000+i)) // drawn before the stream
 		}
 		if selfClocked {
 			var tm Timer
 			next := 0
 			seq0 := uint64(0)
-			walker := &funcFirer{}
-			walker.fn = func(Time) {
+			e.InitTimer(&tm, Func(func() {
 				i := next
 				next++
 				if next < ticks {
 					tm.ResetAtSeq(at(next), seq0+uint64(next))
 				}
 				order = append(order, i)
-			}
-			e.InitTimer(&tm, walker)
+			}))
 			seq0 = e.ReserveSeq(ticks)
 			tm.ResetAtSeq(at(0), seq0)
 		} else {
 			for i := 0; i < ticks; i++ {
-				e.AtArg(at(i), rival, i)
+				e.AtHandler(at(i), rival(i))
 			}
 		}
 		for i := 0; i < ticks; i++ {
-			e.AtArg(at(i), rival, 2000+i) // drawn after the stream
+			e.AtHandler(at(i), rival(2000+i)) // drawn after the stream
 		}
 		e.Run()
 		return order, e.Executed, e.Metrics().HeapHighWater
@@ -124,8 +122,8 @@ func TestResetAtSeqStopAndRearm(t *testing.T) {
 		t.Fatal("stopped timer fired")
 	}
 	tm.ResetAtSeq(Time(3*time.Second), seq+1)
-	if !tm.Armed() || tm.Stopped() {
-		t.Fatal("re-arm after Stop left the timer unarmed or stopped")
+	if !tm.Armed() {
+		t.Fatal("re-arm after Stop left the timer unarmed")
 	}
 	e.Run()
 	if h.n != 1 || h.last != Time(3*time.Second) {

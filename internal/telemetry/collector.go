@@ -37,13 +37,10 @@ func (p Phase) String() string {
 // atomics would be measurable) and the experiments layer hands the
 // totals over once per cell.
 type SimMetrics struct {
-	// Events fired, by scheduling tier: heap-allocated closures,
-	// pooled/recycled Handler timers, pooled ArgHandler one-shots, and
+	// Events fired, by kind of event: pooled one-shots and
 	// caller-owned reschedulable timers.
-	EventsClosure uint64 `json:"events_closure"`
-	EventsPooled  uint64 `json:"events_pooled"`
-	EventsArg     uint64 `json:"events_arg"`
-	EventsOwned   uint64 `json:"events_owned"`
+	EventsPooled uint64 `json:"events_pooled"`
+	EventsOwned  uint64 `json:"events_owned"`
 	// TimerRecycles counts pooled timers returned to the free list.
 	TimerRecycles uint64 `json:"timer_recycles"`
 	// PacketRecycles counts netem packets returned to the packet pool.
@@ -54,17 +51,15 @@ type SimMetrics struct {
 	NearHighWater int `json:"near_high_water"`
 }
 
-// Events returns the total events fired across all tiers.
+// Events returns the total events fired across both kinds.
 func (m SimMetrics) Events() uint64 {
-	return m.EventsClosure + m.EventsPooled + m.EventsArg + m.EventsOwned
+	return m.EventsPooled + m.EventsOwned
 }
 
 // Add accumulates another engine's metrics (a cell may run several
 // sim engines — e.g. warmup reps — that all report into one total).
 func (m *SimMetrics) Add(o SimMetrics) {
-	m.EventsClosure += o.EventsClosure
 	m.EventsPooled += o.EventsPooled
-	m.EventsArg += o.EventsArg
 	m.EventsOwned += o.EventsOwned
 	m.TimerRecycles += o.TimerRecycles
 	m.PacketRecycles += o.PacketRecycles
@@ -111,9 +106,7 @@ type Collector struct {
 	StoreLoad   *Histogram // store lookup latency in seconds (hit or miss)
 
 	// Sim-layer totals, flushed per cell via FlushSim.
-	EventsClosure  Counter
 	EventsPooled   Counter
-	EventsArg      Counter
 	EventsOwned    Counter
 	TimerRecycles  Counter
 	PacketRecycles Counter
@@ -190,9 +183,7 @@ func (c *Collector) FlushSim(m SimMetrics) {
 	if c == nil {
 		return
 	}
-	c.EventsClosure.Add(m.EventsClosure)
 	c.EventsPooled.Add(m.EventsPooled)
-	c.EventsArg.Add(m.EventsArg)
 	c.EventsOwned.Add(m.EventsOwned)
 	c.TimerRecycles.Add(m.TimerRecycles)
 	c.PacketRecycles.Add(m.PacketRecycles)
@@ -329,9 +320,7 @@ func (c *Collector) Snapshot() Snapshot {
 		StoreWrites:       c.StoreWrites.Value(),
 		StoreLoad:         c.StoreLoad.Snapshot(),
 		Sim: SimMetrics{
-			EventsClosure:  c.EventsClosure.Value(),
 			EventsPooled:   c.EventsPooled.Value(),
-			EventsArg:      c.EventsArg.Value(),
 			EventsOwned:    c.EventsOwned.Value(),
 			TimerRecycles:  c.TimerRecycles.Value(),
 			PacketRecycles: c.PacketRecycles.Value(),

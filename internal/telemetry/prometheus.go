@@ -57,10 +57,8 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 	}
 	fmt.Fprintf(ew, "qoe_store_load_seconds_sum %g\nqoe_store_load_seconds_count %d\n", s.StoreLoad.Sum, s.StoreLoad.Count)
 
-	fmt.Fprintf(ew, "# HELP qoe_sim_events_total Simulator events fired, by scheduling tier.\n# TYPE qoe_sim_events_total counter\n")
-	fmt.Fprintf(ew, "qoe_sim_events_total{tier=\"closure\"} %d\n", s.Sim.EventsClosure)
+	fmt.Fprintf(ew, "# HELP qoe_sim_events_total Simulator events fired, by kind of event.\n# TYPE qoe_sim_events_total counter\n")
 	fmt.Fprintf(ew, "qoe_sim_events_total{tier=\"pooled\"} %d\n", s.Sim.EventsPooled)
-	fmt.Fprintf(ew, "qoe_sim_events_total{tier=\"arg\"} %d\n", s.Sim.EventsArg)
 	fmt.Fprintf(ew, "qoe_sim_events_total{tier=\"owned\"} %d\n", s.Sim.EventsOwned)
 	counter("qoe_sim_timer_recycles_total", "Pooled timers returned to the free list.", s.Sim.TimerRecycles)
 	counter("qoe_net_packet_recycles_total", "Packets returned to the netem packet pool.", s.Sim.PacketRecycles)

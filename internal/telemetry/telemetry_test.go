@@ -86,7 +86,7 @@ func TestHistogramBoundsPanic(t *testing.T) {
 func TestNilCollectorIsFree(t *testing.T) {
 	var c *Collector
 	// Every nil-collector entry point must be a safe no-op.
-	c.FlushSim(SimMetrics{EventsClosure: 10})
+	c.FlushSim(SimMetrics{EventsPooled: 10})
 	c.TraceTo(&bytes.Buffer{})
 	if err := c.WritePrometheus(&bytes.Buffer{}); err != nil {
 		t.Fatalf("nil WritePrometheus: %v", err)
@@ -117,7 +117,7 @@ func TestNilCollectorIsFree(t *testing.T) {
 
 func TestRecordingIsAllocationFree(t *testing.T) {
 	c := New()
-	m := SimMetrics{EventsClosure: 3, EventsPooled: 5, HeapHighWater: 12, NearHighWater: 4}
+	m := SimMetrics{EventsOwned: 3, EventsPooled: 5, HeapHighWater: 12, NearHighWater: 4}
 	allocs := testing.AllocsPerRun(100, func() {
 		c.CacheHits.Inc()
 		c.CellsInFlight.Add(1)
@@ -143,15 +143,15 @@ func TestPhaseClockAndSnapshot(t *testing.T) {
 	pc.Mark(PhaseBuild)
 	pc.Mark(PhaseSim)
 	pc.Done("voip/access/short-few/down@64", SimMetrics{
-		EventsClosure: 2, EventsPooled: 3, EventsArg: 4, EventsOwned: 5,
+		EventsPooled: 3, EventsOwned: 5,
 		TimerRecycles: 6, PacketRecycles: 7, HeapHighWater: 8, NearHighWater: 3,
 	})
 	s := c.Snapshot()
 	if s.PhaseCells != 1 {
 		t.Fatalf("phase cells = %d, want 1", s.PhaseCells)
 	}
-	if got := s.Sim.Events(); got != 14 {
-		t.Fatalf("events = %d, want 14", got)
+	if got := s.Sim.Events(); got != 8 {
+		t.Fatalf("events = %d, want 8", got)
 	}
 	if s.Sim.HeapHighWater != 8 || s.Sim.NearHighWater != 3 {
 		t.Fatalf("heap high water = %d, near %d; want 8, 3", s.Sim.HeapHighWater, s.Sim.NearHighWater)
@@ -167,9 +167,9 @@ func TestPhaseClockAndSnapshot(t *testing.T) {
 }
 
 func TestSimMetricsAdd(t *testing.T) {
-	a := SimMetrics{EventsClosure: 1, HeapHighWater: 5, NearHighWater: 2}
-	a.Add(SimMetrics{EventsClosure: 2, EventsOwned: 3, HeapHighWater: 4, NearHighWater: 3, TimerRecycles: 9})
-	if a.EventsClosure != 3 || a.EventsOwned != 3 || a.TimerRecycles != 9 {
+	a := SimMetrics{EventsPooled: 1, HeapHighWater: 5, NearHighWater: 2}
+	a.Add(SimMetrics{EventsPooled: 2, EventsOwned: 3, HeapHighWater: 4, NearHighWater: 3, TimerRecycles: 9})
+	if a.EventsPooled != 3 || a.EventsOwned != 3 || a.TimerRecycles != 9 {
 		t.Fatalf("add mismatch: %+v", a)
 	}
 	if a.HeapHighWater != 5 {
@@ -186,7 +186,7 @@ func TestTraceEvents(t *testing.T) {
 	c.TraceTo(&buf)
 	pc := c.StartCell()
 	pc.Mark(PhaseBuild)
-	pc.Done("web/backbone/tcpmix@256", SimMetrics{EventsClosure: 100, HeapHighWater: 40, NearHighWater: 9})
+	pc.Done("web/backbone/tcpmix@256", SimMetrics{EventsPooled: 100, HeapHighWater: 40, NearHighWater: 9})
 	pc2 := c.StartCell()
 	pc2.Done("web/backbone/tcpmix@512", SimMetrics{})
 
@@ -242,7 +242,7 @@ func TestWritePrometheus(t *testing.T) {
 	c.CacheMisses.Add(7)
 	c.CellsInFlight.Add(2)
 	c.CellWall.Observe(0.02)
-	c.FlushSim(SimMetrics{EventsClosure: 11, EventsPooled: 22, HeapHighWater: 33, NearHighWater: 5})
+	c.FlushSim(SimMetrics{EventsOwned: 11, EventsPooled: 22, HeapHighWater: 33, NearHighWater: 5})
 	c.SweepCells.Add(10)
 
 	var buf bytes.Buffer
@@ -254,7 +254,7 @@ func TestWritePrometheus(t *testing.T) {
 		"qoe_cache_hits_total 3",
 		"qoe_cells_simulated_total 7",
 		"qoe_cells_in_flight 2",
-		"qoe_sim_events_total{tier=\"closure\"} 11",
+		"qoe_sim_events_total{tier=\"owned\"} 11",
 		"qoe_sim_events_total{tier=\"pooled\"} 22",
 		"qoe_sim_heap_high_water 33",
 		"qoe_sim_near_high_water 5",
@@ -290,7 +290,7 @@ func TestConcurrentRecording(t *testing.T) {
 				c.CellWall.Observe(0.001 * float64(i%20))
 				pc := c.StartCell()
 				pc.Mark(PhaseBuild)
-				pc.Done("cell", SimMetrics{EventsClosure: 1, HeapHighWater: i})
+				pc.Done("cell", SimMetrics{EventsPooled: 1, HeapHighWater: i})
 				c.CellsInFlight.Add(-1)
 			}
 		}()
@@ -306,8 +306,8 @@ func TestConcurrentRecording(t *testing.T) {
 	if s.CellWall.Count != workers*perWorker {
 		t.Fatalf("wall count = %d, want %d", s.CellWall.Count, workers*perWorker)
 	}
-	if s.Sim.EventsClosure != workers*perWorker {
-		t.Fatalf("events = %d, want %d", s.Sim.EventsClosure, workers*perWorker)
+	if s.Sim.EventsPooled != workers*perWorker {
+		t.Fatalf("events = %d, want %d", s.Sim.EventsPooled, workers*perWorker)
 	}
 	if s.Sim.HeapHighWater != perWorker-1 {
 		t.Fatalf("heap high water = %d, want %d", s.Sim.HeapHighWater, perWorker-1)

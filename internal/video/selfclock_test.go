@@ -37,17 +37,19 @@ func (w wire) Send(p *netem.Packet) bool {
 }
 
 // prescheduled is the sender Stream used to be, kept as the
-// reference: Start's pacing loop scheduling one pooled event per data
-// and parity packet as it goes, then the end-of-clip event.
+// reference: Start's pacing loop scheduling one pooled one-shot per
+// data and parity packet as it goes, then the end-of-clip event.
 type prescheduled struct {
 	eng *sim.Engine
 	log *[]sent
 }
 
-func (r prescheduled) FireArg(now sim.Time, arg any) {
-	e := arg.(*sent)
-	e.at = now
-	*r.log = append(*r.log, *e)
+// send schedules the one-shot that logs e as sent at time at.
+func (r prescheduled) send(at sim.Time, e sent) {
+	r.eng.AtHandler(at, sim.Func(func() {
+		e.at = r.eng.Now()
+		*r.log = append(*r.log, e)
+	}))
 }
 
 func (r prescheduled) Fire(sim.Time) {}
@@ -82,18 +84,18 @@ func (r prescheduled) start(src *Source, cfg Config) {
 				sendAt = payloadClock
 				payloadClock = payloadClock.Add(iv)
 			}
-			eng.AtArg(sendAt, r, &sent{a: seq, b: -1, size: packetWire(payload)})
+			r.send(sendAt, sent{a: seq, b: -1, size: packetWire(payload)})
 			if sendAt > lastSend {
 				lastSend = sendAt
 			}
 			if fec && seq%group == group-1 {
-				eng.AtArg(sendAt, r, &sent{a: seq - group + 1, b: seq + 1, size: packetWire(tsPayload)})
+				r.send(sendAt, sent{a: seq - group + 1, b: seq + 1, size: packetWire(tsPayload)})
 			}
 			seq++
 		}
 	}
 	if fec && seq%group != 0 {
-		eng.AtArg(lastSend, r, &sent{a: seq / group * group, b: seq, size: packetWire(tsPayload)})
+		r.send(lastSend, sent{a: seq / group * group, b: seq, size: packetWire(tsPayload)})
 	}
 	eng.ScheduleHandler(time.Duration(n)*frameIv+StartupDelay+3*time.Second, r)
 }

@@ -36,12 +36,6 @@ func (w wire) Send(p *netem.Packet) bool {
 	return true
 }
 
-// prescheduled is the sender Call used to be, kept as the reference:
-// one pooled event per frame, all scheduled at call start.
-type prescheduled struct{ log *sendLog }
-
-func (r prescheduled) FireArg(now sim.Time, arg any) { r.log.add(now, arg.(int)) }
-
 type rivalTick struct {
 	log *sendLog
 	id  int
@@ -74,9 +68,10 @@ func TestSelfClockedSendsMatchPrescheduling(t *testing.T) {
 			from.SetDefaultRoute(wire{eng, &log})
 			Start(from, to, sample, 0, nil)
 		} else {
-			ref := prescheduled{&log}
+			// The sender Call used to be, kept as the reference: one
+			// pooled one-shot per frame, all scheduled at call start.
 			for i := 0; i < n; i++ {
-				eng.ScheduleArg(time.Duration(i)*FrameInterval, ref, i)
+				eng.ScheduleHandler(time.Duration(i)*FrameInterval, sim.Func(func() { log.add(eng.Now(), i) }))
 			}
 			eng.ScheduleHandler(time.Duration(n)*FrameInterval+DefaultPlayout+5*time.Second, rivalTick{&log, -1 << 30})
 		}

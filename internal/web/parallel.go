@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"bufferqoe/internal/netem"
+	"bufferqoe/internal/sim"
 	"bufferqoe/internal/tcp"
 )
 
@@ -73,12 +74,14 @@ func FetchParallel(st *tcp.Stack, server netem.Addr, maxConns int, deadline time
 			SRTT:            srtt,
 		})
 	}
-	guard := eng.Schedule(deadline, func() {
+	var guard sim.Timer
+	eng.InitTimer(&guard, sim.Func(func() {
 		finish(false)
 		for _, c := range conns {
 			c.Abort(nil)
 		}
-	})
+	}))
+	guard.Reset(deadline)
 
 	remaining := len(ObjectSizes)
 	var queue []int

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"bufferqoe/internal/netem"
+	"bufferqoe/internal/sim"
 	"bufferqoe/internal/tcp"
 )
 
@@ -94,10 +95,12 @@ func Fetch(st *tcp.Stack, server netem.Addr, deadline time.Duration, onDone func
 		})
 	}
 
-	guard := eng.Schedule(deadline, func() {
+	var guard sim.Timer
+	eng.InitTimer(&guard, sim.Func(func() {
 		finish(false)
 		conn.Abort(nil)
-	})
+	}))
+	guard.Reset(deadline)
 
 	conn.OnEstablished = func() { conn.Send(RequestSize) } // first GET
 	conn.OnReadable = func(n int64) {

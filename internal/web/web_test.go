@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"bufferqoe/internal/qoe"
+	"bufferqoe/internal/sim"
 	"bufferqoe/internal/testbed"
 )
 
@@ -120,14 +121,14 @@ func TestSequentialObjectsSingleConnection(t *testing.T) {
 	a := testbed.NewAccess(testbed.Config{BufferUp: 64, BufferDown: 64, Seed: 6})
 	RegisterServer(a.MediaServerTCP, Port)
 	maxConns := 0
-	var tick func()
+	var tick sim.Func
 	tick = func() {
 		if c := a.MediaServerTCP.ConnCount(); c > maxConns {
 			maxConns = c
 		}
-		a.Eng.Schedule(50*time.Millisecond, tick)
+		a.Eng.ScheduleHandler(50*time.Millisecond, tick)
 	}
-	a.Eng.Schedule(0, tick)
+	a.Eng.ScheduleHandler(0, tick)
 	done := false
 	Fetch(a.MediaClientTCP, a.MediaServer.Addr(Port), 30*time.Second, func(r Result) { done = r.Completed })
 	a.Eng.RunFor(10 * time.Second)
@@ -143,16 +144,16 @@ func TestRepeatedFetchesIndependent(t *testing.T) {
 	a := testbed.NewAccess(testbed.Config{BufferUp: 64, BufferDown: 64, Seed: 7})
 	RegisterServer(a.MediaServerTCP, Port)
 	var plts []time.Duration
-	var next func()
+	var next sim.Func
 	next = func() {
 		Fetch(a.MediaClientTCP, a.MediaServer.Addr(Port), 30*time.Second, func(r Result) {
 			plts = append(plts, r.PLT)
 			if len(plts) < 5 {
-				a.Eng.Schedule(time.Second, next)
+				a.Eng.ScheduleHandler(time.Second, next)
 			}
 		})
 	}
-	a.Eng.Schedule(0, next)
+	a.Eng.ScheduleHandler(0, next)
 	a.Eng.RunFor(60 * time.Second)
 	if len(plts) != 5 {
 		t.Fatalf("completed %d fetches", len(plts))

@@ -99,8 +99,8 @@ type Metrics struct {
 	CellWallP95Seconds  float64 `json:"cell_wall_p95_s"`
 
 	// SimEvents is the total simulator events fired across all traced
-	// cells; SimEventsByTier splits it by scheduling tier ("closure",
-	// "pooled", "arg", "owned").
+	// cells; SimEventsByTier splits it by kind of event ("pooled"
+	// one-shots, "owned" timers).
 	SimEvents       uint64            `json:"sim_events"`
 	SimEventsByTier map[string]uint64 `json:"sim_events_by_tier"`
 	// TimerRecycles / PacketRecycles count pool reuse in the simulator
@@ -147,10 +147,8 @@ func metricsFromSnapshot(s telemetry.Snapshot) Metrics {
 		CellWallCount:     s.CellWall.Count,
 		SimEvents:         s.Sim.Events(),
 		SimEventsByTier: map[string]uint64{
-			"closure": s.Sim.EventsClosure,
-			"pooled":  s.Sim.EventsPooled,
-			"arg":     s.Sim.EventsArg,
-			"owned":   s.Sim.EventsOwned,
+			"pooled": s.Sim.EventsPooled,
+			"owned":  s.Sim.EventsOwned,
 		},
 		TimerRecycles:  s.Sim.TimerRecycles,
 		PacketRecycles: s.Sim.PacketRecycles,
