@@ -101,6 +101,7 @@ import (
 
 	"bufferqoe"
 	"bufferqoe/internal/bench"
+	"bufferqoe/internal/jsonenc"
 )
 
 func main() {
@@ -145,6 +146,36 @@ type jsonStats struct {
 	StoreHits   uint64 `json:"store_hits,omitempty"`
 	StoreMisses uint64 `json:"store_misses,omitempty"`
 	StoreWrites uint64 `json:"store_writes,omitempty"`
+}
+
+// appendJSON writes the stats as encoding/json indents them at the
+// given depth, omitting the zero omitempty counters.
+func (s jsonStats) appendJSON(b []byte, in jsonenc.Indent, depth int) []byte {
+	next := in.Next(depth + 1)
+	b = append(b, '{')
+	b = jsonenc.AppendKey(b, in.Line(depth+1), `"workers": `)
+	b = strconv.AppendInt(b, int64(s.Workers), 10)
+	for _, f := range [...]struct {
+		key       string
+		n         uint64
+		omitEmpty bool
+	}{
+		{`"cells_simulated": `, s.CellsRun, false},
+		{`"cache_hits": `, s.CacheHits, false},
+		{`"cached_cells": `, uint64(s.CachedCells), false}, // a count, never negative
+		{`"cells_canceled": `, s.CellsCanceled, true},
+		{`"store_hits": `, s.StoreHits, true},
+		{`"store_misses": `, s.StoreMisses, true},
+		{`"store_writes": `, s.StoreWrites, true},
+	} {
+		if f.omitEmpty && f.n == 0 {
+			continue
+		}
+		b = jsonenc.AppendKey(b, next, f.key)
+		b = strconv.AppendUint(b, f.n, 10)
+	}
+	b = append(b, in.Line(depth)...)
+	return append(b, '}')
 }
 
 func statsOf(s *bufferqoe.Session) jsonStats {

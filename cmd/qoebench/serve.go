@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"bufferqoe"
+	"bufferqoe/internal/jsonenc"
 )
 
 // serveRequest is the JSON body of POST /sweep and POST /recommend.
@@ -224,7 +225,7 @@ func (s *qoeServer) sweep(w http.ResponseWriter, r *http.Request) {
 		writeRunError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, serveResponse{
+	writeReply(w, serveResponse{
 		Sweep:    grid,
 		Stats:    statsOf(s.session),
 		ElapsedS: time.Since(start).Seconds(),
@@ -271,7 +272,7 @@ func (s *qoeServer) recommend(w http.ResponseWriter, r *http.Request) {
 		writeRunError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, serveResponse{
+	writeReply(w, serveResponse{
 		Recommend: rec,
 		Stats:     statsOf(s.session),
 		ElapsedS:  time.Since(start).Seconds(),
@@ -289,6 +290,50 @@ func writeRunError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadRequest, err.Error())
 }
 
+// writeReply writes a successful reply in one pass: byte for byte
+// what writeJSON writes for r, without reflecting over the result or
+// re-scanning the encoded bytes to indent them. A result JSON cannot
+// represent (a NaN or ±Inf score) is found before the header goes
+// out, and answered 500 with an error body instead of an empty 200.
+func writeReply(w http.ResponseWriter, r serveResponse) {
+	cells := 0
+	if r.Sweep != nil {
+		cells += len(r.Sweep.Cells)
+	}
+	if r.Recommend != nil {
+		cells += len(r.Recommend.Cells)
+	}
+	in := jsonenc.NewIndent("")
+	b := make([]byte, 0, 512+256*cells) // a cell nested in a reply writes ~250 bytes
+	b = append(b, '{')
+	start := in.Line(1) // what precedes the next member
+	var err error
+	if r.Sweep != nil {
+		b = jsonenc.AppendKey(b, start, `"sweep": `)
+		b, err = r.Sweep.AppendJSON(b, "  ")
+		start = in.Next(1)
+	}
+	if r.Recommend != nil && err == nil {
+		b = jsonenc.AppendKey(b, start, `"recommend": `)
+		b, err = r.Recommend.AppendJSON(b, "  ")
+		start = in.Next(1)
+	}
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding the reply: "+err.Error())
+		return
+	}
+	b = jsonenc.AppendKey(b, start, `"stats": `)
+	b = r.Stats.appendJSON(b, in, 1)
+	b = jsonenc.AppendKey(b, in.Next(1), `"elapsed_s": `)
+	b = jsonenc.AppendFloat(b, r.ElapsedS)
+	b = append(b, "\n}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(b) //nolint:errcheck // client gone; nothing to do
+}
+
+// writeJSON encodes v with encoding/json: the error replies and
+// /healthz, which are cold.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+	"time"
 )
 
 // fuzzGrid builds a grid from fuzzed parts. shape picks, two bits per
@@ -48,9 +49,32 @@ func fuzzGrid(shape uint8, s1, s2 string, buf int, x, y, z float64) *Grid {
 	return g
 }
 
-// FuzzGridJSON holds Grid.JSON's one-pass writer to what it replaces:
-// byte for byte json.MarshalIndent(g, "", "  "), and an error exactly
-// when MarshalIndent returns one.
+// fuzzRecommendation builds a recommendation around a fuzzed grid's
+// cells. rshape picks, two bits, a nil, an empty or a populated
+// BuffersTried, and one bit more whether Met is set.
+func fuzzRecommendation(g *Grid, rshape uint8, scheme string, buf int, score float64, delay int64) *Recommendation {
+	r := &Recommendation{
+		Buffer: buf, Score: score, Met: rshape&4 != 0, Cells: g.Cells,
+		CellsEvaluated: buf, GridCells: -buf,
+		Scheme: Scheme{Name: scheme, Packets: -buf, MaxDelay: time.Duration(delay)},
+	}
+	switch rshape & 3 {
+	case 1:
+		r.BuffersTried = []int{}
+	case 2, 3:
+		r.BuffersTried = []int{buf, 0, -buf}
+	}
+	return r
+}
+
+// FuzzGridJSON holds the one-pass writers to what they replace, byte
+// for byte, with an error exactly when encoding/json returns one:
+// Grid.JSON to json.MarshalIndent(g, "", "  "), Grid.AppendJSON to
+// MarshalIndent at both depths a grid is written at (a document of its
+// own, prefix "", and nested in a server reply, prefix "  "), and
+// Recommendation.AppendJSON, nested, to MarshalIndent(r, "  ", "  ").
+// Both writers append to what the buffer holds, and append nothing on
+// an error.
 func FuzzGridJSON(f *testing.F) {
 	// Every axis populated, with two rotated cells or one in order.
 	const two, one = 0xbf, 0xff
@@ -88,9 +112,28 @@ func FuzzGridJSON(f *testing.F) {
 		{two, "", "b", 8, 1, 2, 3},               // empty talk rating
 		{two, "a", "b", math.MaxInt64, 1, 2, 0},
 	} {
-		f.Add(c.shape, c.s1, c.s2, c.buf, c.x, c.y, c.z)
+		f.Add(c.shape, c.s1, c.s2, c.buf, c.x, c.y, c.z, uint8(6), 3.7, int64(25*time.Millisecond))
 	}
-	f.Fuzz(func(t *testing.T, shape uint8, s1, s2 string, buf int, x, y, z float64) {
+	// The recommendation's own fields.
+	for _, c := range []struct {
+		rshape uint8
+		scheme string
+		score  float64
+		delay  int64
+	}{
+		{6, "rule-of-thumb (BDP)", math.NaN(), 1}, // a non-finite score with finite cells
+		{6, "tiny", math.Inf(1), 1},
+		{6, "tiny", math.Inf(-1), 1},
+		{0, "tiny", 4.2, 1}, // nil BuffersTried, Met false
+		{1, "tiny", 4.2, 1}, // empty BuffersTried
+		{6, "stanford (BDP/sqrt(n)) <é> & ü", 4.2, 1},
+		{6, "bloated\u2028\xff", 1e-7, 1},
+		{6, "tiny", 4.2, -int64(time.Second)},
+		{6, "tiny", math.Copysign(0, -1), math.MinInt64},
+	} {
+		f.Add(uint8(0xbf), "long-many/up", c.scheme, 64, 4.12, 3.9, 1.5, c.rshape, c.score, c.delay)
+	}
+	f.Fuzz(func(t *testing.T, shape uint8, s1, s2 string, buf int, x, y, z float64, rshape uint8, score float64, delay int64) {
 		g := fuzzGrid(shape, s1, s2, buf, x, y, z)
 		want, wantErr := json.MarshalIndent(g, "", "  ")
 		got, err := g.JSON()
@@ -100,5 +143,24 @@ func FuzzGridJSON(f *testing.F) {
 		if err == nil && !bytes.Equal(got, want) {
 			t.Fatalf("JSON differs from MarshalIndent\n got: %s\nwant: %s", got, want)
 		}
+		const held = "held,"
+		check := func(what string, v any, prefix string, appendJSON func([]byte, string) ([]byte, error)) {
+			t.Helper()
+			want, wantErr := json.MarshalIndent(v, prefix, "  ")
+			got, err := appendJSON([]byte(held), prefix)
+			if (err != nil) != (wantErr != nil) {
+				t.Fatalf("%s prefix %q: error %v, MarshalIndent error %v", what, prefix, err, wantErr)
+			}
+			if err != nil {
+				want = nil
+			}
+			if !bytes.Equal(got, append([]byte(held), want...)) {
+				t.Fatalf("%s prefix %q differs from MarshalIndent\n got: %s\nwant: %s%s", what, prefix, got, held, want)
+			}
+		}
+		check("Grid.AppendJSON", g, "", g.AppendJSON)
+		check("Grid.AppendJSON", g, "  ", g.AppendJSON)
+		r := fuzzRecommendation(g, rshape, s2, buf, score, delay)
+		check("Recommendation.AppendJSON", r, "  ", r.AppendJSON)
 	})
 }

@@ -25,7 +25,7 @@ func benchTasks() []Task {
 				Testbed: "access", Scenario: sc, Direction: "up", Buffer: buf,
 				Media: "bench", Seed: 42, Duration: 4 * time.Second, Reps: 1,
 			}
-			tasks = append(tasks, Task{Spec: sp, Fn: busyCell})
+			tasks = append(tasks, Task{Spec: sp, Fn: CellFunc(busyCell)})
 		}
 	}
 	return tasks

@@ -64,17 +64,28 @@ var ErrCanceled = errors.New("engine: cell canceled")
 // everything that determines it.
 type CellFunc func(spec CellSpec, seed uint64, scr Scratch) any
 
+// Compute calls f, so a CellFunc is a Computer.
+func (f CellFunc) Compute(spec CellSpec, seed uint64, scr Scratch) any { return f(spec, seed, scr) }
+
+// Computer computes a cell, under CellFunc's contract. The engine
+// calls Compute only when the cell misses every cache tier, so a
+// Computer can defer building what only a simulation needs: a batch
+// that keeps its cells' inputs in one slice submits a pointer into it
+// per task, which costs a cache hit no allocation.
+type Computer interface {
+	Compute(spec CellSpec, seed uint64, scr Scratch) any
+}
+
 // Scratch is reusable per-cell working memory. Reset is called by the
 // engine before every cell that borrows the scratch.
 type Scratch interface {
 	Reset()
 }
 
-// Task pairs a spec with the function that computes it, for batch
-// submission.
+// Task pairs a spec with what computes it, for batch submission.
 type Task struct {
 	Spec CellSpec
-	Fn   CellFunc
+	Fn   Computer
 }
 
 // Stats is a snapshot of the engine's counters.
@@ -284,7 +295,7 @@ func (e *Engine) DoCtx(ctx context.Context, spec CellSpec, fn CellFunc) (any, er
 }
 
 // do is DoCtx on a canonical spec whose key the caller has computed.
-func (e *Engine) do(ctx context.Context, spec CellSpec, k string, fn CellFunc, col *telemetry.Collector) (any, error) {
+func (e *Engine) do(ctx context.Context, spec CellSpec, k string, fn Computer, col *telemetry.Collector) (any, error) {
 	for {
 		if ctx.Err() != nil {
 			e.noteCanceled(col)
@@ -425,7 +436,7 @@ func (e *Engine) storeGet(st CellStore, k string, col *telemetry.Collector) (any
 // the in-flight gauge and — with a collector attached — the wall-time
 // histogram, worker busy-time, and pprof labels, on completion and
 // panic alike.
-func (e *Engine) compute(ctx context.Context, spec CellSpec, fn CellFunc, k string, ent *entry, sem chan struct{}, col *telemetry.Collector) {
+func (e *Engine) compute(ctx context.Context, spec CellSpec, fn Computer, k string, ent *entry, sem chan struct{}, col *telemetry.Collector) {
 	e.inFlight.Add(1)
 	var start time.Time
 	if col != nil {
@@ -468,10 +479,10 @@ func (e *Engine) compute(ctx context.Context, spec CellSpec, fn CellFunc, k stri
 			"qoe_media", spec.Media,
 			"qoe_buffer", strconv.Itoa(spec.Buffer),
 		), func(context.Context) {
-			ent.val = fn(spec, DeriveSeed(spec), scr)
+			ent.val = fn.Compute(spec, DeriveSeed(spec), scr)
 		})
 	} else {
-		ent.val = fn(spec, DeriveSeed(spec), scr)
+		ent.val = fn.Compute(spec, DeriveSeed(spec), scr)
 	}
 	completed = true
 }
@@ -554,7 +565,7 @@ func (e *Engine) SubmitBatch(ctx context.Context, tasks []Task, each func(i int,
 		next := make(chan struct{})
 		// Arguments, not captures: a captured spec would be heap-allocated
 		// for every task, including the ones answered above.
-		go func(i int, spec CellSpec, k string, fn CellFunc, turn <-chan struct{}, next chan<- struct{}) {
+		go func(i int, spec CellSpec, k string, fn Computer, turn <-chan struct{}, next chan<- struct{}) {
 			defer wg.Done()
 			if turn != nil {
 				<-turn

@@ -175,7 +175,7 @@ func TestRunBatchOrderAndParallelism(t *testing.T) {
 	var tasks []Task
 	bufs := []int{8, 16, 32, 64, 128, 256, 512, 1024}
 	for _, b := range bufs {
-		tasks = append(tasks, Task{Spec: spec(b), Fn: fn})
+		tasks = append(tasks, Task{Spec: spec(b), Fn: CellFunc(fn)})
 	}
 	out := e.RunBatch(tasks)
 	for i, b := range bufs {
@@ -200,7 +200,7 @@ func TestSchedulingOrderIndependence(t *testing.T) {
 	}
 	var fwd, rev []Task
 	for _, b := range []int{8, 16, 32, 64} {
-		fwd = append(fwd, Task{Spec: spec(b), Fn: fn})
+		fwd = append(fwd, Task{Spec: spec(b), Fn: CellFunc(fn)})
 	}
 	for i := len(fwd) - 1; i >= 0; i-- {
 		rev = append(rev, fwd[i])
@@ -406,7 +406,7 @@ func TestSubmitBatchCompletionCallbacks(t *testing.T) {
 	bufs := []int{8, 16, 32, 64}
 	var tasks []Task
 	for _, b := range bufs {
-		tasks = append(tasks, Task{Spec: spec(b), Fn: fn})
+		tasks = append(tasks, Task{Spec: spec(b), Fn: CellFunc(fn)})
 	}
 	var mu sync.Mutex
 	got := map[int]any{}
@@ -445,10 +445,10 @@ func TestSubmitBatchAnswersCachedCellsInline(t *testing.T) {
 	}
 	var tasks []Task
 	for b := 1; b <= 12; b++ {
-		tasks = append(tasks, Task{Spec: spec(b), Fn: fn})
+		tasks = append(tasks, Task{Spec: spec(b), Fn: CellFunc(fn)})
 	}
 	e.RunBatch(tasks)
-	tasks = append(tasks, Task{Spec: spec(99), Fn: fn}) // cold
+	tasks = append(tasks, Task{Spec: spec(99), Fn: CellFunc(fn)}) // cold
 
 	var order []int // unsynchronized on purpose: -race sees any second goroutine
 	e.SubmitBatch(context.Background(), tasks, func(i int, v any, err error) {
@@ -510,7 +510,7 @@ func TestSubmitBatchCancellationDrainsInFlight(t *testing.T) {
 	}
 	var tasks []Task
 	for _, b := range []int{8, 16, 32, 64, 128, 256} {
-		tasks = append(tasks, Task{Spec: spec(b), Fn: fn})
+		tasks = append(tasks, Task{Spec: spec(b), Fn: CellFunc(fn)})
 	}
 	go func() {
 		<-firstRunning

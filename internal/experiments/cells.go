@@ -277,18 +277,28 @@ type foreground struct {
 	// before and after the variant's tag.
 	lead, trail string
 	uses        optFields
+	// conns, clip, profile and rec are the web and video runs'
+	// parameters (webFG, videoFG), held as data rather than captured so
+	// that building a probe's foreground allocates no closure: a cache
+	// hit builds one for its CellSpec fields alone.
+	conns   int
+	clip    video.Clip
+	profile video.Profile
+	rec     video.Recovery
 	// run measures on the built, workload-started testbed and returns
 	// the cell value. o carries the cell's derived seed. It marks the
 	// end of the build and sim phases on pc.
-	run func(n *network, tb *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) any
+	run func(fg *foreground, n *network, tb *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) any
 }
 
-// cellTask describes one cell: the foreground measured on the network
+// cellSpec names one cell: the foreground measured on the network
 // under the named workload (or v.mix) at the given downlink buffer.
-// Every testbed cell of every runner and probe is built here, so the
+// Every testbed cell of every runner and probe is named here, so the
 // CellSpec a configuration maps to — its cache key, store address and
-// CRN seed — is decided in exactly one place.
-func cellTask(o Options, n *network, scenario string, dir testbed.Direction, buf int, v variant, fg foreground) engine.Task {
+// CRN seed — is decided in exactly one place. It reads the variant's
+// tag and the foreground's tags only, so the queue and CC factories
+// and the run need not exist yet.
+func cellSpec(o Options, n *network, scenario string, dir testbed.Direction, buf int, v *variant, fg *foreground) engine.CellSpec {
 	name, direction := workloadAxis(scenario, dir, v.mix)
 	sp := engine.CellSpec{
 		Testbed: n.name, Scenario: name, Direction: direction,
@@ -311,7 +321,14 @@ func cellTask(o Options, n *network, scenario string, dir testbed.Direction, buf
 	if fg.uses&optDuration != 0 {
 		sp.Duration = o.Duration
 	}
-	return engine.Task{Spec: sp, Fn: func(sp engine.CellSpec, seed uint64, scr engine.Scratch) any {
+	return sp
+}
+
+// cellTask pairs a cell's spec with the closure that simulates it.
+func cellTask(o Options, n *network, scenario string, dir testbed.Direction, buf int, v variant, fg foreground) engine.Task {
+	spec := cellSpec(o, n, scenario, dir, buf, &v, &fg)
+	name := spec.Scenario
+	return engine.Task{Spec: spec, Fn: engine.CellFunc(func(sp engine.CellSpec, seed uint64, scr engine.Scratch) any {
 		cs := scratchOf(scr)
 		pc := o.Collector.StartCell()
 		oc := o
@@ -324,10 +341,10 @@ func cellTask(o Options, n *network, scenario string, dir testbed.Direction, buf
 		if wl := n.populations(name, dir, v.mix); wl.HasTraffic() {
 			tb.StartWorkload(wl)
 		}
-		val := fg.run(n, tb, oc, cs, &pc)
+		val := fg.run(&fg, n, tb, oc, cs, &pc)
 		finishCell(&pc, sp, tb.Eng, tb.Net, cs)
 		return val
-	}}
+	})}
 }
 
 // --- VoIP foregrounds ---------------------------------------------
@@ -338,7 +355,7 @@ func cellTask(o Options, n *network, scenario string, dir testbed.Direction, buf
 // client calls and a bare median MOS otherwise.
 var voipFG = foreground{
 	media: "voip", uses: optWarmup | optReps | optStop,
-	run: func(n *network, tb *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) any {
+	run: func(_ *foreground, n *network, tb *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) any {
 		pc.Mark(telemetry.PhaseBuild)
 		if !n.duplex {
 			rule := o.stop()
@@ -388,7 +405,7 @@ func runCalls(tb *testbed.Testbed, o Options, cs *CellScratch, adaptive bool, ea
 func playoutFG(mode string) foreground {
 	return foreground{
 		media: "voip", lead: "playout=" + mode, uses: optWarmup | optReps,
-		run: func(_ *network, tb *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) any {
+		run: func(_ *foreground, _ *network, tb *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) any {
 			pc.Mark(telemetry.PhaseBuild)
 			mosS, z1S, lossS := cs.sample(0), cs.sample(1), cs.sample(2)
 			runCalls(tb, o, cs, mode == "adaptive", func(r voip.Result) bool {
@@ -409,27 +426,30 @@ func playoutFG(mode string) foreground {
 // browser-style parallel fetches over conns connections when
 // conns > 0; the cell value is the median PLT.
 func webFG(conns int) foreground {
-	fg := foreground{media: "web", uses: optWarmup | optReps | optStop}
+	fg := foreground{media: "web", uses: optWarmup | optReps | optStop, conns: conns, run: runWeb}
 	if conns > 0 {
 		fg.trail = fmt.Sprintf("par=%d", conns)
 	}
-	fg.run = func(n *network, tb *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) any {
-		fetch := func(done func(web.Result)) {
-			web.Fetch(tb.MediaClientTCP, tb.MediaServer.Addr(web.Port), 60*time.Second, done)
-		}
-		if conns > 0 {
-			web.RegisterBrowserServer(tb.MediaServerTCP, web.BrowserPort)
-			fetch = func(done func(web.Result)) {
-				web.FetchParallel(tb.MediaClientTCP, tb.MediaServer.Addr(web.BrowserPort),
-					conns, 60*time.Second, done)
-			}
-		} else {
-			web.RegisterServer(tb.MediaServerTCP, web.Port)
-		}
-		pc.Mark(telemetry.PhaseBuild)
-		return webReps(tb.Eng, o, cs, pc, n.webModel().MOS, fetch)
-	}
 	return fg
+}
+
+// runWeb is webFG's run.
+func runWeb(fg *foreground, n *network, tb *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) any {
+	conns := fg.conns
+	fetch := func(done func(web.Result)) {
+		web.Fetch(tb.MediaClientTCP, tb.MediaServer.Addr(web.Port), 60*time.Second, done)
+	}
+	if conns > 0 {
+		web.RegisterBrowserServer(tb.MediaServerTCP, web.BrowserPort)
+		fetch = func(done func(web.Result)) {
+			web.FetchParallel(tb.MediaClientTCP, tb.MediaServer.Addr(web.BrowserPort),
+				conns, 60*time.Second, done)
+		}
+	} else {
+		web.RegisterServer(tb.MediaServerTCP, web.Port)
+	}
+	pc.Mark(telemetry.PhaseBuild)
+	return webReps(tb.Eng, o, cs, pc, n.webModel().MOS, fetch)
 }
 
 // --- Video foregrounds --------------------------------------------
@@ -450,15 +470,19 @@ func videoFG(clip video.Clip, p video.Profile, rec video.Recovery) foreground {
 	return foreground{
 		media: "video", lead: videoVariantTag(clip, p, rec),
 		uses: optWarmup | optReps | optStop | optClip,
-		run: func(_ *network, tb *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) any {
-			src := cs.source(o, clip, p)
-			pc.Mark(telemetry.PhaseBuild)
-			return videoReps(tb.Eng, o, cs, pc, func(done func(video.Result)) {
-				video.Start(tb.MediaServer, tb.MediaClient, src,
-					video.Config{Smooth: true, Seed: o.Seed, Recovery: rec}, done)
-			})
-		},
+		clip: clip, profile: p, rec: rec, run: runVideo,
 	}
+}
+
+// runVideo is videoFG's run.
+func runVideo(fg *foreground, _ *network, tb *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) any {
+	src := cs.source(o, fg.clip, fg.profile)
+	rec := fg.rec
+	pc.Mark(telemetry.PhaseBuild)
+	return videoReps(tb.Eng, o, cs, pc, func(done func(video.Result)) {
+		video.Start(tb.MediaServer, tb.MediaClient, src,
+			video.Config{Smooth: true, Seed: o.Seed, Recovery: rec}, done)
+	})
 }
 
 // smoothingFG is the sender-smoothing ablation's single SD stream
@@ -470,7 +494,7 @@ func smoothingFG(smooth bool) foreground {
 	}
 	return foreground{
 		media: "video", lead: "single;mode=" + mode + ";profile=SD", uses: optClip,
-		run: func(_ *network, tb *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) any {
+		run: func(_ *foreground, _ *network, tb *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) any {
 			src := cs.source(o, video.ClipC, video.SD)
 			pc.Mark(telemetry.PhaseBuild)
 			var got video.Result
@@ -489,7 +513,7 @@ func smoothingFG(smooth bool) foreground {
 func httpVideoFG(player string) foreground {
 	return foreground{
 		media: "httpvideo", lead: "player=" + player, uses: optWarmup | optReps | optClip,
-		run: func(_ *network, tb *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) any {
+		run: func(_ *foreground, _ *network, tb *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) any {
 			mediaDur := time.Duration(o.ClipSeconds*4) * time.Second
 			mosS, rateS := cs.sample(0), cs.sample(1)
 			// watch plays one session and reports its MOS and bitrate.
@@ -542,7 +566,7 @@ func httpVideoFG(player string) foreground {
 // observes its uplink.
 var backgroundFG = foreground{
 	media: "background", uses: optDuration | optWarmup,
-	run: func(_ *network, tb *testbed.Testbed, o Options, _ *CellScratch, pc *telemetry.PhaseClock) any {
+	run: func(_ *foreground, _ *network, tb *testbed.Testbed, o Options, _ *CellScratch, pc *telemetry.PhaseClock) any {
 		pc.Mark(telemetry.PhaseBuild)
 		tb.Eng.RunFor(o.Warmup + o.Duration)
 		pc.Mark(telemetry.PhaseSim)
@@ -582,8 +606,8 @@ func wildTask(o Options) engine.Task {
 	sp := engine.CellSpec{
 		Media: "wild", Seed: o.Seed, CDNFlows: o.CDNFlows,
 	}
-	return engine.Task{Spec: sp, Fn: func(_ engine.CellSpec, seed uint64, _ engine.Scratch) any {
+	return engine.Task{Spec: sp, Fn: engine.CellFunc(func(_ engine.CellSpec, seed uint64, _ engine.Scratch) any {
 		flows := cdn.Generate(cdn.Config{Flows: o.CDNFlows, Seed: seed})
 		return cdn.Analyze(flows, cdn.MinSamplesDefault)
-	}}
+	})}
 }

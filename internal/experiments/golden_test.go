@@ -76,7 +76,7 @@ func renderGolden(v any) string {
 // runTaskForTest invokes a cell function directly, bypassing the
 // engine's cache so the golden test always simulates.
 func runTaskForTest(task engine.Task, seed uint64) any {
-	return task.Fn(task.Spec.Canonical(), seed, nil)
+	return task.Fn.Compute(task.Spec.Canonical(), seed, nil)
 }
 
 // TestGoldenCrossSection pins a small cross-section of Grid metrics

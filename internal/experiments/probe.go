@@ -63,6 +63,12 @@ type ProbeSpec struct {
 	// Jitter adds a WiFi/LTE-like exponential per-packet delay on the
 	// access client hop.
 	Jitter time.Duration
+
+	// normal marks a spec Normalize returned: canonical and valid, so
+	// Normalize and compiling return it unchecked. Copies carry the
+	// mark, so a normalized spec is never edited; the facade builds a
+	// fresh spec for every cell.
+	normal bool
 }
 
 // ProbeValue is a probe's measurement; which fields are populated
@@ -252,24 +258,72 @@ func (p ProbeSpec) normalize() (ProbeSpec, error) {
 	if _, _, err := ccChoice(p.CC, n.cc); err != nil {
 		return p, err
 	}
+	p.normal = true
 	return p, nil
 }
 
-// task compiles a normalized spec into the engine task it names.
-func (p ProbeSpec) task(o Options) (t engine.Task, err error) {
-	if p, err = p.normalize(); err != nil {
-		return t, fmt.Errorf("experiments: invalid probe: %w", err)
+// Normalize validates the spec and returns it in canonical form:
+// defaults filled, a preset-equal mix folded onto its preset. A
+// normalized spec compiles without being checked again, so a caller
+// that validates each cell up front normalizes it once.
+func (p ProbeSpec) Normalize() (ProbeSpec, error) {
+	if p.normal {
+		return p, nil
 	}
-	n := networks[p.Testbed]
-	cc, ccTag, _ := ccChoice(p.CC, n.cc)
+	p, err := p.normalize()
+	if err != nil {
+		return p, fmt.Errorf("experiments: invalid probe: %w", err)
+	}
+	return p, nil
+}
+
+// variant is a normalized spec's testbed variant without its queue
+// factories, which only a simulated cell needs (see compile).
+func (p ProbeSpec) variant() variant {
+	cc, ccTag, _ := ccChoice(p.CC, networks[p.Testbed].cc)
 	var jitterTag string
 	if p.Jitter > 0 {
 		jitterTag = "jitter=" + p.Jitter.String()
 	}
-	v := variant{
+	return variant{
 		tag:   joinTags(aqmTag(p.AQM), ccTag, jitterTag),
 		bufUp: p.BufferUp, cc: cc, jitter: p.Jitter, link: p.Link, mix: p.Mix,
 	}
+}
+
+// foreground is the measurement a normalized spec's media names.
+func (p ProbeSpec) foreground() foreground {
+	switch p.Media {
+	case "web":
+		return webFG(0)
+	case "video":
+		return videoFG(video.ClipC, p.Profile, video.RecoveryNone)
+	}
+	return voipFG
+}
+
+// cellSpec is the CellSpec a normalized spec names: what a cache hit
+// needs, built without the closure that simulates the cell.
+func (p ProbeSpec) cellSpec(o Options) engine.CellSpec {
+	v, fg := p.variant(), p.foreground()
+	return cellSpec(o, networks[p.Testbed], p.Scenario, p.Direction, p.Buffer, &v, &fg)
+}
+
+// task validates the spec and compiles it into the engine task it
+// names.
+func (p ProbeSpec) task(o Options) (engine.Task, error) {
+	p, err := p.Normalize()
+	if err != nil {
+		return engine.Task{}, err
+	}
+	return p.compile(o), nil
+}
+
+// compile builds a normalized spec's engine task, the closure that
+// simulates the cell included.
+func (p ProbeSpec) compile(o Options) engine.Task {
+	n := networks[p.Testbed]
+	v := p.variant()
 	// The discipline goes on every queue under test: both on a duplex
 	// network, the congested downstream one otherwise.
 	if n.duplex {
@@ -279,14 +333,21 @@ func (p ProbeSpec) task(o Options) (t engine.Task, err error) {
 	} else {
 		v.downQueue, _ = aqmFactory(p.AQM, testbed.BackboneRate, "aqm-down")
 	}
-	fg := voipFG
-	switch p.Media {
-	case "web":
-		fg = webFG(0)
-	case "video":
-		fg = videoFG(video.ClipC, p.Profile, video.RecoveryNone)
-	}
-	return cellTask(o, n, p.Scenario, p.Direction, p.Buffer, v, fg), nil
+	return cellTask(o, n, p.Scenario, p.Direction, p.Buffer, v, p.foreground())
+}
+
+// probeCell is one compiled probe of a batch: its normalized spec and
+// the batch's options. It is the cell's engine.Computer, so the
+// closure that simulates the cell — capturing the options, the
+// variant with its queue and CC factories, and the foreground — is
+// built in Compute, which the engine calls only on a miss.
+type probeCell struct {
+	p ProbeSpec
+	o *Options
+}
+
+func (c *probeCell) Compute(sp engine.CellSpec, seed uint64, scr engine.Scratch) any {
+	return c.p.compile(*c.o).Fn.Compute(sp, seed, scr)
 }
 
 // value converts a cell's raw result into a ProbeValue.
@@ -307,11 +368,8 @@ func (p ProbeSpec) value(raw any) ProbeValue {
 
 // Validate checks a probe spec without running anything.
 func (p ProbeSpec) Validate() error {
-	_, err := p.normalize()
-	if err != nil {
-		return fmt.Errorf("experiments: invalid probe: %w", err)
-	}
-	return nil
+	_, err := p.Normalize()
+	return err
 }
 
 // Probe runs one probe cell on the session's engine.
@@ -326,23 +384,27 @@ func (s *Session) ProbeCtx(ctx context.Context, p ProbeSpec, o Options) (ProbeVa
 	if err != nil {
 		return ProbeValue{}, err
 	}
-	raw, err := s.eng.DoCtx(ctx, t.Spec, t.Fn)
+	raw, err := s.eng.DoCtx(ctx, t.Spec, t.Fn.Compute)
 	if err != nil {
 		return ProbeValue{}, err
 	}
 	return p.value(raw), nil
 }
 
-// compile validates every spec up front and returns its engine tasks;
-// an invalid spec fails the whole batch before any simulation starts.
+// compileProbes validates every spec up front and returns its engine
+// tasks; an invalid spec fails the whole batch before any simulation
+// starts. A task carries its CellSpec and a pointer to its probeCell,
+// so compiling a batch of cache hits builds no closure per cell.
 func compileProbes(ps []ProbeSpec, o Options) ([]engine.Task, error) {
 	tasks := make([]engine.Task, len(ps))
-	for i, p := range ps {
-		t, err := p.task(o)
+	cells := make([]probeCell, len(ps))
+	for i := range ps {
+		p, err := ps[i].Normalize()
 		if err != nil {
 			return nil, fmt.Errorf("spec %d: %w", i, err)
 		}
-		tasks[i] = t
+		cells[i] = probeCell{p: p, o: &o}
+		tasks[i] = engine.Task{Spec: p.cellSpec(o), Fn: &cells[i]}
 	}
 	return tasks, nil
 }

@@ -186,7 +186,7 @@ type cancelSignal struct{ err error }
 // runOne executes a single cell synchronously (probes and small
 // grids); batches should go through runCells.
 func (s *Session) runOne(t engine.Task) any {
-	v, err := s.eng.DoCtx(s.context(), t.Spec, t.Fn)
+	v, err := s.eng.DoCtx(s.context(), t.Spec, t.Fn.Compute)
 	if err != nil {
 		panic(cancelSignal{err})
 	}

@@ -2,11 +2,14 @@ package bufferqoe
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"bufferqoe/internal/experiments"
+	"bufferqoe/internal/jsonenc"
 	"bufferqoe/internal/sizing"
 	"bufferqoe/internal/testbed"
 )
@@ -81,6 +84,51 @@ type Recommendation struct {
 	// recommended buffer for the scenario's link, for comparison with
 	// the static rules the paper evaluates.
 	Scheme Scheme
+}
+
+// AppendJSON appends the recommendation to b as
+// json.MarshalIndent(r, prefix, "  ") renders it, in one pass (see
+// Grid.AppendJSON): its fields carry no tags, so the keys are the
+// field names. A recommendation holding NaN or ±Inf appends nothing
+// and returns the error MarshalIndent returns.
+func (r *Recommendation) AppendJSON(b []byte, prefix string) ([]byte, error) {
+	ok := jsonenc.Finite(r.Score)
+	for _, c := range r.Cells {
+		ok = ok && c.finite()
+	}
+	if !ok {
+		_, err := json.MarshalIndent(r, prefix, "  ")
+		return b, err
+	}
+	in := jsonenc.NewIndent(prefix)
+	line, next := in.Line(1), in.Next(1)
+	b = append(b, '{')
+	b = jsonenc.AppendKey(b, line, `"Buffer": `)
+	b = strconv.AppendInt(b, int64(r.Buffer), 10)
+	b = jsonenc.AppendKey(b, next, `"Score": `)
+	b = jsonenc.AppendFloat(b, r.Score)
+	b = jsonenc.AppendKey(b, next, `"Met": `)
+	b = strconv.AppendBool(b, r.Met)
+	b = jsonenc.AppendKey(b, next, `"Cells": `)
+	b = jsonenc.AppendArray(b, in, 1, r.Cells, appendJSONCell)
+	b = jsonenc.AppendKey(b, next, `"BuffersTried": `)
+	b = jsonenc.AppendArray(b, in, 1, r.BuffersTried, jsonenc.IntElem)
+	b = jsonenc.AppendKey(b, next, `"CellsEvaluated": `)
+	b = strconv.AppendInt(b, int64(r.CellsEvaluated), 10)
+	b = jsonenc.AppendKey(b, next, `"GridCells": `)
+	b = strconv.AppendInt(b, int64(r.GridCells), 10)
+	b = jsonenc.AppendKey(b, next, `"Scheme": `)
+	b = append(b, '{')
+	b = jsonenc.AppendKey(b, in.Line(2), `"Name": `)
+	b = jsonenc.AppendString(b, r.Scheme.Name)
+	b = jsonenc.AppendKey(b, in.Next(2), `"Packets": `)
+	b = strconv.AppendInt(b, int64(r.Scheme.Packets), 10)
+	b = jsonenc.AppendKey(b, in.Next(2), `"MaxDelay": `)
+	b = strconv.AppendInt(b, int64(r.Scheme.MaxDelay), 10)
+	b = append(b, line...)
+	b = append(b, '}')
+	b = append(b, in.Line(0)...)
+	return append(b, '}'), nil
 }
 
 // evaluation is one candidate buffer's measured outcome.

@@ -282,7 +282,8 @@ func delayLabel(d time.Duration) string {
 }
 
 // spec compiles the scenario and one probe at one buffer size into
-// the internal probe spec, validating the combination.
+// the internal probe spec, validated and normalized, so the engine
+// path submits it without checking it again.
 func (sc Scenario) spec(p Probe, buffer int) (experiments.ProbeSpec, error) {
 	out := experiments.ProbeSpec{
 		Scenario: sc.Workload,
@@ -344,10 +345,11 @@ func (sc Scenario) spec(p Probe, buffer int) (experiments.ProbeSpec, error) {
 	} else if p.Profile != "" {
 		return out, fmt.Errorf("bufferqoe: probe %q does not take a profile", p.Media)
 	}
-	if err := out.Validate(); err != nil {
+	norm, err := out.Normalize()
+	if err != nil {
 		return out, fmt.Errorf("bufferqoe: scenario %q: %w", sc.Label(), err)
 	}
-	return out, nil
+	return norm, nil
 }
 
 // Validate checks the scenario against a probe without running

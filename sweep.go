@@ -3,12 +3,12 @@ package bufferqoe
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 	"sync"
 
 	"bufferqoe/internal/experiments"
+	"bufferqoe/internal/jsonenc"
 	"bufferqoe/internal/qoe"
 	"bufferqoe/internal/stats"
 )
@@ -136,120 +136,74 @@ func (c SweepCell) render() string {
 }
 
 // JSON renders the grid as indented machine-readable JSON, byte for
-// byte what json.MarshalIndent(g, "", "  ") writes, in one pass rather
-// than a marshal and a re-scan to indent. A grid holding NaN or ±Inf,
-// which JSON cannot represent, is handed to MarshalIndent for its
-// error.
+// byte what json.MarshalIndent(g, "", "  ") writes; see AppendJSON.
 func (g *Grid) JSON() ([]byte, error) {
-	for _, c := range g.Cells {
-		if !finite(c.Value) || !finite(c.MOS) || !finite(c.TalkMOS) {
-			return json.MarshalIndent(g, "", "  ")
-		}
-	}
-	b := make([]byte, 0, 256+192*len(g.Cells))
-	b = append(b, "{\n  \"scenarios\": "...)
-	b = appendJSONArray(b, g.Scenarios, appendJSONString)
-	b = append(b, ",\n  \"probes\": "...)
-	b = appendJSONArray(b, g.Probes, appendJSONString)
-	b = append(b, ",\n  \"buffers\": "...)
-	b = appendJSONArray(b, g.Buffers, func(b []byte, n int) []byte { return strconv.AppendInt(b, int64(n), 10) })
-	b = append(b, ",\n  \"cells\": "...)
-	b = appendJSONArray(b, g.Cells, appendJSONCell)
-	return append(b, "\n}"...), nil
+	return g.AppendJSON(make([]byte, 0, 256+256*len(g.Cells)), "") // a cell writes ~240 bytes
 }
 
-// appendJSONCell writes a cell as MarshalIndent does at the depth of
-// a Grid's cells, omitting the empty talk fields.
-func appendJSONCell(b []byte, c SweepCell) []byte {
-	const sep = ",\n      \""
-	b = append(b, "{\n      \"scenario\": "...)
-	b = appendJSONString(b, c.Scenario)
-	b = append(b, sep+"probe\": "...)
-	b = appendJSONString(b, c.Probe)
-	b = append(b, sep+"buffer\": "...)
+// AppendJSON appends the grid to b as json.MarshalIndent(g, prefix,
+// "  ") renders it, in one pass rather than a marshal and a re-scan to
+// indent. A server nesting the grid one level deep in an indented
+// reply passes the prefix "  ". A grid holding NaN or ±Inf, which JSON
+// cannot represent, appends nothing and returns the error
+// MarshalIndent returns.
+func (g *Grid) AppendJSON(b []byte, prefix string) ([]byte, error) {
+	for _, c := range g.Cells {
+		if !c.finite() {
+			_, err := json.MarshalIndent(g, prefix, "  ")
+			return b, err
+		}
+	}
+	in := jsonenc.NewIndent(prefix)
+	line, next := in.Line(1), in.Next(1)
+	b = append(b, '{')
+	b = jsonenc.AppendKey(b, line, `"scenarios": `)
+	b = jsonenc.AppendArray(b, in, 1, g.Scenarios, jsonenc.StringElem)
+	b = jsonenc.AppendKey(b, next, `"probes": `)
+	b = jsonenc.AppendArray(b, in, 1, g.Probes, jsonenc.StringElem)
+	b = jsonenc.AppendKey(b, next, `"buffers": `)
+	b = jsonenc.AppendArray(b, in, 1, g.Buffers, jsonenc.IntElem)
+	b = jsonenc.AppendKey(b, next, `"cells": `)
+	b = jsonenc.AppendArray(b, in, 1, g.Cells, appendJSONCell)
+	b = append(b, in.Line(0)...)
+	return append(b, '}'), nil
+}
+
+// finite reports whether JSON can represent every float of the cell.
+func (c SweepCell) finite() bool {
+	return jsonenc.Finite(c.Value) && jsonenc.Finite(c.MOS) && jsonenc.Finite(c.TalkMOS)
+}
+
+// appendJSONCell writes a finite cell as MarshalIndent does at the
+// given depth, omitting the empty talk fields.
+func appendJSONCell(b []byte, in jsonenc.Indent, depth int, c SweepCell) []byte {
+	line, next := in.Line(depth+1), in.Next(depth+1)
+	b = append(b, '{')
+	b = jsonenc.AppendKey(b, line, `"scenario": `)
+	b = jsonenc.AppendString(b, c.Scenario)
+	b = jsonenc.AppendKey(b, next, `"probe": `)
+	b = jsonenc.AppendString(b, c.Probe)
+	b = jsonenc.AppendKey(b, next, `"buffer": `)
 	b = strconv.AppendInt(b, int64(c.Buffer), 10)
-	b = append(b, sep+"metric\": "...)
-	b = appendJSONString(b, c.Metric)
-	b = append(b, sep+"value\": "...)
-	b = appendJSONFloat(b, c.Value)
-	b = append(b, sep+"mos\": "...)
-	b = appendJSONFloat(b, c.MOS)
-	b = append(b, sep+"rating\": "...)
-	b = appendJSONString(b, c.Rating)
+	b = jsonenc.AppendKey(b, next, `"metric": `)
+	b = jsonenc.AppendString(b, c.Metric)
+	b = jsonenc.AppendKey(b, next, `"value": `)
+	b = jsonenc.AppendFloat(b, c.Value)
+	b = jsonenc.AppendKey(b, next, `"mos": `)
+	b = jsonenc.AppendFloat(b, c.MOS)
+	b = jsonenc.AppendKey(b, next, `"rating": `)
+	b = jsonenc.AppendString(b, c.Rating)
 	if c.TalkMOS != 0 {
-		b = append(b, sep+"talk_mos\": "...)
-		b = appendJSONFloat(b, c.TalkMOS)
+		b = jsonenc.AppendKey(b, next, `"talk_mos": `)
+		b = jsonenc.AppendFloat(b, c.TalkMOS)
 	}
 	if c.TalkRating != "" {
-		b = append(b, sep+"talk_rating\": "...)
-		b = appendJSONString(b, c.TalkRating)
+		b = jsonenc.AppendKey(b, next, `"talk_rating": `)
+		b = jsonenc.AppendString(b, c.TalkRating)
 	}
-	return append(b, "\n    }"...)
+	b = append(b, in.Line(depth)...)
+	return append(b, '}')
 }
-
-// appendJSONArray writes a Grid field's array as MarshalIndent does at
-// depth one: null when nil, [] when empty, one element a line.
-func appendJSONArray[T any](b []byte, xs []T, elem func([]byte, T) []byte) []byte {
-	if xs == nil {
-		return append(b, "null"...)
-	}
-	if len(xs) == 0 {
-		return append(b, "[]"...)
-	}
-	for i, x := range xs {
-		if i == 0 {
-			b = append(b, "[\n    "...)
-		} else {
-			b = append(b, ",\n    "...)
-		}
-		b = elem(b, x)
-	}
-	return append(b, "\n  ]"...)
-}
-
-// jsonPlain marks the bytes encoding/json copies into a string as
-// they are: printable ASCII except the quote, the backslash and the
-// HTML-significant <, > and &.
-var jsonPlain = func() (t [256]bool) {
-	for c := 0x20; c < 0x80; c++ {
-		t[c] = !strings.ContainsRune(`"\<>&`, rune(c))
-	}
-	return t
-}()
-
-// appendJSONString quotes s as encoding/json does. A string of plain
-// bytes is copied; anything json would escape (control bytes, quotes,
-// backslashes, <, >, &) or check (bytes >= 0x80: invalid UTF-8,
-// U+2028/2029) is left to json.Marshal.
-func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if !jsonPlain[s[i]] {
-			q, _ := json.Marshal(s) // a string always marshals
-			return append(b, q...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
-}
-
-// appendJSONFloat formats a finite f as encoding/json does: the
-// shortest decimal, in exponent form below 1e-6 and from 1e21 up, with
-// a one-digit negative exponent written e-7 rather than e-07.
-func appendJSONFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b
-}
-
-func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // sweepPlan is a validated, compiled sweep: the result grid skeleton
 // (axes labeled, cells zeroed) plus one internal probe spec per cell,
