@@ -69,12 +69,12 @@
 // store never serves values the current code would not produce.
 //
 // -serve ADDR turns qoebench into a long-lived HTTP/JSON service:
-// POST /sweep and POST /recommend accept the sweep axes as a JSON
-// body and run them on one shared session (one cache, one bounded
+// POST /sweep and POST /recommend take a JSON body that fills the same
+// request the -sweep/-recommend flags fill (request.go holds the
+// schema) and run it on one shared session (one cache, one bounded
 // worker pool), GET /healthz reports liveness and engine statistics,
 // and SIGINT/SIGTERM drains in-flight requests before exiting. Pair
-// with -store so the service starts warm and keeps learning; see
-// serve.go for the request schema.
+// with -store so the service starts warm and keeps learning.
 //
 // -metrics-addr serves live telemetry while the run executes:
 // /metrics (Prometheus text) and /debug/pprof/ (CPU profiles carry
@@ -213,37 +213,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		traceFile   = fs.String("trace", "", "append one JSON trace event per freshly simulated cell to this file (build/sim/score phase timings, simulator event counts)")
 
 		sweep     = fs.Bool("sweep", false, "sweep scenarios instead of running paper experiments")
-		network   = fs.String("network", "access", "sweep: paper testbed (access or backbone)")
-		workloads = fs.String("workloads", "noBG", "sweep: comma-separated Table 1 workload names")
-		mix       = fs.String("mix", "", "sweep: custom workload mix, e.g. \"up:long=2;down:web=16x3/1.5s\" (see -list; replaces -workloads/-dir)")
-		dir       = fs.String("dir", "down", "sweep: congestion direction (down, up, bidir)")
-		bufUp     = fs.Int("bufup", 0, "sweep: uplink buffer override in packets (access shape; 0 = same as the swept buffer)")
-		buffers   = fs.String("buffers", "", "sweep: comma-separated buffer sizes in packets (default: the paper's sweep for the network)")
-		probes    = fs.String("probes", "voip,web,video:SD", "sweep: comma-separated probes (voip, web, video[:SD|:HD])")
-		aqm       = fs.String("aqm", "", "sweep: queue discipline (droptail, codel, fq-codel, red, ared, pie)")
-		cc        = fs.String("cc", "", "sweep: congestion control (cubic, reno, bic, bbr)")
-		jitter    = fs.Duration("jitter", 0, "sweep: mean last-hop jitter (access shape)")
-
-		linkKind  = fs.String("link", "", "sweep: bottleneck link family: wired (default; customize with -uprate/-downrate/...) or wifi (802.11 MAC last hop)")
-		stations  = fs.Int("stations", 0, "sweep: wifi contending stations (default 4; requires -link wifi)")
-		wifiRetry = fs.Int("wifiretry", 0, "sweep: wifi per-aggregate retry limit (default 7; requires -link wifi)")
-		wifiAgg   = fs.Int("wifiagg", 0, "sweep: wifi A-MPDU aggregation cap in frames (default 16, 1 disables; requires -link wifi)")
-		reorder   = fs.Float64("reorder", 0, "sweep: packet reordering probability in [0,1) behind the bottleneck (access shape)")
-
 		recommend = fs.Bool("recommend", false, "search the buffer axis for the -target optimum instead of sweeping it exhaustively")
-		target    = fs.String("target", "min-mos", "recommend: min-mos (smallest buffer with every probe >= -threshold) or max-mos (best aggregate MOS)")
-		threshold = fs.Float64("threshold", 3.5, "recommend: per-probe MOS floor for min-mos")
 
 		benchJSON = fs.String("benchjson", "", "run the canonical perf benchmarks and write JSON results to this file (e.g. BENCH_3.json); all other modes are skipped")
 
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProfile = fs.String("memprofile", "", "write a heap profile at the end of the run to this file (go tool pprof)")
-
-		upRate      = fs.Float64("uprate", 0, "sweep: custom uplink rate in bits/s (enables a custom link)")
-		downRate    = fs.Float64("downrate", 0, "sweep: custom downlink rate in bits/s")
-		clientDelay = fs.Duration("clientdelay", 0, "sweep: custom client-side one-way delay")
-		serverDelay = fs.Duration("serverdelay", 0, "sweep: custom server-side one-way delay")
 	)
+	var q request // the -sweep/-recommend axes
+	q.bind(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -382,19 +360,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "qoebench: -sweep and -recommend are mutually exclusive")
 			return 2
 		}
-		f := sweepFlags{
-			network: *network, workloads: *workloads, mix: *mix, dir: *dir,
-			buffers: *buffers, probes: *probes, bufUp: *bufUp,
-			aqm: *aqm, cc: *cc, jitter: *jitter,
-			upRate: *upRate, downRate: *downRate,
-			clientDelay: *clientDelay, serverDelay: *serverDelay,
-			link: *linkKind, stations: *stations,
-			wifiRetry: *wifiRetry, wifiAgg: *wifiAgg, reorder: *reorder,
-		}
 		if *recommend {
-			return runRecommend(ctx, session, opt, f, *target, *threshold, *jsonOut, stdout, stderr)
+			return runRecommend(ctx, session, opt, &q, *jsonOut, stdout, stderr)
 		}
-		return runSweep(ctx, session, opt, f, *jsonOut, stdout, stderr)
+		return runSweep(ctx, session, opt, &q, *jsonOut, stdout, stderr)
 	}
 
 	if *exp == "" {
@@ -450,148 +419,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-type sweepFlags struct {
-	network, workloads, mix, dir, buffers, probes, aqm, cc string
-	bufUp                                                  int
-	jitter                                                 time.Duration
-	upRate, downRate                                       float64
-	clientDelay, serverDelay                               time.Duration
-	link                                                   string
-	stations, wifiRetry, wifiAgg                           int
-	reorder                                                float64
-}
-
-// compileSweep resolves the shared scenario/axis parameters of the
-// -sweep and -recommend modes (and of every -serve request, which
-// reuses the same axes over HTTP). It is the single authority on how
-// the flat flag surface maps onto the Scenario/Probe API.
-func (f sweepFlags) compileSweep() (scenarios []bufferqoe.Scenario, bufs []int, probes []bufferqoe.Probe, err error) {
-	var net bufferqoe.Network
-	switch f.network {
-	case "access", "":
-		net = bufferqoe.Access
-	case "backbone":
-		net = bufferqoe.Backbone
-	default:
-		return nil, nil, nil, fmt.Errorf("unknown network %q (want access or backbone)", f.network)
-	}
-
-	link, err := f.compileLink()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
-	if f.mix != "" {
-		// A custom mix replaces the preset/direction axes: the mix's
-		// own Up/Down components say where the congestion goes.
-		if f.workloads != "noBG" {
-			return nil, nil, nil, fmt.Errorf("a custom mix and workload presets are mutually exclusive")
-		}
-		if f.dir != "down" && f.dir != "" {
-			return nil, nil, nil, fmt.Errorf("direction %s: a mix names its own directions (up:/down: sections)", f.dir)
-		}
-		w, err := bufferqoe.ParseMix(f.mix)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		scenarios = append(scenarios, bufferqoe.Scenario{
-			Network: net, Link: link, Mix: w, BufferUp: f.bufUp,
-			AQM: bufferqoe.AQM(f.aqm), CC: bufferqoe.CC(f.cc), Jitter: f.jitter,
-		})
-	} else {
-		dir := bufferqoe.Direction(f.dir)
-		if net == bufferqoe.Backbone && link == nil {
-			// The backbone has no congestion-direction axis; reject a
-			// non-default -dir instead of silently measuring downstream.
-			if dir != bufferqoe.Down && dir != "" {
-				return nil, nil, nil, fmt.Errorf("direction %s: the backbone is congested downstream only", f.dir)
-			}
-			dir = ""
-		}
-		for _, wl := range splitList(f.workloads) {
-			scenarios = append(scenarios, bufferqoe.Scenario{
-				Network: net, Link: link, Workload: wl, Direction: dir, BufferUp: f.bufUp,
-				AQM: bufferqoe.AQM(f.aqm), CC: bufferqoe.CC(f.cc), Jitter: f.jitter,
-			})
-		}
-	}
-
-	bufs, err = parseBuffers(f.buffers, net)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	probes, err = parseProbes(f.probes)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return scenarios, bufs, probes, nil
-}
-
-// compileLink resolves the link-axis flags into a custom Link, or nil
-// for the network's stock bottleneck. -link wifi starts from the
-// WifiLink preset and overlays any explicit rate/delay/wifi knobs;
-// the wired default only becomes a custom link when a rate, delay, or
-// reorder flag asks for one.
-func (f sweepFlags) compileLink() (*bufferqoe.Link, error) {
-	switch f.link {
-	case "", "wired":
-		if f.stations != 0 || f.wifiRetry != 0 || f.wifiAgg != 0 {
-			return nil, fmt.Errorf("-stations/-wifiretry/-wifiagg configure the wifi MAC; add -link wifi")
-		}
-		if f.upRate == 0 && f.downRate == 0 && f.clientDelay == 0 && f.serverDelay == 0 && f.reorder == 0 {
-			return nil, nil
-		}
-		return &bufferqoe.Link{
-			UpRate: f.upRate, DownRate: f.downRate,
-			ClientDelay: f.clientDelay, ServerDelay: f.serverDelay,
-			Reorder: f.reorder,
-		}, nil
-	case "wifi":
-		st := f.stations
-		if st == 0 {
-			st = 4
-		}
-		l := bufferqoe.WifiLink(st)
-		if f.upRate != 0 {
-			l.UpRate = f.upRate
-		}
-		if f.downRate != 0 {
-			l.DownRate = f.downRate
-		}
-		if f.clientDelay != 0 {
-			l.ClientDelay = f.clientDelay
-		}
-		if f.serverDelay != 0 {
-			l.ServerDelay = f.serverDelay
-		}
-		l.Wifi.RetryLimit = f.wifiRetry
-		l.Wifi.MaxAggFrames = f.wifiAgg
-		l.Reorder = f.reorder
-		return &l, nil
-	default:
-		return nil, fmt.Errorf("unknown -link %q (want wired or wifi)", f.link)
-	}
-}
-
-// compileSweepFlags is the CLI wrapper around compileSweep: a
-// flag-level mistake returns exit code 2 via ok=false after printing
-// the error.
-func compileSweepFlags(f sweepFlags, stderr io.Writer) (scenarios []bufferqoe.Scenario, bufs []int, probes []bufferqoe.Probe, ok bool) {
-	scenarios, bufs, probes, err := f.compileSweep()
+// runSweep runs the grid q compiles to. A request that does not
+// compile is a flag-level mistake (exit 2); a run the facade rejects
+// or the deadline cuts exits 1.
+func runSweep(ctx context.Context, session *bufferqoe.Session, opt bufferqoe.Options, q *request, jsonOut bool, stdout, stderr io.Writer) int {
+	sw, err := q.sweep()
 	if err != nil {
 		fmt.Fprintf(stderr, "qoebench: %v\n", err)
-		return nil, nil, nil, false
-	}
-	return scenarios, bufs, probes, true
-}
-
-func runSweep(ctx context.Context, session *bufferqoe.Session, opt bufferqoe.Options, f sweepFlags, jsonOut bool, stdout, stderr io.Writer) int {
-	scenarios, bufs, probes, ok := compileSweepFlags(f, stderr)
-	if !ok {
 		return 2
 	}
 	start := time.Now()
-	grid, err := session.SweepCtx(ctx, bufferqoe.Sweep{Scenarios: scenarios, Buffers: bufs, Probes: probes}, opt)
+	grid, err := session.SweepCtx(ctx, sw, opt)
 	if err != nil {
 		fmt.Fprintf(stderr, "qoebench: %v\n", err)
 		if errors.Is(err, bufferqoe.ErrCanceled) {
@@ -618,37 +456,18 @@ func runSweep(ctx context.Context, session *bufferqoe.Session, opt bufferqoe.Opt
 }
 
 // runRecommend searches the buffer axis instead of sweeping it: the
-// first -workloads entry names the scenario, -buffers (or the paper's
-// sweep bracketed by the link's BDP) is the candidate axis, and
-// -target picks the optimization goal.
-func runRecommend(ctx context.Context, session *bufferqoe.Session, opt bufferqoe.Options, f sweepFlags, target string, threshold float64, jsonOut bool, stdout, stderr io.Writer) int {
-	scenarios, bufs, probes, ok := compileSweepFlags(f, stderr)
-	if !ok {
+// one -workloads entry (or -mix) names the scenario, -buffers (or the
+// paper's sweep bracketed by the link's BDP) is the candidate axis,
+// and -target picks the optimization goal. Exit codes are runSweep's.
+func runRecommend(ctx context.Context, session *bufferqoe.Session, opt bufferqoe.Options, q *request, jsonOut bool, stdout, stderr io.Writer) int {
+	spec, err := q.recommend()
+	if err != nil {
+		fmt.Fprintf(stderr, "qoebench: %v\n", err)
 		return 2
-	}
-	if len(scenarios) != 1 {
-		fmt.Fprintf(stderr, "qoebench: -recommend takes exactly one workload, got %q\n", f.workloads)
-		return 2
-	}
-	var tgt bufferqoe.Target
-	switch target {
-	case "min-mos", "":
-		tgt = bufferqoe.MinBufferMeetingMOS
-	case "max-mos":
-		tgt = bufferqoe.MaxAggregateMOS
-	default:
-		fmt.Fprintf(stderr, "qoebench: unknown -target %q (want min-mos or max-mos)\n", target)
-		return 2
-	}
-	if f.buffers == "" {
-		bufs = nil // let Recommend bracket the paper's sweep with the BDP
 	}
 
 	start := time.Now()
-	rec, err := session.Recommend(ctx, bufferqoe.RecommendSpec{
-		Scenario: scenarios[0], Probes: probes, Buffers: bufs,
-		Target: tgt, Threshold: threshold,
-	}, opt)
+	rec, err := session.Recommend(ctx, spec, opt)
 	if err != nil {
 		fmt.Fprintf(stderr, "qoebench: %v\n", err)
 		return 1
@@ -774,9 +593,9 @@ func printList(stdout io.Writer) {
 	}
 	fmt.Fprintln(stdout, "networks (-network), with the paper's buffer sweeps (-buffers default):")
 	fmt.Fprintf(stdout, "  %-9s DSL 1 Mbit/s up / 16 Mbit/s down (Figure 3a); buffers: %s\n",
-		"access", joinInts(bufferqoe.BufferSizes(bufferqoe.Access)))
+		"access", joinInts(bufferqoe.BufferSizes(bufferqoe.Access), " "))
 	fmt.Fprintf(stdout, "  %-9s OC3 155 Mbit/s, 30 ms delay (Figure 3b); buffers: %s\n",
-		"backbone", joinInts(bufferqoe.BufferSizes(bufferqoe.Backbone)))
+		"backbone", joinInts(bufferqoe.BufferSizes(bufferqoe.Backbone), " "))
 	for _, net := range []bufferqoe.Network{bufferqoe.Access, bufferqoe.Backbone} {
 		fmt.Fprintf(stdout, "workload presets (-workloads, %s):\n", net)
 		for _, name := range bufferqoe.Scenarios(net) {
@@ -795,11 +614,11 @@ func printList(stdout io.Writer) {
 	fmt.Fprintln(stdout, "hotpath-audited packages (//qoe:hotpath, enforced by 'go vet -vettool=qoelint'): internal/sim (event dispatch, timer heap), internal/netem (link transmit/deliver), internal/tcp (segment emit/receive), internal/mac (802.11 TXOP), internal/telemetry (record primitives)")
 }
 
-func joinInts(xs []int) string {
+func joinInts(xs []int, sep string) string {
 	var b strings.Builder
 	for i, x := range xs {
 		if i > 0 {
-			b.WriteByte(' ')
+			b.WriteString(sep)
 		}
 		fmt.Fprintf(&b, "%d", x)
 	}
@@ -815,45 +634,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-func parseBuffers(s string, net bufferqoe.Network) ([]int, error) {
-	if s == "" {
-		return bufferqoe.BufferSizes(net), nil
-	}
-	var out []int
-	for _, part := range splitList(s) {
-		n, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad -buffers entry %q: %v", part, err)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-func parseProbes(s string) ([]bufferqoe.Probe, error) {
-	var out []bufferqoe.Probe
-	for _, part := range splitList(s) {
-		media, profile, _ := strings.Cut(part, ":")
-		switch media {
-		case "voip", "web":
-			if profile != "" {
-				return nil, fmt.Errorf("probe %q: only video takes a profile", part)
-			}
-			m := bufferqoe.VoIP
-			if media == "web" {
-				m = bufferqoe.Web
-			}
-			out = append(out, bufferqoe.Probe{Media: m})
-		case "video":
-			out = append(out, bufferqoe.Probe{Media: bufferqoe.Video, Profile: profile})
-		default:
-			return nil, fmt.Errorf("unknown probe %q (want voip, web, video[:SD|:HD])", part)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no probes given")
-	}
-	return out, nil
 }

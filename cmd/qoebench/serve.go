@@ -10,127 +10,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"bufferqoe"
 	"bufferqoe/internal/jsonenc"
 )
-
-// serveRequest is the JSON body of POST /sweep and POST /recommend.
-// Every field is optional; the zero value describes the same sweep as
-// running qoebench with no axis flags (access network, noBG workload,
-// downstream congestion, the paper's buffer sweep, voip/web/video:SD
-// probes). The axis fields mirror the CLI flags one-to-one — the
-// server and the CLI compile through the same code path — so anything
-// expressible as flags is expressible as a request body.
-type serveRequest struct {
-	// Axes (see the corresponding CLI flags).
-	Network   string   `json:"network,omitempty"`
-	Workloads []string `json:"workloads,omitempty"`
-	Mix       string   `json:"mix,omitempty"`
-	Dir       string   `json:"dir,omitempty"`
-	Buffers   []int    `json:"buffers,omitempty"`
-	Probes    []string `json:"probes,omitempty"`
-	BufUp     int      `json:"bufup,omitempty"`
-	AQM       string   `json:"aqm,omitempty"`
-	CC        string   `json:"cc,omitempty"`
-	JitterMS  float64  `json:"jitter_ms,omitempty"`
-
-	// Custom link (enables an access-shaped custom link when any is
-	// non-zero). Link selects the family ("wired" or "wifi"); the wifi
-	// knobs and Reorder mirror the -stations/-wifiretry/-wifiagg/
-	// -reorder flags.
-	Link          string  `json:"link,omitempty"`
-	UpRate        float64 `json:"uprate,omitempty"`
-	DownRate      float64 `json:"downrate,omitempty"`
-	ClientDelayMS float64 `json:"client_delay_ms,omitempty"`
-	ServerDelayMS float64 `json:"server_delay_ms,omitempty"`
-	Stations      int     `json:"stations,omitempty"`
-	WifiRetry     int     `json:"wifi_retry,omitempty"`
-	WifiAgg       int     `json:"wifi_agg,omitempty"`
-	Reorder       float64 `json:"reorder,omitempty"`
-
-	// Run options; zero fields inherit the server's -seed/-duration/
-	// -warmup/-reps/-clip defaults.
-	Seed      uint64  `json:"seed,omitempty"`
-	DurationS float64 `json:"duration_s,omitempty"`
-	WarmupS   float64 `json:"warmup_s,omitempty"`
-	Reps      int     `json:"reps,omitempty"`
-	ClipS     int     `json:"clip_s,omitempty"`
-
-	// Recommend-only.
-	Target    string  `json:"target,omitempty"`
-	Threshold float64 `json:"threshold,omitempty"`
-}
-
-// flags maps a request onto the CLI's sweepFlags so both surfaces
-// compile scenarios through the single compileSweep authority.
-func (q serveRequest) flags() sweepFlags {
-	f := sweepFlags{
-		network:     q.Network,
-		workloads:   strings.Join(q.Workloads, ","),
-		mix:         q.Mix,
-		dir:         q.Dir,
-		probes:      strings.Join(q.Probes, ","),
-		bufUp:       q.BufUp,
-		aqm:         q.AQM,
-		cc:          q.CC,
-		jitter:      time.Duration(q.JitterMS * float64(time.Millisecond)),
-		upRate:      q.UpRate,
-		downRate:    q.DownRate,
-		clientDelay: time.Duration(q.ClientDelayMS * float64(time.Millisecond)),
-		serverDelay: time.Duration(q.ServerDelayMS * float64(time.Millisecond)),
-		link:        q.Link,
-		stations:    q.Stations,
-		wifiRetry:   q.WifiRetry,
-		wifiAgg:     q.WifiAgg,
-		reorder:     q.Reorder,
-	}
-	if f.workloads == "" {
-		f.workloads = "noBG"
-	}
-	if f.dir == "" {
-		f.dir = "down"
-	}
-	if f.probes == "" {
-		f.probes = "voip,web,video:SD"
-	}
-	if len(q.Buffers) > 0 {
-		parts := make([]string, len(q.Buffers))
-		for i, b := range q.Buffers {
-			parts[i] = fmt.Sprintf("%d", b)
-		}
-		f.buffers = strings.Join(parts, ",")
-	}
-	return f
-}
-
-// options overlays the request's run options on the server's
-// defaults. Requests that leave everything zero share cache and store
-// entries with every other default-option request — the warm path the
-// service exists for.
-func (q serveRequest) options(base bufferqoe.Options) bufferqoe.Options {
-	o := base
-	o.OnProgress = nil
-	if q.Seed != 0 {
-		o.Seed = q.Seed
-	}
-	if q.DurationS > 0 {
-		o.Duration = time.Duration(q.DurationS * float64(time.Second))
-	}
-	if q.WarmupS > 0 {
-		o.Warmup = time.Duration(q.WarmupS * float64(time.Second))
-	}
-	if q.Reps > 0 {
-		o.Reps = q.Reps
-	}
-	if q.ClipS > 0 {
-		o.ClipSeconds = q.ClipS
-	}
-	return o
-}
 
 // serveResponse is the JSON body of successful /sweep and /recommend
 // responses: the result plus the session's cumulative engine
@@ -182,8 +67,9 @@ func (s *qoeServer) healthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// decodeRequest parses one POST body; a nil error means q is usable.
-func decodeRequest(w http.ResponseWriter, r *http.Request) (q serveRequest, ok bool) {
+// decodeRequest parses one POST body into the request the CLI's axis
+// flags fill (request.go holds the schema); ok means q is usable.
+func decodeRequest(w http.ResponseWriter, r *http.Request) (q request, ok bool) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
@@ -205,83 +91,51 @@ func decodeRequest(w http.ResponseWriter, r *http.Request) (q serveRequest, ok b
 }
 
 func (s *qoeServer) sweep(w http.ResponseWriter, r *http.Request) {
-	q, ok := decodeRequest(w, r)
-	if !ok {
-		return
-	}
-	scenarios, bufs, probes, err := q.flags().compileSweep()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	start := time.Now()
-	// r.Context() bounds the run: a dropped connection abandons the
-	// request's queued cells (in-flight cells drain into the shared
-	// cache, so the work is not lost — the retry is warm).
-	grid, err := s.session.SweepCtx(r.Context(), bufferqoe.Sweep{
-		Scenarios: scenarios, Buffers: bufs, Probes: probes,
-	}, q.options(s.base))
-	if err != nil {
-		writeRunError(w, err)
-		return
-	}
-	writeReply(w, serveResponse{
-		Sweep:    grid,
-		Stats:    statsOf(s.session),
-		ElapsedS: time.Since(start).Seconds(),
+	s.answer(w, r, func(ctx context.Context, q request, o bufferqoe.Options) (serveResponse, error) {
+		sw, err := q.sweep()
+		if err != nil {
+			return serveResponse{}, err
+		}
+		grid, err := s.session.SweepCtx(ctx, sw, o)
+		return serveResponse{Sweep: grid}, err
 	})
 }
 
 func (s *qoeServer) recommend(w http.ResponseWriter, r *http.Request) {
+	s.answer(w, r, func(ctx context.Context, q request, o bufferqoe.Options) (serveResponse, error) {
+		spec, err := q.recommend()
+		if err != nil {
+			return serveResponse{}, err
+		}
+		rec, err := s.session.Recommend(ctx, spec, o)
+		return serveResponse{Recommend: rec}, err
+	})
+}
+
+// answer decodes one body and runs it on the shared session. The
+// request's context bounds the run: a dropped connection abandons its
+// queued cells (in-flight cells drain into the shared cache, so the
+// work is not lost and the retry is warm).
+func (s *qoeServer) answer(w http.ResponseWriter, r *http.Request, run func(context.Context, request, bufferqoe.Options) (serveResponse, error)) {
 	q, ok := decodeRequest(w, r)
 	if !ok {
 		return
 	}
-	scenarios, bufs, probes, err := q.flags().compileSweep()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if len(scenarios) != 1 {
-		writeError(w, http.StatusBadRequest, "recommend takes exactly one workload")
-		return
-	}
-	var tgt bufferqoe.Target
-	switch q.Target {
-	case "min-mos", "":
-		tgt = bufferqoe.MinBufferMeetingMOS
-	case "max-mos":
-		tgt = bufferqoe.MaxAggregateMOS
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown target %q (want min-mos or max-mos)", q.Target))
-		return
-	}
-	if len(q.Buffers) == 0 {
-		bufs = nil // let Recommend bracket the paper's sweep with the BDP
-	}
-	threshold := q.Threshold
-	if threshold == 0 {
-		threshold = 3.5
-	}
 	start := time.Now()
-	rec, err := s.session.Recommend(r.Context(), bufferqoe.RecommendSpec{
-		Scenario: scenarios[0], Probes: probes, Buffers: bufs,
-		Target: tgt, Threshold: threshold,
-	}, q.options(s.base))
+	reply, err := run(r.Context(), q, q.options(s.base))
 	if err != nil {
 		writeRunError(w, err)
 		return
 	}
-	writeReply(w, serveResponse{
-		Recommend: rec,
-		Stats:     statsOf(s.session),
-		ElapsedS:  time.Since(start).Seconds(),
-	})
+	reply.Stats = statsOf(s.session)
+	reply.ElapsedS = time.Since(start).Seconds()
+	writeReply(w, reply)
 }
 
-// writeRunError maps a run failure to a status: cancellation means
+// writeRunError maps a failed request to a status: cancellation means
 // the client hung up or the server is draining (503 tells well-behaved
-// clients to retry), anything else is a request the facade rejected.
+// clients to retry), anything else is a request that did not compile
+// or that the facade rejected.
 func writeRunError(w http.ResponseWriter, err error) {
 	if errors.Is(err, bufferqoe.ErrCanceled) {
 		writeError(w, http.StatusServiceUnavailable, "canceled before all cells ran")

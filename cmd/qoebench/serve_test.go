@@ -90,9 +90,8 @@ func TestServeSweep(t *testing.T) {
 	}
 }
 
-// TestServeWifiSweep: the wireless axes travel the request schema
-// like every other flag — a wifi/BBR sweep over HTTP shares the
-// compileSweep authority with the CLI.
+// TestServeWifiSweep: the wireless axes travel the request body like
+// every other axis, and are refused the way the CLI refuses them.
 func TestServeWifiSweep(t *testing.T) {
 	srv := newTestServer(t, bufferqoe.NewSession())
 	var r serveResponse
@@ -133,14 +132,21 @@ func TestServeBadRequests(t *testing.T) {
 	cases := []struct {
 		name, path, body string
 		want             int
+		names            string // what the error must mention
 	}{
-		{"bad json", "/sweep", `{"buffers": `, http.StatusBadRequest},
-		{"unknown field", "/sweep", `{"bufffers": [16]}`, http.StatusBadRequest},
-		{"trailing garbage", "/sweep", `{"buffers":[8]} trailing garbage`, http.StatusBadRequest},
-		{"second object", "/recommend", `{"buffers":[8]} {"buffers":[16]}`, http.StatusBadRequest},
-		{"unknown workload", "/sweep", `{"workloads": ["nonsense"]}`, http.StatusBadRequest},
-		{"bad target", "/recommend", `{"target": "fastest"}`, http.StatusBadRequest},
-		{"multi-workload recommend", "/recommend", `{"workloads": ["noBG", "long-many"]}`, http.StatusBadRequest},
+		{"bad json", "/sweep", `{"buffers": `, http.StatusBadRequest, ""},
+		{"unknown field", "/sweep", `{"bufffers": [16]}`, http.StatusBadRequest, ""},
+		{"trailing garbage", "/sweep", `{"buffers":[8]} trailing garbage`, http.StatusBadRequest, ""},
+		{"second object", "/recommend", `{"buffers":[8]} {"buffers":[16]}`, http.StatusBadRequest, ""},
+		{"unknown workload", "/sweep", `{"workloads": ["nonsense"]}`, http.StatusBadRequest, ""},
+		{"bad target", "/recommend", `{"target": "fastest"}`, http.StatusBadRequest, ""},
+		{"multi-workload recommend", "/recommend", `{"workloads": ["noBG", "long-many"]}`, http.StatusBadRequest, ""},
+		// A duration that does not fit time.Duration is refused by
+		// name, not wrapped to a negative one.
+		{"duration overflow", "/sweep", `{"duration_s": 1e10, "buffers": [8], "probes": ["voip"]}`, http.StatusBadRequest, "duration_s"},
+		{"warmup overflow", "/sweep", `{"warmup_s": 1e10, "buffers": [8], "probes": ["voip"]}`, http.StatusBadRequest, "warmup_s"},
+		{"jitter overflow", "/sweep", `{"jitter_ms": 1e13, "buffers": [8], "probes": ["voip"]}`, http.StatusBadRequest, "jitter_ms"},
+		{"client delay overflow", "/recommend", `{"client_delay_ms": -1e13, "buffers": [8], "probes": ["voip"]}`, http.StatusBadRequest, "client_delay_ms"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -148,8 +154,8 @@ func TestServeBadRequests(t *testing.T) {
 			if code := post(t, srv.URL+tc.path, tc.body, &e); code != tc.want {
 				t.Fatalf("status %d, want %d (%v)", code, tc.want, e)
 			}
-			if e["error"] == "" {
-				t.Fatal("error body missing")
+			if e["error"] == "" || !strings.Contains(e["error"], tc.names) {
+				t.Fatalf("error %q, want one naming %q", e["error"], tc.names)
 			}
 		})
 	}
