@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"bufferqoe/internal/cdn"
@@ -65,10 +66,10 @@ type queueFactory func(capPkts int, seed uint64) netem.Queue
 // together with the canonical tag that distinguishes them in the cell
 // cache. The zero value — empty tag — is the paper's default
 // configuration; builders must keep tag and knobs in sync, as the tag
-// is what the cache sees. Custom link parameters travel separately
-// (CellSpec.Link, see linkTag) so the same variant tag can apply to
-// any link. Link, jitter and the uplink knobs exist on the access shape
-// only; ProbeSpec.normalize rejects them elsewhere.
+// is what the cache sees. Custom link parameters travel separately,
+// as link and its CellSpec.Link encoding linkTag, so the same variant
+// tag can apply to any link. Link, jitter and the uplink knobs exist
+// on the access shape only; ProbeSpec.normalize rejects them elsewhere.
 type variant struct {
 	tag       string
 	bufUp     int // uplink buffer override; 0 = same as downlink
@@ -78,6 +79,7 @@ type variant struct {
 	tcpCfg    tcp.Config
 	jitter    time.Duration
 	link      testbed.LinkParams // zero = the paper's DSL link
+	linkTag   string             // linkTag(link), rendered by whoever sets link
 	// mix, when non-nil, replaces the named Table 1 preset with a
 	// custom workload (already canonical and known not to equal any
 	// preset — ProbeSpec.normalize folds preset-equal mixes onto the
@@ -108,7 +110,9 @@ func (v variant) config(buf int, seed uint64) testbed.Config {
 // reorder axes append their own key=value fragments only when active,
 // so wired encodings are byte-identical to what they were before those
 // axes existed, and the encoding stays injective (every non-default
-// knob appears exactly once, defaults filled first).
+// knob appears exactly once, defaults filled first). Rates render as
+// fmt's %g and delays as Duration.String (tags_test.go keeps the
+// fmt.Sprintf it replaced as the reference).
 //
 //qoe:encodes testbed.LinkParams testbed.WifiParams
 func linkTag(lp testbed.LinkParams) string {
@@ -116,16 +120,28 @@ func linkTag(lp testbed.LinkParams) string {
 		return ""
 	}
 	lp = lp.WithDefaults()
-	tag := fmt.Sprintf("up=%g;down=%g;cd=%s;sd=%s",
-		lp.UpRate, lp.DownRate, lp.ClientDelay, lp.ServerDelay)
+	var buf [128]byte
+	b := append(buf[:0], "up="...)
+	b = strconv.AppendFloat(b, lp.UpRate, 'g', -1, 64)
+	b = append(b, ";down="...)
+	b = strconv.AppendFloat(b, lp.DownRate, 'g', -1, 64)
+	b = append(b, ";cd="...)
+	b = append(b, lp.ClientDelay.String()...)
+	b = append(b, ";sd="...)
+	b = append(b, lp.ServerDelay.String()...)
 	if lp.Wifi.Stations > 0 {
-		tag += fmt.Sprintf(";wifi=%d;retry=%d;agg=%d",
-			lp.Wifi.Stations, lp.Wifi.RetryLimit, lp.Wifi.MaxAggFrames)
+		b = append(b, ";wifi="...)
+		b = strconv.AppendInt(b, int64(lp.Wifi.Stations), 10)
+		b = append(b, ";retry="...)
+		b = strconv.AppendInt(b, int64(lp.Wifi.RetryLimit), 10)
+		b = append(b, ";agg="...)
+		b = strconv.AppendInt(b, int64(lp.Wifi.MaxAggFrames), 10)
 	}
 	if lp.Reorder > 0 {
-		tag += fmt.Sprintf(";ro=%g", lp.Reorder)
+		b = append(b, ";ro="...)
+		b = strconv.AppendFloat(b, lp.Reorder, 'g', -1, 64)
 	}
-	return tag
+	return string(b)
 }
 
 // network is what the experiments layer knows about a testbed shape:
@@ -196,17 +212,18 @@ func (n *network) populations(name string, dir testbed.Direction, mix *testbed.W
 	return w.TableSpec(name)
 }
 
-// joinTags joins non-empty canonical tag fragments with ";".
+// joinTags joins non-empty canonical tag fragments with ";",
+// allocating once per fragment past the first.
 func joinTags(tags ...string) string {
 	out := ""
 	for _, t := range tags {
-		if t == "" {
-			continue
+		switch {
+		case t == "":
+		case out == "":
+			out = t
+		default:
+			out += ";" + t
 		}
-		if out != "" {
-			out += ";"
-		}
-		out += t
 	}
 	return out
 }
@@ -303,7 +320,7 @@ func cellSpec(o Options, n *network, scenario string, dir testbed.Direction, buf
 	sp := engine.CellSpec{
 		Testbed: n.name, Scenario: name, Direction: direction,
 		Buffer: buf, BufferUp: v.bufUp, Media: fg.media,
-		Variant: joinTags(fg.lead, v.tag, fg.trail), Link: linkTag(v.link),
+		Variant: joinTags(fg.lead, v.tag, fg.trail), Link: v.linkTag,
 		Seed: o.Seed,
 	}
 	if fg.uses&optWarmup != 0 {
@@ -454,7 +471,24 @@ func runWeb(fg *foreground, n *network, tb *testbed.Testbed, o Options, cs *Cell
 
 // --- Video foregrounds --------------------------------------------
 
+// videoVariantTag is a video foreground's variant lead. Clip C
+// without recovery at the paper's two profiles — every video probe —
+// is rendered once, so a warm probe cell renders no tag.
 func videoVariantTag(clip video.Clip, p video.Profile, rec video.Recovery) string {
+	if clip.Name == video.ClipC.Name && rec == video.RecoveryNone {
+		if tag, ok := clipCTags[p.Name]; ok {
+			return tag
+		}
+	}
+	return renderVideoTag(clip, p, rec)
+}
+
+var clipCTags = map[string]string{
+	video.SD.Name: renderVideoTag(video.ClipC, video.SD, video.RecoveryNone),
+	video.HD.Name: renderVideoTag(video.ClipC, video.HD, video.RecoveryNone),
+}
+
+func renderVideoTag(clip video.Clip, p video.Profile, rec video.Recovery) string {
 	tag := "clip=" + clip.Name + ";profile=" + p.Name
 	if rec != video.RecoveryNone {
 		tag += ";rec=" + rec.String()

@@ -64,12 +64,26 @@ type ProbeSpec struct {
 	// access client hop.
 	Jitter time.Duration
 
-	// normal marks a spec Normalize returned: canonical and valid, so
-	// Normalize and compiling return it unchecked. Copies carry the
-	// mark, so a normalized spec is never edited; the facade builds a
-	// fresh spec for every cell.
-	normal bool
+	// tags marks a spec Normalize returned — canonical and valid, so
+	// Normalize and compiling return it unchecked — and holds what its
+	// scenario renders for the cell key. Copies carry the mark, so a
+	// normalized spec is edited only by At, which changes none of the
+	// fields the tags render.
+	tags *scenarioTags
 }
+
+// scenarioTags are the cache-key fragments a normalized spec's
+// scenario fields render: the variant tag of its AQM, congestion
+// control and jitter, and its link's CellSpec.Link encoding. Every
+// cell of a scenario shares them, so Normalize renders them once and
+// At-stamped cells share them by pointer.
+type scenarioTags struct {
+	variant, link string
+}
+
+// paperTags are the tags of the paper's own queue, congestion control
+// and link, which render empty; their scenarios share them.
+var paperTags scenarioTags
 
 // ProbeValue is a probe's measurement; which fields are populated
 // depends on the media. VoIP fills ListenMOS (and TalkMOS on the
@@ -112,16 +126,25 @@ func aqmFactory(name string, rateBps float64, rngLabel string) (queueFactory, er
 	}
 }
 
-// aqmTag renders the canonical variant fragment for a discipline;
-// drop-tail — the default — contributes nothing.
-func aqmTag(name string) string {
+// aqmTag checks a discipline name against aqmFactory's and renders
+// its canonical variant fragment; drop-tail — the default —
+// contributes nothing.
+func aqmTag(name string) (string, error) {
 	switch name {
 	case "", "droptail", "drop-tail":
-		return ""
-	case "fqcodel":
-		return "aqm=fq-codel"
+		return "", nil
+	case "codel":
+		return "aqm=codel", nil
+	case "fq-codel", "fqcodel":
+		return "aqm=fq-codel", nil
+	case "red":
+		return "aqm=red", nil
+	case "ared":
+		return "aqm=ared", nil
+	case "pie":
+		return "aqm=pie", nil
 	default:
-		return "aqm=" + name
+		return "", fmt.Errorf("unknown AQM %q (want droptail, codel, fq-codel, red, ared, pie)", name)
 	}
 }
 
@@ -194,16 +217,11 @@ func (p ProbeSpec) normalize() (ProbeSpec, error) {
 			}
 		}
 	}
-	if p.Buffer <= 0 {
-		return p, fmt.Errorf("buffer must be positive, got %d", p.Buffer)
+	if err := checkCell(p.Buffer, p.Media); err != nil {
+		return p, err
 	}
 	if p.BufferUp < 0 {
 		return p, fmt.Errorf("uplink buffer must be non-negative, got %d", p.BufferUp)
-	}
-	switch p.Media {
-	case "voip", "web", "video":
-	default:
-		return p, fmt.Errorf("unknown media %q (want voip, web, video)", p.Media)
 	}
 	if p.Media == "video" && p.Profile.Name == "" {
 		p.Profile = video.SD
@@ -252,14 +270,37 @@ func (p ProbeSpec) normalize() (ProbeSpec, error) {
 			return p, fmt.Errorf("reorder probability must be in [0,1), got %g", p.Link.Reorder)
 		}
 	}
-	if _, err := aqmFactory(p.AQM, 1e6, "x"); err != nil {
+	qTag, err := aqmTag(p.AQM)
+	if err != nil {
 		return p, err
 	}
-	if _, _, err := ccChoice(p.CC, n.cc); err != nil {
+	_, ccTag, err := ccChoice(p.CC, n.cc)
+	if err != nil {
 		return p, err
 	}
-	p.normal = true
+	var jitterTag string
+	if p.Jitter > 0 {
+		jitterTag = "jitter=" + p.Jitter.String()
+	}
+	p.tags = &paperTags
+	if tags := (scenarioTags{variant: joinTags(qTag, ccTag, jitterTag), link: linkTag(p.Link)}); tags != paperTags {
+		p.tags = &tags
+	}
 	return p, nil
+}
+
+// checkCell checks the fields that name a cell within its scenario:
+// the buffer and the media (a video profile needs no check; the zero
+// value means SD).
+func checkCell(buffer int, media string) error {
+	if buffer <= 0 {
+		return fmt.Errorf("buffer must be positive, got %d", buffer)
+	}
+	switch media {
+	case "voip", "web", "video":
+		return nil
+	}
+	return fmt.Errorf("unknown media %q (want voip, web, video)", media)
 }
 
 // Normalize validates the spec and returns it in canonical form:
@@ -267,7 +308,7 @@ func (p ProbeSpec) normalize() (ProbeSpec, error) {
 // normalized spec compiles without being checked again, so a caller
 // that validates each cell up front normalizes it once.
 func (p ProbeSpec) Normalize() (ProbeSpec, error) {
-	if p.normal {
+	if p.tags != nil {
 		return p, nil
 	}
 	p, err := p.normalize()
@@ -277,17 +318,32 @@ func (p ProbeSpec) Normalize() (ProbeSpec, error) {
 	return p, nil
 }
 
+// At returns the spec at another cell of its scenario: buffer, media
+// and profile replaced. On a normalized spec it checks only what the
+// cell adds and shares the scenario's rendered tags, so a caller
+// compiling a grid normalizes each scenario once and stamps its cells
+// with At; an unnormalized spec is normalized whole.
+func (p ProbeSpec) At(buffer int, media string, profile video.Profile) (ProbeSpec, error) {
+	p.Buffer, p.Media, p.Profile = buffer, media, profile
+	if p.tags == nil {
+		return p.Normalize()
+	}
+	if err := checkCell(buffer, media); err != nil {
+		return p, fmt.Errorf("experiments: invalid probe: %w", err)
+	}
+	if media == "video" && profile.Name == "" {
+		p.Profile = video.SD
+	}
+	return p, nil
+}
+
 // variant is a normalized spec's testbed variant without its queue
 // factories, which only a simulated cell needs (see compile).
 func (p ProbeSpec) variant() variant {
-	cc, ccTag, _ := ccChoice(p.CC, networks[p.Testbed].cc)
-	var jitterTag string
-	if p.Jitter > 0 {
-		jitterTag = "jitter=" + p.Jitter.String()
-	}
+	cc, _, _ := ccChoice(p.CC, networks[p.Testbed].cc)
 	return variant{
-		tag:   joinTags(aqmTag(p.AQM), ccTag, jitterTag),
-		bufUp: p.BufferUp, cc: cc, jitter: p.Jitter, link: p.Link, mix: p.Mix,
+		tag: p.tags.variant, bufUp: p.BufferUp, cc: cc, jitter: p.Jitter,
+		link: p.Link, linkTag: p.tags.link, mix: p.Mix,
 	}
 }
 

@@ -24,10 +24,11 @@ type Queue interface {
 // access testbed, 8-7490 on the backbone). A zero CapPackets means
 // capacity 1 (a queue must hold at least the packet in service).
 //
-// Storage is a circular buffer sized to CapPackets, allocated once on
-// first use and reused for the queue's lifetime: the bottleneck
-// buffer — the busiest data structure in a congested cell — never
-// grows, shrinks, or reallocates while packets churn through it.
+// Storage is a circular buffer, allocated on first use and reused for
+// the queue's lifetime: the bottleneck buffer — the busiest data
+// structure in a congested cell — never reallocates while packets
+// churn through it. A capacity up to eagerRing is allocated whole; a
+// larger ring doubles up to CapPackets as packets queue (see grow).
 type DropTail struct {
 	// CapPackets is the buffer size in packets.
 	CapPackets int
@@ -75,8 +76,8 @@ func (d *DropTail) Enqueue(p *Packet, now sim.Time) bool {
 		}
 		return false
 	}
-	if d.ring == nil {
-		d.ring = make([]*Packet, d.CapPackets)
+	if d.n == len(d.ring) {
+		d.grow()
 	}
 	p.Enqueued = now
 	i := d.head + d.n
@@ -90,6 +91,25 @@ func (d *DropTail) Enqueue(p *Packet, now sim.Time) bool {
 		d.Monitor.enqueue(p, now, d.n, d.bytes)
 	}
 	return true
+}
+
+// eagerRing is the largest capacity a ring takes whole on its first
+// enqueue, as it always had: every buffer the paper sizes (at most
+// 7,490 packets) and the testbeds' LAN queues (2,048). A larger ring
+// starts at this size and doubles as packets queue, so a huge
+// capacity costs what the simulation queues, not the capacity.
+// Starting every ring small instead would shrink the heap the LAN
+// queues keep resident and make the collector run more often.
+const eagerRing = 1 << 14
+
+// grow enlarges the full ring, capped at CapPackets, unwrapping it so
+// the head lands at index 0.
+func (d *DropTail) grow() {
+	size := min(max(2*len(d.ring), eagerRing), d.CapPackets)
+	ring := make([]*Packet, size)
+	k := copy(ring, d.ring[d.head:])
+	copy(ring[k:], d.ring[:d.head])
+	d.ring, d.head = ring, 0
 }
 
 // Dequeue implements Queue.

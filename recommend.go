@@ -143,8 +143,7 @@ type recommendSearch struct {
 	s         *Session
 	ctx       context.Context
 	o         Options
-	sc        Scenario
-	scLabel   string
+	sc        compiledScenario
 	probes    []Probe
 	plabels   []string
 	threshold float64
@@ -171,7 +170,7 @@ type recommendSearch struct {
 // with Total equal to the full-grid upper bound GridCells — the
 // search finishing well short of Total is the point.
 func (s *Session) Recommend(ctx context.Context, spec RecommendSpec, o Options) (*Recommendation, error) {
-	r := &recommendSearch{s: s, ctx: ctx, o: o, sc: spec.Scenario, scLabel: spec.Scenario.Label(), start: time.Now()}
+	r := &recommendSearch{s: s, ctx: ctx, o: o, sc: spec.Scenario.compile(spec.Scenario.Label()), start: time.Now()}
 	if len(spec.Probes) == 0 {
 		return nil, fmt.Errorf("bufferqoe: a recommendation needs at least one probe")
 	}
@@ -187,7 +186,7 @@ func (s *Session) Recommend(ctx context.Context, spec RecommendSpec, o Options) 
 	}
 	// Validate the scenario x probe combinations before simulating.
 	for _, p := range r.probes {
-		if err := spec.Scenario.Validate(p); err != nil {
+		if _, err := r.sc.spec(p, 1); err != nil {
 			return nil, err
 		}
 	}
@@ -304,46 +303,60 @@ func nearestScheme(spec RecommendSpec, buffer int) Scheme {
 	return Scheme{}
 }
 
-// evaluate measures all probes at candidate index i (memoized): one
-// CRN-paired mini-batch through the session engine, so a buffer the
-// search revisits costs nothing and a configuration any sweep or
-// probe on the session has already measured is a cache hit.
-func (r *recommendSearch) evaluate(i int) (*evaluation, error) {
-	if ev, ok := r.evals[i]; ok {
-		return ev, nil
-	}
-	buf := r.bufs[i]
-	specs := make([]experiments.ProbeSpec, 0, len(r.probes))
-	for _, p := range r.probes {
-		sp, err := r.sc.spec(p, buf)
-		if err != nil {
-			return nil, err
+// evaluate measures all probes at the candidate indices the search
+// has not measured yet (evaluations are memoized) as one CRN-paired
+// batch through the session engine, so the candidates run side by
+// side, a buffer the search revisits costs nothing, and a
+// configuration any sweep or probe on the session has already
+// measured is a cache hit. The candidates are recorded, and their
+// cells reported to OnProgress, in the order given.
+func (r *recommendSearch) evaluate(idx ...int) error {
+	fresh := make([]int, 0, len(idx))
+	for _, i := range idx {
+		if _, ok := r.evals[i]; !ok {
+			fresh = append(fresh, i)
 		}
-		specs = append(specs, sp)
+	}
+	if len(fresh) == 0 {
+		return nil
+	}
+	np := len(r.probes)
+	specs := make([]experiments.ProbeSpec, 0, len(fresh)*np)
+	for _, i := range fresh {
+		for _, p := range r.probes {
+			sp, err := r.sc.spec(p, r.bufs[i])
+			if err != nil {
+				return err
+			}
+			specs = append(specs, sp)
+		}
 	}
 	values, err := r.s.inner.ProbeBatchCtx(r.ctx, specs, r.o.internal())
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ev := &evaluation{cells: make([]SweepCell, len(values)), ok: true}
-	var sum float64
-	for pi, v := range values {
-		c := sweepCell(r.scLabel, r.plabels[pi], buf, r.sc, r.probes[pi], v)
-		ev.cells[pi] = c
-		s := cellScore(c)
-		sum += s
-		if s < r.threshold {
-			ev.ok = false
+	for k, i := range fresh {
+		buf := r.bufs[i]
+		ev := &evaluation{cells: make([]SweepCell, np), ok: true}
+		var sum float64
+		for pi, v := range values[k*np : (k+1)*np] {
+			c := sweepCell(r.sc.label, r.plabels[pi], buf, r.sc.sc, r.probes[pi], v)
+			ev.cells[pi] = c
+			s := cellScore(c)
+			sum += s
+			if s < r.threshold {
+				ev.ok = false
+			}
+			r.done++
+			if r.o.OnProgress != nil {
+				r.o.OnProgress(Progress{Completed: r.done, Total: len(r.bufs) * np, Cell: c}.timing(r.start))
+			}
 		}
-		r.done++
-		if r.o.OnProgress != nil {
-			r.o.OnProgress(Progress{Completed: r.done, Total: len(r.bufs) * len(r.probes), Cell: c}.timing(r.start))
-		}
+		ev.score = sum / float64(np)
+		r.evals[i] = ev
+		r.tried = append(r.tried, buf)
 	}
-	ev.score = sum / float64(len(values))
-	r.evals[i] = ev
-	r.tried = append(r.tried, buf)
-	return ev, nil
+	return nil
 }
 
 // cellScore is a cell's scalar QoE score: the opinion-scale MOS,
@@ -363,11 +376,10 @@ func (r *recommendSearch) searchMinBuffer() (int, error) {
 	lo, hi, found := 0, len(r.bufs)-1, -1
 	for lo <= hi {
 		mid := (lo + hi) / 2
-		ev, err := r.evaluate(mid)
-		if err != nil {
+		if err := r.evaluate(mid); err != nil {
 			return 0, err
 		}
-		if ev.ok {
+		if r.evals[mid].ok {
 			found = mid
 			hi = mid - 1
 		} else {
@@ -392,33 +404,33 @@ func (r *recommendSearch) searchMinBuffer() (int, error) {
 }
 
 // searchMaxAggregate ternary-searches the (assumed unimodal)
-// aggregate score, then scans the surviving bracket exhaustively.
+// aggregate score, then scans the surviving bracket exhaustively. A
+// step's two probes, and the bracket, do not depend on one another, so
+// each is one batch.
 func (r *recommendSearch) searchMaxAggregate() (int, error) {
 	lo, hi := 0, len(r.bufs)-1
 	for hi-lo > 2 {
 		m1 := lo + (hi-lo)/3
 		m2 := hi - (hi-lo)/3
-		e1, err := r.evaluate(m1)
-		if err != nil {
+		if err := r.evaluate(m1, m2); err != nil {
 			return 0, err
 		}
-		e2, err := r.evaluate(m2)
-		if err != nil {
-			return 0, err
-		}
-		if e1.score < e2.score {
+		if r.evals[m1].score < r.evals[m2].score {
 			lo = m1 + 1
 		} else {
 			hi = m2 - 1
 		}
 	}
-	best, bestScore := -1, -1.0
+	bracket := make([]int, 0, hi-lo+1)
 	for i := lo; i <= hi; i++ {
-		ev, err := r.evaluate(i)
-		if err != nil {
-			return 0, err
-		}
-		if ev.score > bestScore {
+		bracket = append(bracket, i)
+	}
+	if err := r.evaluate(bracket...); err != nil {
+		return 0, err
+	}
+	best, bestScore := -1, -1.0
+	for _, i := range bracket {
+		if ev := r.evals[i]; ev.score > bestScore {
 			best, bestScore = i, ev.score
 		}
 	}

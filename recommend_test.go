@@ -3,6 +3,8 @@ package bufferqoe
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -209,5 +211,48 @@ func TestRecommendCancellation(t *testing.T) {
 	}, sweepOpts())
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+}
+
+// TestMaxAggregateSearchOrder pins what a MaxAggregateMOS search
+// reports on a six- and a three-candidate axis: the buffers it tried
+// in order, the cells it evaluated, and the cells OnProgress saw in
+// order. A ternary step's two candidates and the final bracket run as
+// one batch each, and must report as the one-candidate-at-a-time
+// search did.
+func TestMaxAggregateSearchOrder(t *testing.T) {
+	probes := []Probe{{Media: VoIP}, {Media: Web}}
+	cases := []struct {
+		buffers  []int
+		tried    []int
+		progress string
+	}{
+		{[]int{4, 8, 16, 64, 128, 256}, []int{8, 128, 16, 64},
+			"voip@8 web@8 voip@128 web@128 voip@16 web@16 voip@64 web@64"},
+		{[]int{8, 64, 256}, []int{8, 64, 256},
+			"voip@8 web@8 voip@64 web@64 voip@256 web@256"},
+	}
+	for _, c := range cases {
+		var seen []string
+		o := sweepOpts()
+		o.OnProgress = func(p Progress) {
+			seen = append(seen, fmt.Sprintf("%s@%d", p.Cell.Probe, p.Cell.Buffer))
+		}
+		rec, err := NewSession().Recommend(context.Background(), RecommendSpec{
+			Scenario: Scenario{Workload: "long-many", Direction: Up}, Probes: probes,
+			Buffers: c.buffers, Target: MaxAggregateMOS,
+		}, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(rec.BuffersTried) != fmt.Sprint(c.tried) {
+			t.Errorf("%v: tried %v, want %v", c.buffers, rec.BuffersTried, c.tried)
+		}
+		if rec.CellsEvaluated != len(c.tried)*len(probes) {
+			t.Errorf("%v: CellsEvaluated %d, want %d", c.buffers, rec.CellsEvaluated, len(c.tried)*len(probes))
+		}
+		if got := strings.Join(seen, " "); got != c.progress {
+			t.Errorf("%v: progress order\n got:  %s\n want: %s", c.buffers, got, c.progress)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package bufferqoe
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"bufferqoe/internal/experiments"
@@ -187,48 +188,66 @@ type Scenario struct {
 
 // Label returns the scenario's display name: Name if set, otherwise a
 // summary derived from the fields, e.g. "access/long-many/up" or
-// "custom(1G/1G)/short-few/down+codel".
+// "custom(1G/1G)/short-few/down+codel". Rates render as fmt's %g,
+// durations as Duration.String (scenario_test.go keeps the
+// fmt.Sprintf rendering it replaced as the reference).
 func (sc Scenario) Label() string {
 	if sc.Name != "" {
 		return sc.Name
 	}
-	net := string(sc.Network)
-	if net == "" {
-		net = string(Access)
-	}
-	if sc.Link != nil {
-		dims := rateLabel(sc.Link.UpRate) + "/" + rateLabel(sc.Link.DownRate)
+	var buf [128]byte
+	b := buf[:0]
+	if l := sc.Link; l != nil {
+		b = append(b, "custom("...)
+		b = appendRate(b, l.UpRate)
+		b = append(b, '/')
+		b = appendRate(b, l.DownRate)
 		// Append delays when customized, so two links differing only
 		// there derive distinct labels.
-		if sc.Link.ClientDelay != 0 || sc.Link.ServerDelay != 0 {
-			dims += "@" + delayLabel(sc.Link.ClientDelay) + "/" + delayLabel(sc.Link.ServerDelay)
+		if l.ClientDelay != 0 || l.ServerDelay != 0 {
+			b = append(b, '@')
+			b = appendDelay(b, l.ClientDelay)
+			b = append(b, '/')
+			b = appendDelay(b, l.ServerDelay)
 		}
-		if sc.Link.Wifi.Stations > 0 {
-			dims += fmt.Sprintf("+wifi%d", sc.Link.Wifi.Stations)
+		if l.Wifi.Stations > 0 {
+			b = append(b, "+wifi"...)
+			b = strconv.AppendInt(b, int64(l.Wifi.Stations), 10)
 		}
-		if sc.Link.Reorder > 0 {
-			dims += fmt.Sprintf("+ro%g", sc.Link.Reorder)
+		if l.Reorder > 0 {
+			b = append(b, "+ro"...)
+			b = strconv.AppendFloat(b, l.Reorder, 'g', -1, 64)
 		}
-		net = "custom(" + dims + ")"
+		b = append(b, ')')
+	} else if sc.Network == "" {
+		b = append(b, Access...)
+	} else {
+		b = append(b, sc.Network...)
 	}
 	wl, dir, hasDir := sc.workloadLabel()
-	out := net + "/" + wl
+	b = append(b, '/')
+	b = append(b, wl...)
 	if hasDir {
-		out += "/" + dir
+		b = append(b, '/')
+		b = append(b, dir...)
 	}
 	if sc.AQM != DropTail {
-		out += "+" + string(sc.AQM)
+		b = append(b, '+')
+		b = append(b, sc.AQM...)
 	}
 	if sc.CC != DefaultCC {
-		out += "+" + string(sc.CC)
+		b = append(b, '+')
+		b = append(b, sc.CC...)
 	}
 	if sc.Jitter > 0 {
-		out += "+j" + sc.Jitter.String()
+		b = append(b, "+j"...)
+		b = append(b, sc.Jitter.String()...)
 	}
 	if sc.BufferUp > 0 {
-		out += "+bufup=" + fmt.Sprintf("%d", sc.BufferUp)
+		b = append(b, "+bufup="...)
+		b = strconv.AppendInt(b, int64(sc.BufferUp), 10)
 	}
-	return out
+	return string(b)
 }
 
 // workloadLabel derives the workload axis of the label: the preset
@@ -261,24 +280,27 @@ func (sc Scenario) workloadLabel() (wl, dir string, hasDir bool) {
 	return wl, "", false
 }
 
-func rateLabel(bps float64) string {
+// appendRate appends a link rate in the label's units: G, M or k
+// bits/s, or "dflt" for the preset rate.
+func appendRate(b []byte, bps float64) []byte {
+	unit, scale := byte('k'), 1e3
 	switch {
 	case bps <= 0:
-		return "dflt"
+		return append(b, "dflt"...)
 	case bps >= 1e9:
-		return fmt.Sprintf("%gG", bps/1e9)
+		unit, scale = 'G', 1e9
 	case bps >= 1e6:
-		return fmt.Sprintf("%gM", bps/1e6)
-	default:
-		return fmt.Sprintf("%gk", bps/1e3)
+		unit, scale = 'M', 1e6
 	}
+	return append(strconv.AppendFloat(b, bps/scale, 'g', -1, 64), unit)
 }
 
-func delayLabel(d time.Duration) string {
+// appendDelay appends a link delay, or "dflt" for the preset delay.
+func appendDelay(b []byte, d time.Duration) []byte {
 	if d <= 0 {
-		return "dflt"
+		return append(b, "dflt"...)
 	}
-	return d.String()
+	return append(b, d.String()...)
 }
 
 // spec compiles the scenario and one probe at one buffer size into
@@ -330,21 +352,11 @@ func (sc Scenario) spec(p Probe, buffer int) (experiments.ProbeSpec, error) {
 			out.Link = sc.Link.internal()
 		}
 	}
-	switch p.Media {
-	case VoIP, Web, Video:
-		out.Media = string(p.Media)
-	default:
-		return out, fmt.Errorf("bufferqoe: unknown probe media %q (want voip, web, video)", p.Media)
+	media, prof, err := p.internal()
+	if err != nil {
+		return out, err
 	}
-	if p.Media == Video {
-		prof, err := videoProfile(p.Profile)
-		if err != nil {
-			return out, err
-		}
-		out.Profile = prof
-	} else if p.Profile != "" {
-		return out, fmt.Errorf("bufferqoe: probe %q does not take a profile", p.Media)
-	}
+	out.Media, out.Profile = media, prof
 	norm, err := out.Normalize()
 	if err != nil {
 		return out, fmt.Errorf("bufferqoe: scenario %q: %w", sc.Label(), err)
@@ -357,6 +369,45 @@ func (sc Scenario) spec(p Probe, buffer int) (experiments.ProbeSpec, error) {
 func (sc Scenario) Validate(p Probe) error {
 	_, err := sc.spec(p, 1)
 	return err
+}
+
+// compiledScenario is a scenario checked and rendered once for a whole
+// call: its label, and its spec normalized at a stand-in cell, which
+// holds the scenario's rendered cache-key tags. A grid's cells are
+// stamped from it (spec), each checking only what a cell adds.
+type compiledScenario struct {
+	sc    Scenario
+	label string
+	base  experiments.ProbeSpec
+	err   error // the scenario's own fault, if any
+}
+
+// compile checks the scenario and renders its tags; label is its
+// Label.
+func (sc Scenario) compile(label string) compiledScenario {
+	c := compiledScenario{sc: sc, label: label}
+	c.base, c.err = sc.spec(Probe{Media: VoIP}, 1)
+	return c
+}
+
+// spec is Scenario.spec for one cell of the compiled scenario: the
+// probe's media and profile and the buffer are checked, the rest is
+// the scenario's once-normalized spec.
+func (c *compiledScenario) spec(p Probe, buffer int) (experiments.ProbeSpec, error) {
+	if c.err != nil {
+		// A faulty scenario fails every cell; the one-cell path reports
+		// whichever fault a lone cell meets first.
+		return c.sc.spec(p, buffer)
+	}
+	media, prof, err := p.internal()
+	if err != nil {
+		return experiments.ProbeSpec{}, err
+	}
+	out, err := c.base.At(buffer, media, prof)
+	if err != nil {
+		return out, fmt.Errorf("bufferqoe: scenario %q: %w", c.label, err)
+	}
+	return out, nil
 }
 
 // Media selects what a probe measures.
@@ -391,6 +442,22 @@ func (p Probe) Label() string {
 		return "video:" + prof
 	}
 	return string(p.Media)
+}
+
+// internal checks the probe and returns its engine media name and
+// video profile.
+func (p Probe) internal() (string, video.Profile, error) {
+	switch p.Media {
+	case VoIP, Web:
+		if p.Profile != "" {
+			return "", video.Profile{}, fmt.Errorf("bufferqoe: probe %q does not take a profile", p.Media)
+		}
+		return string(p.Media), video.Profile{}, nil
+	case Video:
+		prof, err := videoProfile(p.Profile)
+		return string(Video), prof, err
+	}
+	return "", video.Profile{}, fmt.Errorf("bufferqoe: unknown probe media %q (want voip, web, video)", p.Media)
 }
 
 func videoProfile(profile string) (video.Profile, error) {

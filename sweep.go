@@ -138,7 +138,16 @@ func (c SweepCell) render() string {
 // JSON renders the grid as indented machine-readable JSON, byte for
 // byte what json.MarshalIndent(g, "", "  ") writes; see AppendJSON.
 func (g *Grid) JSON() ([]byte, error) {
-	return g.AppendJSON(make([]byte, 0, 256+256*len(g.Cells)), "") // a cell writes ~240 bytes
+	// A cell writes 190-250 bytes besides its scenario label, which a
+	// custom link makes long.
+	size := 256
+	for _, s := range g.Scenarios {
+		size += 8 + len(s)
+	}
+	for _, c := range g.Cells {
+		size += 240 + len(c.Scenario)
+	}
+	return g.AppendJSON(make([]byte, 0, size), "")
 }
 
 // AppendJSON appends the grid to b as json.MarshalIndent(g, prefix,
@@ -251,11 +260,14 @@ func compileSweep(sw Sweep) (*sweepPlan, error) {
 		seenBuf[b] = true
 	}
 
+	// Each scenario is normalized once; a cell adds its probe and
+	// buffer only.
 	specs := make([]experiments.ProbeSpec, 0, len(sw.Scenarios)*len(sw.Probes)*len(sw.Buffers))
-	for _, sc := range sw.Scenarios {
+	for si, sc := range sw.Scenarios {
+		c := sc.compile(g.Scenarios[si])
 		for _, p := range sw.Probes {
 			for _, buf := range sw.Buffers {
-				spec, err := sc.spec(p, buf)
+				spec, err := c.spec(p, buf)
 				if err != nil {
 					return nil, err
 				}
