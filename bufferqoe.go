@@ -16,7 +16,7 @@
 //     disciplines, congestion control, and last-hop jitter, swept as a
 //     scenario x buffer x probe grid through the parallel cell engine;
 //   - a streaming, context-aware execution surface (SweepStream,
-//     SweepCtx, RunCtx, Session.WithContext, Options.OnProgress):
+//     SweepCtx, RunCtx, RunAllCtx, Options.OnProgress):
 //     cells arrive as workers complete them, deadlines and
 //     cancellations abandon queued work promptly (ErrCanceled) while
 //     in-flight cells drain into the cache;
@@ -150,6 +150,12 @@ func (o Options) internal() experiments.Options {
 // Test with errors.Is: deadline and cancellation both surface as this
 // value.
 var ErrCanceled = experiments.ErrCanceled
+
+// ErrCellPanicked reports that a run failed because one of its cells
+// panicked — a bug in the simulator, not in the request. Test with
+// errors.Is; the error's text names the panic value. The session
+// stays usable, and the cell is not cached, so a retry recomputes it.
+var ErrCellPanicked = experiments.ErrCellPanicked
 
 // Result is a rendered experiment outcome.
 type Result struct {

@@ -270,17 +270,25 @@ func TestProgressRequiresStreamingMode(t *testing.T) {
 	}
 }
 
-// TestTimeoutExpiry: an already-expired deadline abandons the sweep
-// with a non-zero exit and a cancellation notice.
+// TestTimeoutExpiry: an already-expired deadline abandons the sweep,
+// or the experiment, with a non-zero exit and a cancellation notice.
 func TestTimeoutExpiry(t *testing.T) {
-	_, errOut, code := runCLI(t,
-		"-sweep", "-workloads", "noBG", "-buffers", "16", "-probes", "voip",
-		"-timeout", "1ns")
-	if code != 1 {
-		t.Fatalf("expired deadline: code %d, want 1 (stderr %q)", code, errOut)
-	}
-	if !strings.Contains(errOut, "deadline exceeded") {
-		t.Fatalf("no cancellation notice:\n%s", errOut)
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-sweep", "-workloads", "noBG", "-buffers", "16", "-probes", "voip"}, []string{"deadline exceeded"}},
+		{[]string{"-exp", "fig7a"}, []string{"FAILED fig7a", "canceled"}},
+	} {
+		_, errOut, code := runCLI(t, append(tc.args, "-timeout", "1ns")...)
+		if code != 1 {
+			t.Fatalf("%v: expired deadline: code %d, want 1 (stderr %q)", tc.args, code, errOut)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(errOut, want) {
+				t.Fatalf("%v: stderr lacks %q:\n%s", tc.args, want, errOut)
+			}
+		}
 	}
 }
 

@@ -133,7 +133,8 @@ func TestServeRepliesMatchEncoder(t *testing.T) {
 // the pin has no timing noise; the budget is 1.1x the 107 allocations
 // measured last (json.Encoder writing the reply and a closure built
 // per cell hit allocated 255; compiling the body through CLI strings,
-// 147; rendering each video cell's variant lead, 119).
+// 147; rendering each video cell's variant lead, 119). The reply takes
+// two: the envelope's buffer, and one growth the grid's writer sizes.
 func TestServeWarmAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fills a 36-cell grid")

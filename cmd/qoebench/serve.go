@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -134,14 +135,20 @@ func (s *qoeServer) answer(w http.ResponseWriter, r *http.Request, run func(cont
 
 // writeRunError maps a failed request to a status: cancellation means
 // the client hung up or the server is draining (503 tells well-behaved
-// clients to retry), anything else is a request that did not compile
-// or that the facade rejected.
+// clients to retry), a panicking cell is the server's bug (500, naming
+// the panic value but not the stack, which the same question asked
+// with qoebench's flags prints; the server keeps serving), anything
+// else is a request that did not compile or that the facade rejected.
 func writeRunError(w http.ResponseWriter, err error) {
-	if errors.Is(err, bufferqoe.ErrCanceled) {
+	switch {
+	case errors.Is(err, bufferqoe.ErrCanceled):
 		writeError(w, http.StatusServiceUnavailable, "canceled before all cells ran")
-		return
+	case errors.Is(err, bufferqoe.ErrCellPanicked):
+		msg, _, _ := strings.Cut(err.Error(), "\n")
+		writeError(w, http.StatusInternalServerError, msg)
+	default:
+		writeError(w, http.StatusBadRequest, err.Error())
 	}
-	writeError(w, http.StatusBadRequest, err.Error())
 }
 
 // writeReply writes a successful reply in one pass: byte for byte
@@ -150,15 +157,10 @@ func writeRunError(w http.ResponseWriter, err error) {
 // represent (a NaN or ±Inf score) is found before the header goes
 // out, and answered 500 with an error body instead of an empty 200.
 func writeReply(w http.ResponseWriter, r serveResponse) {
-	cells := 0
-	if r.Sweep != nil {
-		cells += len(r.Sweep.Cells)
-	}
-	if r.Recommend != nil {
-		cells += len(r.Recommend.Cells)
-	}
 	in := jsonenc.NewIndent("")
-	b := make([]byte, 0, 512+256*cells) // a cell nested in a reply writes ~250 bytes
+	// The envelope's own bytes — its keys, the stats, the elapsed time;
+	// the result's writer grows b for the result, keeping this room.
+	b := make([]byte, 0, 512)
 	b = append(b, '{')
 	start := in.Line(1) // what precedes the next member
 	var err error

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -304,4 +306,76 @@ func TestServeExclusiveFlags(t *testing.T) {
 	if code != 2 || !strings.Contains(errOut, "-serve") {
 		t.Fatalf("code=%d stderr=%q", code, errOut)
 	}
+}
+
+// TestWriteRunErrorStatus: a canceled run is a 503, a panicking cell
+// the server's 500, and every other failure the request's 400; each
+// with a JSON error body.
+func TestWriteRunErrorStatus(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want int
+	}{
+		{bufferqoe.ErrCanceled, http.StatusServiceUnavailable},
+		{fmt.Errorf("%w: boom\n\ngoroutine 7 [running]:", bufferqoe.ErrCellPanicked), http.StatusInternalServerError},
+		{errors.New("bufferqoe: unknown workload"), http.StatusBadRequest},
+	} {
+		rec := httptest.NewRecorder()
+		writeRunError(rec, tc.err)
+		var e map[string]string
+		if rec.Code != tc.want || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e["error"] == "" ||
+			strings.Contains(e["error"], "goroutine") {
+			t.Fatalf("%v: status %d, body %s; want %d and an error body without a stack", tc.err, rec.Code, rec.Body.Bytes(), tc.want)
+		}
+	}
+}
+
+// FuzzServeBody: whatever a client posts, /sweep and /recommend answer
+// a 400 (the body does not decode or compile) or a 503 (it compiled,
+// and the request's context, canceled up front here, abandoned its
+// cells) with a JSON error body: never a panic, never a simulated
+// cell. Seeded with the bodies the request tests use.
+func FuzzServeBody(f *testing.F) {
+	for _, body := range []string{
+		`{"buffers": `, `{"bufffers": [16]}`, `{"buffers":[8]} trailing garbage`,
+		`{"buffers":[8]} {"buffers":[16]}`, `{"workloads": ["nonsense"]}`, `{"target": "fastest"}`,
+		`{"workloads": ["noBG", "long-many"]}`,
+		`{"duration_s": 1e10, "buffers": [8], "probes": ["voip"]}`,
+		`{"warmup_s": 1e10, "buffers": [8], "probes": ["voip"]}`,
+		`{"jitter_ms": 1e13, "buffers": [8], "probes": ["voip"]}`,
+		`{"client_delay_ms": -1e13, "buffers": [8], "probes": ["voip"]}`,
+		`{}`, `{"workloads": [], "probes": []}`,
+		`{"network": "backbone", "workloads": ["long"], "buffers": [28, 749]}`,
+		`{"workloads": ["short-few", "long-many"], "dir": "up", "probes": ["voip", "video:HD"]}`,
+		`{"mix": "up:long=2;down:web=16x3/1.5s", "bufup": 256}`,
+		`{"aqm": "fq-codel", "cc": "bbr", "jitter_ms": 1234.567891}`,
+		`{"uprate": 1e9, "downrate": 2.5e8, "client_delay_ms": 2, "server_delay_ms": 10.5, "reorder": 0.01}`,
+		`{"link": "wifi", "stations": 8, "wifi_retry": 3, "wifi_agg": 4}`,
+		`{"workloads": ["long-many"], "dir": "bidir", "target": "max-mos", "threshold": 4}`,
+		`{"target": "min-mos", "threshold": 3}`,
+	} {
+		f.Add(body)
+	}
+	session := bufferqoe.NewSession()
+	h := newServeHandler(session, serveOpts())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	f.Fuzz(func(t *testing.T, body string) {
+		for _, path := range []string{"/sweep", "/recommend"} {
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, path, strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			var e map[string]string
+			if (rec.Code != http.StatusBadRequest && rec.Code != http.StatusServiceUnavailable) ||
+				json.Unmarshal(rec.Body.Bytes(), &e) != nil || e["error"] == "" {
+				t.Fatalf("%s %q: status %d, body %s; want a 400 or 503 with an error body", path, body, rec.Code, rec.Body.Bytes())
+			}
+		}
+		if st := session.Stats(); st.Misses != 0 {
+			t.Fatalf("%q: a canceled request simulated %d cells", body, st.Misses)
+		}
+	})
 }

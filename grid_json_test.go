@@ -73,8 +73,9 @@ func fuzzRecommendation(g *Grid, rshape uint8, scheme string, buf int, score flo
 // MarshalIndent at both depths a grid is written at (a document of its
 // own, prefix "", and nested in a server reply, prefix "  "), and
 // Recommendation.AppendJSON, nested, to MarshalIndent(r, "  ", "  ").
-// Both writers append to what the buffer holds, and append nothing on
-// an error.
+// Both writers append to what the buffer holds, append nothing on an
+// error, and, when no label needs escaping, write no more than the
+// room they reserve (jsonSize), so they grow the buffer at most once.
 func FuzzGridJSON(f *testing.F) {
 	// Every axis populated, with two rotated cells or one in order.
 	const two, one = 0xbf, 0xff
@@ -144,9 +145,17 @@ func FuzzGridJSON(f *testing.F) {
 			t.Fatalf("JSON differs from MarshalIndent\n got: %s\nwant: %s", got, want)
 		}
 		const held = "held,"
-		check := func(what string, v any, prefix string, appendJSON func([]byte, string) ([]byte, error)) {
+		plain := true // no label needs escaping
+		for _, l := range []string{s1, s2} {
+			q, _ := json.Marshal(l)
+			plain = plain && len(q) == len(l)+2
+		}
+		check := func(what string, v any, prefix string, appendJSON func([]byte, string) ([]byte, error), size func(string) int) {
 			t.Helper()
 			want, wantErr := json.MarshalIndent(v, prefix, "  ")
+			if wantErr == nil && plain && len(want) > size(prefix) {
+				t.Fatalf("%s prefix %q writes %d bytes, more than the %d it reserves", what, prefix, len(want), size(prefix))
+			}
 			got, err := appendJSON([]byte(held), prefix)
 			if (err != nil) != (wantErr != nil) {
 				t.Fatalf("%s prefix %q: error %v, MarshalIndent error %v", what, prefix, err, wantErr)
@@ -158,9 +167,9 @@ func FuzzGridJSON(f *testing.F) {
 				t.Fatalf("%s prefix %q differs from MarshalIndent\n got: %s\nwant: %s%s", what, prefix, got, held, want)
 			}
 		}
-		check("Grid.AppendJSON", g, "", g.AppendJSON)
-		check("Grid.AppendJSON", g, "  ", g.AppendJSON)
+		check("Grid.AppendJSON", g, "", g.AppendJSON, g.jsonSize)
+		check("Grid.AppendJSON", g, "  ", g.AppendJSON, g.jsonSize)
 		r := fuzzRecommendation(g, rshape, s2, buf, score, delay)
-		check("Recommendation.AppendJSON", r, "  ", r.AppendJSON)
+		check("Recommendation.AppendJSON", r, "  ", r.AppendJSON, r.jsonSize)
 	})
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -36,7 +37,7 @@ func benchTasks() []Task {
 func BenchmarkBatchSequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := New(1)
-		e.RunBatch(benchTasks())
+		e.RunBatch(context.Background(), benchTasks())
 	}
 }
 
@@ -45,7 +46,7 @@ func BenchmarkBatchSequential(b *testing.B) {
 func BenchmarkBatchParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := New(0)
-		e.RunBatch(benchTasks())
+		e.RunBatch(context.Background(), benchTasks())
 	}
 }
 
@@ -53,9 +54,9 @@ func BenchmarkBatchParallel(b *testing.B) {
 // hit.
 func BenchmarkBatchWarmCache(b *testing.B) {
 	e := New(0)
-	e.RunBatch(benchTasks())
+	e.RunBatch(context.Background(), benchTasks())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.RunBatch(benchTasks())
+		e.RunBatch(context.Background(), benchTasks())
 	}
 }

@@ -3,7 +3,9 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -47,6 +49,12 @@ type CellStore interface {
 // canceled batch drains its in-flight cells (their results land in
 // the cache) and abandons only the queued remainder.
 var ErrCanceled = errors.New("engine: cell canceled")
+
+// ErrCellPanicked reports that a cell's computation panicked. A batch
+// hands the panicking task, and every task coalesced onto it, an error
+// that wraps it with the panic value and stack; the engine stays
+// usable, and a retry recomputes the cell.
+var ErrCellPanicked = errors.New("engine: cell panicked")
 
 // CellFunc computes one cell. It must be a pure function of the spec
 // and the derived seed: no reads of clocks, global RNGs, or state
@@ -148,13 +156,13 @@ type Engine struct {
 	// store, when non-nil, is the persistent second cache tier: an
 	// in-memory miss consults it before acquiring a worker slot, and a
 	// fresh compute writes through to it. Guarded by mu (read once per
-	// DoCtx miss path); nil is the detached state.
+	// do miss path); nil is the detached state.
 	store       CellStore
 	storeHits   atomic.Uint64
 	storeMisses atomic.Uint64
 	storeWrites atomic.Uint64
 
-	// Live gauges: maintained on every DoCtx path (including panics
+	// Live gauges: maintained on every do path (including panics
 	// and canceled-batch abandonment) so Stats stays consistent — each
 	// increment has a matching decrement on every exit.
 	inFlight   atomic.Int64
@@ -163,7 +171,7 @@ type Engine struct {
 
 	// collector, when non-nil, mirrors every counter and gauge into a
 	// telemetry.Collector and enables the per-cell extras that cost
-	// something (wall-clock reads, pprof labels). Loaded once per DoCtx
+	// something (wall-clock reads, pprof labels). Loaded once per do
 	// call; nil is the zero-overhead disabled state.
 	collector atomic.Pointer[telemetry.Collector]
 
@@ -276,25 +284,21 @@ func (e *Engine) Workers() int {
 // released, the cache entry is dropped (a retry recomputes), and the
 // panic propagates to the computing caller and any coalesced waiters.
 func (e *Engine) Do(spec CellSpec, fn CellFunc) any {
-	// context.Background is never canceled, so DoCtx cannot fail here.
-	v, _ := e.DoCtx(context.Background(), spec, fn)
+	spec = spec.Canonical()
+	// context.Background is never canceled, so do cannot fail here. One
+	// collector load per call: the nil check is the entire cost of
+	// disabled telemetry on this path.
+	v, _ := e.do(context.Background(), spec, spec.Key(), fn, e.collector.Load())
 	return v
 }
 
-// DoCtx is Do with cancellation: a call whose ctx is canceled before
-// the cell starts executing returns ErrCanceled and leaves the engine
-// exactly as if the call never happened (no cache entry, no leaked
-// worker slot — a later call recomputes). Once a cell is executing it
-// runs to completion and is cached; cancellation only prevents
-// execution from starting.
-func (e *Engine) DoCtx(ctx context.Context, spec CellSpec, fn CellFunc) (any, error) {
-	spec = spec.Canonical()
-	// One collector load per call: the nil check is the entire cost of
-	// disabled telemetry on this path.
-	return e.do(ctx, spec, spec.Key(), fn, e.collector.Load())
-}
-
-// do is DoCtx on a canonical spec whose key the caller has computed.
+// do computes or fetches the cell of a canonical spec whose key the
+// caller has computed. A call whose ctx is canceled before the cell
+// starts executing returns ErrCanceled and leaves the engine exactly
+// as if the call never happened (no cache entry, no leaked worker
+// slot — a later call recomputes). Once a cell is executing it runs
+// to completion and is cached; cancellation only prevents execution
+// from starting.
 func (e *Engine) do(ctx context.Context, spec CellSpec, k string, fn Computer, col *telemetry.Collector) (any, error) {
 	for {
 		if ctx.Err() != nil {
@@ -509,16 +513,12 @@ func (e *Engine) abandon(k string, ent *entry, col *telemetry.Collector) {
 
 // RunBatch fans a batch of cells out across the worker pool and
 // returns their values in submission order. Duplicate specs within a
-// batch (or against other in-flight batches) are computed once.
-func (e *Engine) RunBatch(tasks []Task) []any {
-	out, _ := e.RunBatchCtx(context.Background(), tasks)
-	return out
-}
-
-// RunBatchCtx is RunBatch with cancellation: it returns ErrCanceled —
-// and a nil slice — if ctx was canceled before every task executed.
-// In-flight tasks drain into the cache; queued tasks are abandoned.
-func (e *Engine) RunBatchCtx(ctx context.Context, tasks []Task) ([]any, error) {
+// batch (or against other in-flight batches) are computed once. It
+// returns a nil slice and the first task's error, in submission
+// order, if any task failed: ErrCanceled if ctx was canceled before
+// every task executed (in-flight tasks drain into the cache, queued
+// ones are abandoned), or an error wrapping ErrCellPanicked.
+func (e *Engine) RunBatch(ctx context.Context, tasks []Task) ([]any, error) {
 	out := make([]any, len(tasks))
 	errs := make([]error, len(tasks))
 	e.SubmitBatch(ctx, tasks, func(i int, v any, err error) {
@@ -537,8 +537,11 @@ func (e *Engine) RunBatchCtx(ctx context.Context, tasks []Task) ([]any, error) {
 // streaming primitive batch APIs and progress reporting build on.
 // each(i, v, err) runs on the completing task's goroutine, possibly
 // concurrently with other completions; err is ErrCanceled for tasks
-// abandoned because ctx was canceled before they executed. SubmitBatch
-// returns once every callback has run.
+// abandoned because ctx was canceled before they executed, and wraps
+// ErrCellPanicked for a task whose cell panicked: nothing on a task's
+// goroutine could recover that panic, so it becomes the task's error
+// instead of ending the process. SubmitBatch returns once every
+// callback has run.
 //
 // A task whose cell is already cached is answered on the submitting
 // goroutine: a warm re-query costs a map lookup per cell, not a
@@ -571,12 +574,24 @@ func (e *Engine) SubmitBatch(ctx context.Context, tasks []Task, each func(i int,
 				<-turn
 			}
 			close(next)
-			v, err := e.do(ctx, spec, k, fn, col)
+			v, err := e.try(ctx, spec, k, fn, col)
 			each(i, v, err)
 		}(i, spec, k, t.Fn, turn, next)
 		turn = next
 	}
 	wg.Wait()
+}
+
+// try is do on a task's own goroutine: a panic of the cell, or the
+// re-panic a coalesced waiter sees, is returned wrapping
+// ErrCellPanicked, the panic value on the first line of its text.
+func (e *Engine) try(ctx context.Context, spec CellSpec, k string, fn Computer, col *telemetry.Collector) (v any, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			v, err = nil, fmt.Errorf("%w: %v\n\n%s", ErrCellPanicked, p, debug.Stack())
+		}
+	}()
+	return e.do(ctx, spec, k, fn, col)
 }
 
 // cached answers a cell whose computation has already completed,

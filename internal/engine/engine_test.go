@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -177,7 +178,10 @@ func TestRunBatchOrderAndParallelism(t *testing.T) {
 	for _, b := range bufs {
 		tasks = append(tasks, Task{Spec: spec(b), Fn: CellFunc(fn)})
 	}
-	out := e.RunBatch(tasks)
+	out, err := e.RunBatch(context.Background(), tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, b := range bufs {
 		if out[i] != b {
 			t.Fatalf("out[%d] = %v, want %d (order not preserved)", i, out[i], b)
@@ -205,8 +209,11 @@ func TestSchedulingOrderIndependence(t *testing.T) {
 	for i := len(fwd) - 1; i >= 0; i-- {
 		rev = append(rev, fwd[i])
 	}
-	a := New(8).RunBatch(fwd)
-	b := New(1).RunBatch(rev)
+	a, errA := New(8).RunBatch(context.Background(), fwd)
+	b, errB := New(1).RunBatch(context.Background(), rev)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
 	for i := range a {
 		if a[i] != b[len(b)-1-i] {
 			t.Fatalf("cell %d differs across schedules: %v vs %v", i, a[i], b[len(b)-1-i])
@@ -269,13 +276,69 @@ func TestPanicPropagatesToCoalescedWaiters(t *testing.T) {
 	}
 }
 
-func TestDoCtxCanceledBeforeStart(t *testing.T) {
+// TestSubmitBatchReportsPanickingCell: a panicking cell of a batch is
+// its task's error — and the error of a task coalesced onto it — not
+// a crash of the process; the other tasks report their values, and
+// the engine stays usable.
+func TestSubmitBatchReportsPanickingCell(t *testing.T) {
+	e := New(2)
+	fn := func(sp CellSpec, seed uint64, _ Scratch) any {
+		if sp.Buffer == 16 {
+			time.Sleep(10 * time.Millisecond) // let the duplicate coalesce
+			panic("cell exploded")
+		}
+		return sp.Buffer
+	}
+	bufs := []int{8, 16, 32, 16, 64}
+	var tasks []Task
+	for _, b := range bufs {
+		tasks = append(tasks, Task{Spec: spec(b), Fn: CellFunc(fn)})
+	}
+	var mu sync.Mutex
+	vals, errs := map[int]any{}, map[int]error{}
+	e.SubmitBatch(context.Background(), tasks, func(i int, v any, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		vals[i], errs[i] = v, err
+	})
+	for i, b := range bufs {
+		if b == 16 {
+			if !errors.Is(errs[i], ErrCellPanicked) || vals[i] != nil ||
+				!strings.HasPrefix(errs[i].Error(), "engine: cell panicked: cell exploded\n") ||
+				!strings.Contains(errs[i].Error(), "goroutine ") {
+				t.Fatalf("task %d: v=%v err=%v, want the cell's panic and stack as an error", i, vals[i], errs[i])
+			}
+			continue
+		}
+		if errs[i] != nil || vals[i] != b {
+			t.Fatalf("task %d: v=%v err=%v, want %d", i, vals[i], errs[i], b)
+		}
+	}
+	if _, err := e.RunBatch(context.Background(), tasks); !errors.Is(err, ErrCellPanicked) {
+		t.Fatalf("RunBatch err = %v, want ErrCellPanicked", err)
+	}
+	if st := e.Stats(); st.InFlight != 0 || st.QueueDepth != 0 || st.Waiters != 0 || st.Entries != 3 {
+		t.Fatalf("stats after panics = %+v, want idle gauges and 3 entries", st)
+	}
+}
+
+// doOne runs one cell as a one-task batch: the way a caller with a
+// context reaches the engine.
+func doOne(e *Engine, ctx context.Context, sp CellSpec, fn CellFunc) (any, error) {
+	vs, err := e.RunBatch(ctx, []Task{{Spec: sp, Fn: fn}})
+	if err != nil {
+		return nil, err
+	}
+	return vs[0], nil
+}
+
+func TestBatchCanceledBeforeStart(t *testing.T) {
 	e := New(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var calls atomic.Int64
 	fn := func(CellSpec, uint64, Scratch) any { calls.Add(1); return 1 }
-	if _, err := e.DoCtx(ctx, spec(8), fn); !errors.Is(err, ErrCanceled) {
+	if _, err := doOne(e, ctx, spec(8), fn); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 	if calls.Load() != 0 {
@@ -291,7 +354,7 @@ func TestDoCtxCanceledBeforeStart(t *testing.T) {
 	}
 }
 
-func TestDoCtxCanceledWhileQueued(t *testing.T) {
+func TestBatchCanceledWhileQueued(t *testing.T) {
 	e := New(1) // one slot, occupied: the second call must queue
 	release := make(chan struct{})
 	started := make(chan struct{})
@@ -306,7 +369,7 @@ func TestDoCtxCanceledWhileQueued(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.DoCtx(ctx, spec(16), func(CellSpec, uint64, Scratch) any { return "fast" })
+		_, err := doOne(e, ctx, spec(16), func(CellSpec, uint64, Scratch) any { return "fast" })
 		done <- err
 	}()
 	// Give the queued call time to block on the semaphore, then cancel:
@@ -330,7 +393,7 @@ func TestDoCtxCanceledWhileQueued(t *testing.T) {
 	}
 }
 
-func TestDoCtxWaiterCancellation(t *testing.T) {
+func TestBatchWaiterCancellation(t *testing.T) {
 	e := New(2)
 	release := make(chan struct{})
 	started := make(chan struct{})
@@ -345,7 +408,7 @@ func TestDoCtxWaiterCancellation(t *testing.T) {
 	// A waiter coalesced onto the in-flight cell gives up on cancel...
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.DoCtx(ctx, spec(8), slow); !errors.Is(err, ErrCanceled) {
+	if _, err := doOne(e, ctx, spec(8), slow); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("coalesced waiter returned %v, want ErrCanceled", err)
 	}
 	// ...while the in-flight computation drains and is cached.
@@ -373,14 +436,14 @@ func TestCanceledEntryWakesCoalescedWaiters(t *testing.T) {
 	aQueued := make(chan struct{})
 	go func() {
 		close(aQueued)
-		e.DoCtx(ctxA, spec(16), func(CellSpec, uint64, Scratch) any { return "A" })
+		doOne(e, ctxA, spec(16), func(CellSpec, uint64, Scratch) any { return "A" })
 	}()
 	<-aQueued
 	time.Sleep(10 * time.Millisecond) // let A register its entry and queue
 
 	bDone := make(chan any, 1)
 	go func() {
-		v, err := e.DoCtx(context.Background(), spec(16), func(CellSpec, uint64, Scratch) any { return "B" })
+		v, err := doOne(e, context.Background(), spec(16), func(CellSpec, uint64, Scratch) any { return "B" })
 		if err != nil {
 			bDone <- err
 			return
@@ -447,7 +510,9 @@ func TestSubmitBatchAnswersCachedCellsInline(t *testing.T) {
 	for b := 1; b <= 12; b++ {
 		tasks = append(tasks, Task{Spec: spec(b), Fn: CellFunc(fn)})
 	}
-	e.RunBatch(tasks)
+	if _, err := e.RunBatch(context.Background(), tasks); err != nil {
+		t.Fatal(err)
+	}
 	tasks = append(tasks, Task{Spec: spec(99), Fn: CellFunc(fn)}) // cold
 
 	var order []int // unsynchronized on purpose: -race sees any second goroutine
@@ -482,7 +547,7 @@ func TestSubmitBatchAnswersCachedCellsInline(t *testing.T) {
 	}
 
 	// A panicked cell leaves no entry to answer from: the retry
-	// recomputes (and panics again) on its own goroutine's DoCtx path.
+	// recomputes (and panics again) on its caller's goroutine.
 	func() {
 		defer func() { recover() }()
 		e.Do(spec(13), fn)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -18,7 +19,7 @@ import (
 // discipline: CoDel (the AQM the paper's §1 cites), RED and its
 // self-tuning ARED variant, PIE (the DOCSIS answer), and FQ-CoDel
 // (the home-router answer, adding flow isolation).
-func ablationAQM(s *Session, o Options) (*Result, error) {
+func ablationAQM(ctx context.Context, s *Session, o Options) (*Result, error) {
 	cols := []string{"drop-tail", "codel", "red", "ared", "pie", "fq-codel"}
 	var jobs []cellJob
 	for _, q := range cols {
@@ -33,12 +34,12 @@ func ablationAQM(s *Session, o Options) (*Result, error) {
 	}
 	g := NewGrid("Ablation: AQM at a bloated (256-pkt) uplink, upstream long-many workload",
 		[]string{"talk MOS", "listen MOS"}, cols)
-	s.runCells(jobs, func(_, col string, v any) {
+	err := s.runCells(ctx, jobs, func(_, col string, v any) {
 		p := v.(voipScore)
 		g.Set("talk MOS", col, Cell{Value: p.Talk, Class: string(qoe.VoIPSatisfaction(p.Talk))})
 		g.Set("listen MOS", col, Cell{Value: p.Listen, Class: string(qoe.VoIPSatisfaction(p.Listen))})
 	})
-	return &Result{ID: "abl-aqm", Grids: []*Grid{g}}, nil
+	return &Result{ID: "abl-aqm", Grids: []*Grid{g}}, err
 }
 
 // ablationCC revisits the paper's Section 5.2 claim that the choice of
@@ -46,7 +47,7 @@ func ablationAQM(s *Session, o Options) (*Result, error) {
 // substantially impact the QoE results": same cell, both algorithms.
 // CUBIC is the access testbed's default, so its cell is the cached
 // fig7c long-few/64 cell.
-func ablationCC(s *Session, o Options) (*Result, error) {
+func ablationCC(ctx context.Context, s *Session, o Options) (*Result, error) {
 	g := NewGrid("Ablation: background congestion control (access, 64-pkt buffers, bidir long-few)",
 		[]string{"listen MOS", "talk MOS"}, []string{"cubic", "reno"})
 	variants := map[string]variant{
@@ -57,18 +58,18 @@ func ablationCC(s *Session, o Options) (*Result, error) {
 	for _, cc := range []string{"cubic", "reno"} {
 		jobs = append(jobs, cellJob{cellTask(o, accessNet, "long-few", testbed.DirBidir, 64, variants[cc], voipFG), "", cc})
 	}
-	s.runCells(jobs, func(_, col string, v any) {
+	err := s.runCells(ctx, jobs, func(_, col string, v any) {
 		p := v.(voipScore)
 		g.Set("listen MOS", col, Cell{Value: p.Listen, Class: string(qoe.VoIPSatisfaction(p.Listen))})
 		g.Set("talk MOS", col, Cell{Value: p.Talk, Class: string(qoe.VoIPSatisfaction(p.Talk))})
 	})
-	return &Result{ID: "abl-ccalgo", Grids: []*Grid{g}}, nil
+	return &Result{ID: "abl-ccalgo", Grids: []*Grid{g}}, err
 }
 
 // ablationLoadAware evaluates the paper's Section 10 suggestion of
 // load-dependent buffer sizing on WebQoE: static BDP vs static bloat
 // vs the load-aware choice under moderate and high load.
-func ablationLoadAware(s *Session, o Options) (*Result, error) {
+func ablationLoadAware(ctx context.Context, s *Session, o Options) (*Result, error) {
 	bdp := 64
 	scenarios := []struct {
 		name string
@@ -97,7 +98,7 @@ func ablationLoadAware(s *Session, o Options) (*Result, error) {
 			chosen[sc.name+"/"+label] = buf
 		}
 	}
-	s.runCells(jobs, func(row, col string, v any) {
+	err := s.runCells(ctx, jobs, func(row, col string, v any) {
 		plt := v.(time.Duration)
 		mos := model.MOS(plt)
 		g.Set(row, col, Cell{
@@ -106,13 +107,13 @@ func ablationLoadAware(s *Session, o Options) (*Result, error) {
 			Class: string(qoe.Rate(mos)),
 		})
 	})
-	return &Result{ID: "abl-loadaware", Grids: []*Grid{g}}, nil
+	return &Result{ID: "abl-loadaware", Grids: []*Grid{g}}, err
 }
 
 // ablationSmoothing quantifies Section 8.1's point that unsmoothed
 // VLC-style frame bursts overflow access buffers even on an idle
 // link.
-func ablationSmoothing(s *Session, o Options) (*Result, error) {
+func ablationSmoothing(ctx context.Context, s *Session, o Options) (*Result, error) {
 	g := NewGrid("Ablation: video sender smoothing (access, idle link)",
 		[]string{"SSIM", "loss %"}, []string{"smooth-8pkt", "burst-8pkt", "smooth-64pkt", "burst-64pkt"})
 	var jobs []cellJob
@@ -122,10 +123,10 @@ func ablationSmoothing(s *Session, o Options) (*Result, error) {
 			jobs = append(jobs, cellJob{cellTask(o, accessNet, "noBG", testbed.DirDown, buf, variant{}, smoothingFG(smooth)), "", fmt.Sprintf("%s-%dpkt", label, buf)})
 		}
 	}
-	s.runCells(jobs, func(_, col string, v any) {
+	err := s.runCells(ctx, jobs, func(_, col string, v any) {
 		sc := v.(smoothingScore)
 		g.Set("SSIM", col, Cell{Value: sc.SSIM})
 		g.Set("loss %", col, Cell{Value: sc.LossPct})
 	})
-	return &Result{ID: "abl-smoothing", Grids: []*Grid{g}}, nil
+	return &Result{ID: "abl-smoothing", Grids: []*Grid{g}}, err
 }

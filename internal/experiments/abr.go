@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"bufferqoe/internal/qoe"
@@ -16,7 +17,7 @@ import (
 // bitrate reduction; at sustained overload nothing fits and all three
 // players are bad. The progressive-4M cells are shared with
 // ext-httpvideo's 749-packet column through the cache.
-func extABR(s *Session, o Options) (*Result, error) {
+func extABR(ctx context.Context, s *Session, o Options) (*Result, error) {
 	scenarios := []string{"noBG", "short-medium", "short-high", "long"}
 	players := []string{"progressive-4M", "abr-rate", "abr-buffer"}
 	g := NewGrid("Extension: DASH adaptation vs fixed-rate HTTP video (backbone, BDP buffer)",
@@ -31,7 +32,7 @@ func extABR(s *Session, o Options) (*Result, error) {
 			jobs = append(jobs, cellJob{cellTask(o, backboneNet, s, testbed.DirDown, 749, variant{}, httpVideoFG(kind)), player, s})
 		}
 	}
-	s.runCells(jobs, func(row, col string, v any) {
+	err := s.runCells(ctx, jobs, func(row, col string, v any) {
 		sc := v.(httpScore)
 		g.Set(row, col, Cell{
 			Value: sc.MOS,
@@ -43,5 +44,5 @@ func extABR(s *Session, o Options) (*Result, error) {
 		ID:    "ext-abr",
 		Grids: []*Grid{g},
 		Notes: []string{"adaptation helps exactly in the band between 'fits easily' and 'nothing fits' — the workload-decides conclusion is unchanged at the extremes"},
-	}, nil
+	}, err
 }

@@ -134,7 +134,7 @@ func TestAdaptiveFewerRepsWithinHalfWidth(t *testing.T) {
 	exCol := telemetry.New()
 	oEx := o
 	oEx.Collector = exCol
-	rEx, err := Run("fig7b", oEx)
+	rEx, err := Run(t.Context(), "fig7b", oEx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestAdaptiveFewerRepsWithinHalfWidth(t *testing.T) {
 	oAd := o
 	oAd.Collector = adCol
 	oAd.CIHalfWidth = 0.5
-	rAd, err := Run("fig7b", oAd)
+	rAd, err := Run(t.Context(), "fig7b", oAd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestAdaptiveDeterministicAcrossSchedules(t *testing.T) {
 
 	SetParallelism(1)
 	ResetEngineCache()
-	r, err := Run("fig7b", o)
+	r, err := Run(t.Context(), "fig7b", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestAdaptiveDeterministicAcrossSchedules(t *testing.T) {
 
 	SetParallelism(8)
 	ResetEngineCache()
-	r, err = Run("fig7b", o)
+	r, err = Run(t.Context(), "fig7b", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestAdaptiveDeterministicAcrossSchedules(t *testing.T) {
 	}
 
 	before := EngineStats()
-	r, err = Run("fig7b", o)
+	r, err = Run(t.Context(), "fig7b", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestAdaptiveDeterministicAcrossSchedules(t *testing.T) {
 	if err := s1.OpenStore(dir); err != nil {
 		t.Fatal(err)
 	}
-	r, err = s1.Run("fig7b", o)
+	r, err = s1.Run(t.Context(), "fig7b", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestAdaptiveDeterministicAcrossSchedules(t *testing.T) {
 	if err := s2.OpenStore(dir); err != nil {
 		t.Fatal(err)
 	}
-	r, err = s2.Run("fig7b", o)
+	r, err = s2.Run(t.Context(), "fig7b", o)
 	if err != nil {
 		t.Fatal(err)
 	}

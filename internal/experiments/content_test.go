@@ -46,7 +46,7 @@ func TestContentCacheBounded(t *testing.T) {
 	var first ProbeValue
 	for seed := 1; seed <= seeds; seed++ {
 		o.Seed = uint64(seed)
-		v, err := s.Probe(probe, o)
+		v, err := probeOne(t.Context(), s, probe, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestContentCacheBounded(t *testing.T) {
 		t.Error("ResetCache touched the content cache")
 	}
 	o.Seed = 1
-	again, err := s.Probe(probe, o)
+	again, err := probeOne(t.Context(), s, probe, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestContentIsFetchedWhenPlayed(t *testing.T) {
 	o := tiny()
 	o.Reps = 3
 	for _, buf := range []int{64, 256} { // buffer is not a seed axis
-		if _, err := s.Probe(ProbeSpec{Buffer: buf, Media: "voip"}, o); err != nil {
+		if _, err := probeOne(t.Context(), s, ProbeSpec{Buffer: buf, Media: "voip"}, o); err != nil {
 			t.Fatal(err)
 		}
 	}

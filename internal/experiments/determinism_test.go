@@ -19,7 +19,7 @@ func TestDeterminismAcrossSchedules(t *testing.T) {
 
 	SetParallelism(1)
 	ResetEngineCache()
-	r, err := Run("fig7b", o)
+	r, err := Run(t.Context(), "fig7b", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestDeterminismAcrossSchedules(t *testing.T) {
 
 	SetParallelism(8)
 	ResetEngineCache()
-	r, err = Run("fig7b", o)
+	r, err = Run(t.Context(), "fig7b", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestDeterminismAcrossSchedules(t *testing.T) {
 
 	// Third run, warm cache: every cell a hit, output unchanged.
 	before := EngineStats()
-	r, err = Run("fig7b", o)
+	r, err = Run(t.Context(), "fig7b", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,14 +64,14 @@ func TestDeterminismAcrossSchedules(t *testing.T) {
 func TestCrossExperimentCellSharing(t *testing.T) {
 	o := tiny()
 	ResetEngineCache()
-	if _, err := Run("fig1a", o); err != nil {
+	if _, err := Run(t.Context(), "fig1a", o); err != nil {
 		t.Fatal(err)
 	}
 	mid := EngineStats()
 	if mid.Misses == 0 {
 		t.Fatal("fig1a simulated no cells")
 	}
-	if _, err := Run("fig1b", o); err != nil {
+	if _, err := Run(t.Context(), "fig1b", o); err != nil {
 		t.Fatal(err)
 	}
 	after := EngineStats()
@@ -92,13 +92,13 @@ func TestProbeMatchesGrid(t *testing.T) {
 	}
 	o := tiny()
 	ResetEngineCache()
-	r, err := Run("fig7b", o)
+	r, err := Run(t.Context(), "fig7b", o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	grid := r.Grids[0].Get("user-talks/long-many", "256").Value
 	before := EngineStats()
-	v, err := Default.Probe(ProbeSpec{Scenario: "long-many", Direction: testbed.DirUp, Buffer: 256, Media: "voip"}, o)
+	v, err := probeOne(t.Context(), Default, ProbeSpec{Scenario: "long-many", Direction: testbed.DirUp, Buffer: 256, Media: "voip"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,28 +184,28 @@ func (r *Result) Render() string {
 }
 
 // runner is one experiment implementation, bound to the session whose
-// engine its cells run on.
-type runner func(*Session, Options) (*Result, error)
+// engine its cells run on; ctx bounds its cells.
+type runner func(context.Context, *Session, Options) (*Result, error)
 
 var registry = map[string]runner{
 	"table1":          table1,
 	"table2":          table2,
-	"fig1a":           fig1a,
-	"fig1b":           fig1b,
-	"fig1c":           fig1c,
-	"fig4a":           func(s *Session, o Options) (*Result, error) { return fig4(s, o, "a") },
-	"fig4b":           func(s *Session, o Options) (*Result, error) { return fig4(s, o, "b") },
-	"fig4c":           func(s *Session, o Options) (*Result, error) { return fig4(s, o, "c") },
+	"fig1a":           wild(fig1a),
+	"fig1b":           wild(fig1b),
+	"fig1c":           wild(fig1c),
+	"fig4a":           func(ctx context.Context, s *Session, o Options) (*Result, error) { return fig4(ctx, s, o, "a") },
+	"fig4b":           func(ctx context.Context, s *Session, o Options) (*Result, error) { return fig4(ctx, s, o, "b") },
+	"fig4c":           func(ctx context.Context, s *Session, o Options) (*Result, error) { return fig4(ctx, s, o, "c") },
 	"fig5":            fig5,
-	"fig7a":           func(s *Session, o Options) (*Result, error) { return fig7(s, o, "a") },
-	"fig7b":           func(s *Session, o Options) (*Result, error) { return fig7(s, o, "b") },
-	"fig7c":           func(s *Session, o Options) (*Result, error) { return fig7(s, o, "c") },
+	"fig7a":           func(ctx context.Context, s *Session, o Options) (*Result, error) { return fig7(ctx, s, o, "a") },
+	"fig7b":           func(ctx context.Context, s *Session, o Options) (*Result, error) { return fig7(ctx, s, o, "b") },
+	"fig7c":           func(ctx context.Context, s *Session, o Options) (*Result, error) { return fig7(ctx, s, o, "c") },
 	"fig8":            fig8,
-	"fig9a":           func(s *Session, o Options) (*Result, error) { return fig9(s, o, "a") },
-	"fig9b":           func(s *Session, o Options) (*Result, error) { return fig9(s, o, "b") },
-	"fig10a":          func(s *Session, o Options) (*Result, error) { return fig10(s, o, "a") },
-	"fig10b":          func(s *Session, o Options) (*Result, error) { return fig10(s, o, "b") },
-	"fig10c":          func(s *Session, o Options) (*Result, error) { return fig10(s, o, "c") },
+	"fig9a":           func(ctx context.Context, s *Session, o Options) (*Result, error) { return fig9(ctx, s, o, "a") },
+	"fig9b":           func(ctx context.Context, s *Session, o Options) (*Result, error) { return fig9(ctx, s, o, "b") },
+	"fig10a":          func(ctx context.Context, s *Session, o Options) (*Result, error) { return fig10(ctx, s, o, "a") },
+	"fig10b":          func(ctx context.Context, s *Session, o Options) (*Result, error) { return fig10(ctx, s, o, "b") },
+	"fig10c":          func(ctx context.Context, s *Session, o Options) (*Result, error) { return fig10(ctx, s, o, "c") },
 	"fig11":           fig11,
 	"abl-aqm":         ablationAQM,
 	"abl-bic":         ablationBIC,
@@ -238,37 +238,27 @@ func IDs() []string {
 	return out
 }
 
-// Run executes one experiment by ID on the session's engine. A run on
-// a WithContext view whose context is canceled abandons its queued
-// cells and returns ErrCanceled (in-flight cells drain into the
-// cache).
-func (s *Session) Run(id string, o Options) (res *Result, err error) {
+// Run executes one experiment by ID on the session's engine. Once
+// ctx is canceled the run abandons its queued cells and returns
+// ErrCanceled (in-flight cells drain into the cache).
+func (s *Session) Run(ctx context.Context, id string, o Options) (*Result, error) {
 	r, ok := registry[id]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 	}
-	// Runners signal cancellation by panicking with cancelSignal from
-	// runOne/runCells (always on this goroutine); everything else is a
-	// genuine bug and keeps propagating.
-	defer func() {
-		if p := recover(); p != nil {
-			cs, ok := p.(cancelSignal)
-			if !ok {
-				panic(p)
-			}
-			res, err = nil, cs.err
-		}
-	}()
-	return r(s, s.opts(o))
-}
-
-// RunCtx is Run bounded by ctx.
-func (s *Session) RunCtx(ctx context.Context, id string, o Options) (*Result, error) {
-	return s.WithContext(ctx).Run(id, o)
+	// A runner whose cells failed may have rendered part of a grid;
+	// only its error is returned.
+	res, err := r(ctx, s, s.opts(o))
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // Run executes one experiment by ID on the Default session.
-func Run(id string, o Options) (*Result, error) { return Default.Run(id, o) }
+func Run(ctx context.Context, id string, o Options) (*Result, error) {
+	return Default.Run(ctx, id, o)
+}
 
 // Outcome is one experiment's entry in a RunAll batch.
 type Outcome struct {
@@ -284,8 +274,9 @@ type Outcome struct {
 // experiment records its error and does not stop the rest. Cells
 // shared between experiments in the batch are simulated once: the
 // engine coalesces duplicate in-flight specs and caches results.
-func (s *Session) RunAll(ids []string, o Options) []Outcome {
-	ctx := s.context()
+// Once ctx is canceled, the experiments not yet finished record
+// ErrCanceled outcomes instead of results.
+func (s *Session) RunAll(ctx context.Context, ids []string, o Options) []Outcome {
 	out := make([]Outcome, len(ids))
 	// Experiment-level concurrency is bounded separately from the cell
 	// pool: experiment goroutines spend almost all their time waiting
@@ -307,19 +298,10 @@ func (s *Session) RunAll(ids []string, o Options) []Outcome {
 			}
 			defer func() { <-sem }()
 			start := time.Now()
-			res, err := s.Run(id, o)
+			res, err := s.Run(ctx, id, o)
 			out[i] = Outcome{ID: id, Result: res, Err: err, Elapsed: time.Since(start)}
 		}(i, id)
 	}
 	wg.Wait()
 	return out
 }
-
-// RunAllCtx is RunAll bounded by ctx: canceled experiments record
-// ErrCanceled outcomes instead of results.
-func (s *Session) RunAllCtx(ctx context.Context, ids []string, o Options) []Outcome {
-	return s.WithContext(ctx).RunAll(ids, o)
-}
-
-// RunAll executes a batch of experiments on the Default session.
-func RunAll(ids []string, o Options) []Outcome { return Default.RunAll(ids, o) }

@@ -50,7 +50,7 @@ func TestIDsComplete(t *testing.T) {
 }
 
 func TestUnknownID(t *testing.T) {
-	if _, err := Run("nope", tiny()); err == nil {
+	if _, err := Run(t.Context(), "nope", tiny()); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -61,21 +61,28 @@ func TestUnknownID(t *testing.T) {
 // handing an access builder a backbone scenario name — the fig9b bug
 // — panics right here), then the engine abandons the cells without
 // simulating anything. Cheap total coverage of every builder path.
+// A runner that had cells abandoned must say so with ErrCanceled and
+// no result — one that dropped runCells's error would render an empty
+// grid — and a runner that submitted no cell must return its result.
 func TestEveryRunnerBuildsItsCells(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s := NewSession(1).WithContext(ctx)
+	s := NewSession(1)
 	for _, id := range IDs() {
-		res, err := s.Run(id, tiny())
-		if err != nil && !errors.Is(err, ErrCanceled) {
-			t.Fatalf("%s: %v", id, err)
+		before := s.EngineStats().Canceled
+		res, err := s.Run(ctx, id, tiny())
+		if s.EngineStats().Canceled > before {
+			if !errors.Is(err, ErrCanceled) || res != nil {
+				t.Fatalf("%s: cells abandoned, but the run returned %v, %v; want ErrCanceled and no result", id, res, err)
+			}
+			continue
 		}
-		// Cell-free experiments (table2, fig1* population analysis may
-		// still submit one cell) legitimately complete; everything else
-		// reports the cancellation.
-		if err == nil && res == nil {
-			t.Fatalf("%s: nil result without error", id)
+		if err != nil || res == nil {
+			t.Fatalf("%s: no cell submitted, but the run returned %v, %v; want a result", id, res, err)
 		}
+	}
+	if st := s.EngineStats(); st.Misses != 0 || st.Hits != 0 {
+		t.Fatalf("a canceled run touched a cell: %+v", st)
 	}
 }
 
@@ -90,7 +97,7 @@ func TestGridRender(t *testing.T) {
 }
 
 func TestTable2Static(t *testing.T) {
-	r, err := Run("table2", tiny())
+	r, err := Run(t.Context(), "table2", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +115,7 @@ func TestTable2Static(t *testing.T) {
 
 func TestFig1Family(t *testing.T) {
 	for _, id := range []string{"fig1a", "fig1b", "fig1c"} {
-		r, err := Run(id, tiny())
+		r, err := Run(t.Context(), id, tiny())
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -122,7 +129,7 @@ func TestFig1Family(t *testing.T) {
 }
 
 func TestFig1aOrdering(t *testing.T) {
-	r, err := Run("fig1a", tiny())
+	r, err := Run(t.Context(), "fig1a", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +142,7 @@ func TestFig1aOrdering(t *testing.T) {
 }
 
 func TestFig4cBufferbloatShape(t *testing.T) {
-	r, err := Run("fig4c", tiny())
+	r, err := Run(t.Context(), "fig4c", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +160,7 @@ func TestFig4cBufferbloatShape(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	r, err := Run("fig5", tiny())
+	r, err := Run(t.Context(), "fig5", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +174,7 @@ func TestFig5Shape(t *testing.T) {
 
 func TestFig7bShape(t *testing.T) {
 	o := tiny()
-	r, err := Run("fig7b", o)
+	r, err := Run(t.Context(), "fig7b", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +197,7 @@ func TestFig8Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy simulation; skipped in -short (race CI) mode")
 	}
-	r, err := Run("fig8", tiny())
+	r, err := Run(t.Context(), "fig8", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +214,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9aShape(t *testing.T) {
-	r, err := Run("fig9a", tiny())
+	r, err := Run(t.Context(), "fig9a", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +234,7 @@ func TestFig9aShape(t *testing.T) {
 }
 
 func TestFig10bShape(t *testing.T) {
-	r, err := Run("fig10b", tiny())
+	r, err := Run(t.Context(), "fig10b", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +254,7 @@ func TestExtensionHTTPVideo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy simulation; skipped in -short (race CI) mode")
 	}
-	r, err := Run("ext-httpvideo", tiny())
+	r, err := Run(t.Context(), "ext-httpvideo", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +270,7 @@ func TestExtensionHTTPVideo(t *testing.T) {
 }
 
 func TestAblationPlayout(t *testing.T) {
-	r, err := Run("abl-playout", tiny())
+	r, err := Run(t.Context(), "abl-playout", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +288,7 @@ func TestExtensionClips(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy simulation; skipped in -short (race CI) mode")
 	}
-	r, err := Run("ext-clips", tiny())
+	r, err := Run(t.Context(), "ext-clips", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +305,7 @@ func TestExtensionClips(t *testing.T) {
 }
 
 func TestAblationSACKKeepsQueueFuller(t *testing.T) {
-	r, err := Run("abl-sack", tiny())
+	r, err := Run(t.Context(), "abl-sack", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +319,7 @@ func TestAblationSACKKeepsQueueFuller(t *testing.T) {
 
 func TestAblationsRun(t *testing.T) {
 	for _, id := range []string{"abl-aqm", "abl-ccalgo", "abl-loadaware", "abl-smoothing", "abl-playout", "abl-sack"} {
-		r, err := Run(id, tiny())
+		r, err := Run(t.Context(), id, tiny())
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -323,7 +330,7 @@ func TestAblationsRun(t *testing.T) {
 }
 
 func TestAblationAQMImprovesTalkDelay(t *testing.T) {
-	r, err := Run("abl-aqm", tiny())
+	r, err := Run(t.Context(), "abl-aqm", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +345,7 @@ func TestAblationAQMImprovesTalkDelay(t *testing.T) {
 }
 
 func TestAblationSmoothingShape(t *testing.T) {
-	r, err := Run("abl-smoothing", tiny())
+	r, err := Run(t.Context(), "abl-smoothing", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"bufferqoe/internal/qoe"
@@ -14,7 +15,7 @@ import (
 // results". The backbone load ladder is replayed with a TCP
 // progressive-download player; QoE comes from the Mok et al. stall
 // regression instead of SSIM.
-func extHTTPVideo(s *Session, o Options) (*Result, error) {
+func extHTTPVideo(ctx context.Context, s *Session, o Options) (*Result, error) {
 	scenarios := backboneNet.scenarios
 	g := NewGrid("Extension: HTTP progressive video on the backbone (Mok et al. MOS)",
 		scenarios, bufferCols(backboneNet.buffers))
@@ -25,7 +26,7 @@ func extHTTPVideo(s *Session, o Options) (*Result, error) {
 			jobs = append(jobs, cellJob{cellTask(o, backboneNet, s, testbed.DirDown, buf, variant{}, httpVideoFG("progressive")), s, col})
 		}
 	}
-	s.runCells(jobs, func(row, col string, v any) {
+	err := s.runCells(ctx, jobs, func(row, col string, v any) {
 		m := v.(httpScore).MOS
 		g.Set(row, col, Cell{Value: m, Class: string(qoe.Rate(m))})
 	})
@@ -33,7 +34,7 @@ func extHTTPVideo(s *Session, o Options) (*Result, error) {
 		ID:    "ext-httpvideo",
 		Grids: []*Grid{g},
 		Notes: []string{"consistency check vs Figure 9b: workload, not buffer size, decides the score"},
-	}, nil
+	}, err
 }
 
 // extClips reruns the backbone video cell across the three content
@@ -42,7 +43,7 @@ func extHTTPVideo(s *Session, o Options) (*Result, error) {
 // the quality scores of all video clips lead to the same primary
 // observation"). The ClipC column is shared with fig9b and ext-psnr
 // through the cell cache.
-func extClips(s *Session, o Options) (*Result, error) {
+func extClips(ctx context.Context, s *Session, o Options) (*Result, error) {
 	scenarios := []string{"noBG", "short-medium", "long"}
 	var rows []string
 	for _, c := range video.Clips {
@@ -55,7 +56,7 @@ func extClips(s *Session, o Options) (*Result, error) {
 			jobs = append(jobs, cellJob{cellTask(o, backboneNet, s, testbed.DirDown, 749, variant{}, videoFG(clip, video.SD, video.RecoveryNone)), clip.Name, s})
 		}
 	}
-	s.runCells(jobs, func(row, col string, v any) {
+	err := s.runCells(ctx, jobs, func(row, col string, v any) {
 		ssim := v.(videoScore).SSIM
 		g.Set(row, col, Cell{Value: ssim, Class: string(qoe.Rate(qoe.SSIMToMOS(ssim)))})
 	})
@@ -63,7 +64,7 @@ func extClips(s *Session, o Options) (*Result, error) {
 		ID:    "ext-clips",
 		Grids: []*Grid{g},
 		Notes: []string{"per-clip differences should be minor next to the workload effect (paper §8.3)"},
-	}, nil
+	}, err
 }
 
 // ablationSACK quantifies the documented fidelity gap between our
@@ -73,7 +74,7 @@ func extClips(s *Session, o Options) (*Result, error) {
 // where NewReno flows let it drain between loss events. The newreno
 // column is the default configuration, i.e. the cached fig7b
 // long-many/256 cell.
-func ablationSACK(s *Session, o Options) (*Result, error) {
+func ablationSACK(ctx context.Context, s *Session, o Options) (*Result, error) {
 	g := NewGrid("Ablation: SACK vs NewReno background flows (upstream long-many, 256-pkt uplink)",
 		[]string{"mean uplink delay (ms)", "talk MOS", "uplink util %"},
 		[]string{"newreno", "sack"})
@@ -85,7 +86,7 @@ func ablationSACK(s *Session, o Options) (*Result, error) {
 		}
 		jobs = append(jobs, cellJob{cellTask(o, accessNet, "long-many", testbed.DirUp, 256, v, voipFG), "", mode})
 	}
-	s.runCells(jobs, func(_, mode string, v any) {
+	err := s.runCells(ctx, jobs, func(_, mode string, v any) {
 		p := v.(voipScore)
 		g.Set("mean uplink delay (ms)", mode, Cell{
 			Value: p.UpDelayMs,
@@ -94,24 +95,24 @@ func ablationSACK(s *Session, o Options) (*Result, error) {
 		g.Set("talk MOS", mode, Cell{Value: p.Talk, Class: string(qoe.VoIPSatisfaction(p.Talk))})
 		g.Set("uplink util %", mode, Cell{Value: p.UpUtilPct})
 	})
-	return &Result{ID: "abl-sack", Grids: []*Grid{g}}, nil
+	return &Result{ID: "abl-sack", Grids: []*Grid{g}}, err
 }
 
 // ablationPlayout compares the fixed 60 ms jitter buffer against the
 // PjSIP-style adaptive playout under downstream jitter: the adaptive
 // receiver trades late loss against added delay.
-func ablationPlayout(s *Session, o Options) (*Result, error) {
+func ablationPlayout(ctx context.Context, s *Session, o Options) (*Result, error) {
 	g := NewGrid("Ablation: fixed vs adaptive playout buffer (access, short-many down, 256-pkt buffers)",
 		[]string{"MOS", "z1 (signal)", "app loss %"}, []string{"fixed-60ms", "adaptive"})
 	var jobs []cellJob
 	for _, mode := range []string{"fixed-60ms", "adaptive"} {
 		jobs = append(jobs, cellJob{cellTask(o, accessNet, "short-many", testbed.DirDown, 256, variant{}, playoutFG(mode)), "", mode})
 	}
-	s.runCells(jobs, func(_, mode string, v any) {
+	err := s.runCells(ctx, jobs, func(_, mode string, v any) {
 		p := v.(playoutScore)
 		g.Set("MOS", mode, Cell{Value: p.MOS})
 		g.Set("z1 (signal)", mode, Cell{Value: p.Z1})
 		g.Set("app loss %", mode, Cell{Value: p.LossPct})
 	})
-	return &Result{ID: "abl-playout", Grids: []*Grid{g}}, nil
+	return &Result{ID: "abl-playout", Grids: []*Grid{g}}, err
 }

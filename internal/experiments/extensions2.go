@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -26,7 +27,7 @@ var (
 // burst into a standing queue; the experiment measures what that does
 // to the page a user is loading over the same uplink. IW3 is the
 // paper-era default, so those cells are the cached fig10b column.
-func ablationIW10(s *Session, o Options) (*Result, error) {
+func ablationIW10(ctx context.Context, s *Session, o Options) (*Result, error) {
 	model := qoe.AccessWebModel()
 	bufs := []int{8, 64, 256}
 	cols := bufferCols(bufs)
@@ -43,7 +44,7 @@ func ablationIW10(s *Session, o Options) (*Result, error) {
 				fmt.Sprintf("IW%d", iw), cols[bi]})
 		}
 	}
-	s.runCells(jobs, func(row, col string, v any) {
+	err := s.runCells(ctx, jobs, func(row, col string, v any) {
 		plt := v.(time.Duration)
 		mos := model.MOS(plt)
 		g.Set(row+" PLT", col, Cell{
@@ -57,7 +58,7 @@ func ablationIW10(s *Session, o Options) (*Result, error) {
 		ID:    "abl-iw10",
 		Grids: []*Grid{g},
 		Notes: []string{"IW10's QoE effect is bounded by the same logic as buffer size: under sustained congestion the PLT is already in the 'bad' band either way"},
-	}, nil
+	}, err
 }
 
 // ablationECN pairs ECN-enabled TCP with marking AQM at the bloated
@@ -70,7 +71,7 @@ func ablationIW10(s *Session, o Options) (*Result, error) {
 // the sojourn above any feasible target (that pathological case is
 // what FQ-CoDel's flow isolation addresses, see ext-fqcodel-web).
 // The CoDel target follows RFC 8289 §4.4's slow-link rule.
-func ablationECN(s *Session, o Options) (*Result, error) {
+func ablationECN(ctx context.Context, s *Session, o Options) (*Result, error) {
 	model := qoe.AccessWebModel()
 	configs := []struct {
 		name string
@@ -96,13 +97,13 @@ func ablationECN(s *Session, o Options) (*Result, error) {
 	}
 	g := NewGrid("Ablation: ECN at a bloated (256-pkt) uplink (web under upstream long-few)",
 		[]string{"PLT", "MOS"}, cols)
-	s.runCells(jobs, func(_, col string, v any) {
+	err := s.runCells(ctx, jobs, func(_, col string, v any) {
 		plt := v.(time.Duration)
 		mos := model.MOS(plt)
 		g.Set("PLT", col, Cell{Value: plt.Seconds(), Text: fmt.Sprintf("%.2fs", plt.Seconds())})
 		g.Set("MOS", col, Cell{Value: mos, Class: string(qoe.Rate(mos))})
 	})
-	return &Result{ID: "abl-ecn", Grids: []*Grid{g}}, nil
+	return &Result{ID: "abl-ecn", Grids: []*Grid{g}}, err
 }
 
 // ablationByteQueue compares packet-counted and byte-counted uplink
@@ -111,7 +112,7 @@ func ablationECN(s *Session, o Options) (*Result, error) {
 // and line-card convention); counting bytes changes which packets a
 // full buffer turns away — a 60-byte VoIP frame no longer costs the
 // same share as a 1500-byte bulk segment.
-func ablationByteQueue(s *Session, o Options) (*Result, error) {
+func ablationByteQueue(ctx context.Context, s *Session, o Options) (*Result, error) {
 	const pkts = 64
 	queues := []struct {
 		name string
@@ -139,7 +140,7 @@ func ablationByteQueue(s *Session, o Options) (*Result, error) {
 	}
 	g := NewGrid("Ablation: packet- vs byte-counted uplink buffer (VoIP under upstream long-many)",
 		[]string{"talk MOS", "listen MOS"}, cols)
-	s.runCells(jobs, func(_, col string, v any) {
+	err := s.runCells(ctx, jobs, func(_, col string, v any) {
 		p := v.(voipScore)
 		g.Set("talk MOS", col, Cell{Value: p.Talk, Class: string(qoe.VoIPSatisfaction(p.Talk))})
 		g.Set("listen MOS", col, Cell{Value: p.Listen, Class: string(qoe.VoIPSatisfaction(p.Listen))})
@@ -148,7 +149,7 @@ func ablationByteQueue(s *Session, o Options) (*Result, error) {
 		ID:    "abl-bytequeue",
 		Grids: []*Grid{g},
 		Notes: []string{"equal nominal capacity: 64 packets vs 64 MTU of bytes; the 24K column is a deliberately delay-tight byte budget"},
-	}, nil
+	}, err
 }
 
 // ablationIQX rescores the Figure 10b upload-congestion web cells
@@ -158,7 +159,7 @@ func ablationByteQueue(s *Session, o Options) (*Result, error) {
 // survive the change of curve. The underlying cells are plain
 // long-few upstream web runs, shared with ext-parweb's sequential
 // column through the cache.
-func ablationIQX(s *Session, o Options) (*Result, error) {
+func ablationIQX(ctx context.Context, s *Session, o Options) (*Result, error) {
 	logModel := qoe.AccessWebModel()
 	iqxModel := qoe.NewIQXWebModel(logModel)
 	bufs := []int{8, 64, 256}
@@ -170,7 +171,7 @@ func ablationIQX(s *Session, o Options) (*Result, error) {
 	}
 	g := NewGrid("Ablation: G.1030 (log) vs IQX (exp) scoring of access web, upstream long-few",
 		[]string{"PLT", "G.1030 MOS", "IQX MOS"}, cols)
-	s.runCells(jobs, func(_, col string, v any) {
+	err := s.runCells(ctx, jobs, func(_, col string, v any) {
 		plt := v.(time.Duration)
 		lm, im := logModel.MOS(plt), iqxModel.MOS(plt)
 		g.Set("PLT", col, Cell{Value: plt.Seconds(), Text: fmt.Sprintf("%.2fs", plt.Seconds())})
@@ -181,13 +182,13 @@ func ablationIQX(s *Session, o Options) (*Result, error) {
 		ID:    "abl-iqx",
 		Grids: []*Grid{g},
 		Notes: []string{"the two curves may disagree on mid-range scores but must agree on the buffer-size conclusion (both saturate)"},
-	}, nil
+	}, err
 }
 
 // extRecovery quantifies the quality headroom the paper's §8.4 leaves
 // on the table: the same backbone video cells with the MSTV-style ARQ
 // (reference [24]) and with 10% XOR FEC.
-func extRecovery(s *Session, o Options) (*Result, error) {
+func extRecovery(ctx context.Context, s *Session, o Options) (*Result, error) {
 	scenarios := []string{"short-medium", "short-high"}
 	schemes := []video.Recovery{video.RecoveryNone, video.RecoveryARQ, video.RecoveryFEC}
 	var rows []string
@@ -201,7 +202,7 @@ func extRecovery(s *Session, o Options) (*Result, error) {
 			jobs = append(jobs, cellJob{cellTask(o, backboneNet, s, testbed.DirDown, 28, variant{}, videoFG(video.ClipC, video.SD, rec)), rec.String(), s})
 		}
 	}
-	s.runCells(jobs, func(row, col string, v any) {
+	err := s.runCells(ctx, jobs, func(row, col string, v any) {
 		ssim := v.(videoScore).SSIM
 		g.Set(row, col, Cell{Value: ssim, Class: string(qoe.Rate(qoe.SSIMToMOS(ssim)))})
 	})
@@ -209,7 +210,7 @@ func extRecovery(s *Session, o Options) (*Result, error) {
 		ID:    "ext-recovery",
 		Grids: []*Grid{g},
 		Notes: []string{"paper §8.4: 'systems deploying active (retransmission) or passive (FEC) error recovery can achieve higher quality' — quantified here"},
-	}, nil
+	}, err
 }
 
 // extPSNR reruns representative Figure 9b cells scoring with PSNR as
@@ -218,7 +219,7 @@ func extRecovery(s *Session, o Options) (*Result, error) {
 // verifies that equivalence holds in the reproduction too. Every cell
 // here is a cache hit after fig9b/ext-clips: video cells always carry
 // both scores.
-func extPSNR(s *Session, o Options) (*Result, error) {
+func extPSNR(ctx context.Context, s *Session, o Options) (*Result, error) {
 	scenarios := []string{"noBG", "short-medium", "long"}
 	g := NewGrid("Extension: SSIM vs PSNR scoring (SD video, backbone, BDP buffer)",
 		[]string{"SSIM", "SSIM MOS", "PSNR dB", "PSNR MOS"}, scenarios)
@@ -226,7 +227,7 @@ func extPSNR(s *Session, o Options) (*Result, error) {
 	for _, s := range scenarios {
 		jobs = append(jobs, cellJob{cellTask(o, backboneNet, s, testbed.DirDown, 749, variant{}, videoFG(video.ClipC, video.SD, video.RecoveryNone)), "", s})
 	}
-	s.runCells(jobs, func(_, col string, v any) {
+	err := s.runCells(ctx, jobs, func(_, col string, v any) {
 		sc := v.(videoScore)
 		sm, pm := qoe.SSIMToMOS(sc.SSIM), qoe.PSNRToMOS(sc.PSNR)
 		g.Set("SSIM", col, Cell{Value: sc.SSIM})
@@ -238,7 +239,7 @@ func extPSNR(s *Session, o Options) (*Result, error) {
 		ID:    "ext-psnr",
 		Grids: []*Grid{g},
 		Notes: []string{"paper §8.2/§8.3: PSNR heatmaps omitted as similar to SSIM — the two MOS rows should agree on every category"},
-	}, nil
+	}, err
 }
 
 // extJitter re-adds the dimension the paper's testbeds exclude: a
@@ -247,7 +248,7 @@ func extPSNR(s *Session, o Options) (*Result, error) {
 // own variable delay characteristics"). VoIP is the sensitive
 // application; the sweep shows how much last-hop jitter erodes the
 // clean-network score before any buffer sizing question arises.
-func extJitter(s *Session, o Options) (*Result, error) {
+func extJitter(ctx context.Context, s *Session, o Options) (*Result, error) {
 	jitters := []time.Duration{0, 2 * time.Millisecond, 10 * time.Millisecond, 30 * time.Millisecond}
 	cols := make([]string, len(jitters))
 	for i, j := range jitters {
@@ -265,7 +266,7 @@ func extJitter(s *Session, o Options) (*Result, error) {
 			jobs = append(jobs, cellJob{cellTask(o, accessNet, s, testbed.DirDown, 64, v, voipFG), s, cols[ji]})
 		}
 	}
-	s.runCells(jobs, func(row, col string, v any) {
+	err := s.runCells(ctx, jobs, func(row, col string, v any) {
 		p := v.(voipScore)
 		g.Set(row+" listen MOS", col, Cell{Value: p.Listen, Class: string(qoe.VoIPSatisfaction(p.Listen))})
 	})
@@ -273,7 +274,7 @@ func extJitter(s *Session, o Options) (*Result, error) {
 		ID:    "ext-jitter",
 		Grids: []*Grid{g},
 		Notes: []string{"jitter consumes playout-buffer headroom: the idle-network ceiling drops before congestion even starts"},
-	}, nil
+	}, err
 }
 
 // extFQCoDelWeb isolates what flow-queueing adds over plain CoDel for
@@ -281,7 +282,7 @@ func extJitter(s *Session, o Options) (*Result, error) {
 // congested uplink next to bulk uploads. Plain CoDel bounds the
 // standing queue; FQ-CoDel additionally excuses the thin web flow
 // from waiting behind the bulk flows at all.
-func extFQCoDelWeb(s *Session, o Options) (*Result, error) {
+func extFQCoDelWeb(ctx context.Context, s *Session, o Options) (*Result, error) {
 	model := qoe.AccessWebModel()
 	queues := []struct {
 		name string
@@ -299,13 +300,13 @@ func extFQCoDelWeb(s *Session, o Options) (*Result, error) {
 	}
 	g := NewGrid("Extension: FQ-CoDel vs CoDel vs drop-tail (web over a 256-pkt congested uplink, upstream long-many)",
 		[]string{"PLT", "MOS"}, cols)
-	s.runCells(jobs, func(_, col string, v any) {
+	err := s.runCells(ctx, jobs, func(_, col string, v any) {
 		plt := v.(time.Duration)
 		mos := model.MOS(plt)
 		g.Set("PLT", col, Cell{Value: plt.Seconds(), Text: fmt.Sprintf("%.2fs", plt.Seconds())})
 		g.Set("MOS", col, Cell{Value: mos, Class: string(qoe.Rate(mos))})
 	})
-	return &Result{ID: "ext-fqcodel-web", Grids: []*Grid{g}}, nil
+	return &Result{ID: "ext-fqcodel-web", Grids: []*Grid{g}}, err
 }
 
 // ablationBIC completes the paper's §5.2 stack note ("TCP BIC/TCP
@@ -313,7 +314,7 @@ func extFQCoDelWeb(s *Session, o Options) (*Result, error) {
 // bidirectional long-few cell under Reno, BIC, and CUBIC background
 // traffic. The claim under test is unchanged — the CC choice should
 // not move the QoE conclusion.
-func ablationBIC(s *Session, o Options) (*Result, error) {
+func ablationBIC(ctx context.Context, s *Session, o Options) (*Result, error) {
 	algos := []struct {
 		name string
 		v    variant
@@ -330,11 +331,11 @@ func ablationBIC(s *Session, o Options) (*Result, error) {
 	}
 	g := NewGrid("Ablation: Reno vs BIC vs CUBIC background (access, 64-pkt buffers, bidir long-few)",
 		[]string{"listen MOS", "talk MOS", "uplink util %"}, cols)
-	s.runCells(jobs, func(_, col string, v any) {
+	err := s.runCells(ctx, jobs, func(_, col string, v any) {
 		p := v.(voipScore)
 		g.Set("listen MOS", col, Cell{Value: p.Listen, Class: string(qoe.VoIPSatisfaction(p.Listen))})
 		g.Set("talk MOS", col, Cell{Value: p.Talk, Class: string(qoe.VoIPSatisfaction(p.Talk))})
 		g.Set("uplink util %", col, Cell{Value: p.UpUtilPct})
 	})
-	return &Result{ID: "abl-bic", Grids: []*Grid{g}}, nil
+	return &Result{ID: "abl-bic", Grids: []*Grid{g}}, err
 }

@@ -8,7 +8,7 @@ func TestFig7cRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy simulation; skipped in -short (race CI) mode")
 	}
-	r, err := Run("fig7c", tiny())
+	r, err := Run(t.Context(), "fig7c", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func TestFig7cRuns(t *testing.T) {
 }
 
 func TestFig10cDominatedByUpload(t *testing.T) {
-	r, err := Run("fig10c", tiny())
+	r, err := Run(t.Context(), "fig10c", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestFig10cDominatedByUpload(t *testing.T) {
 }
 
 func TestAblationIW10Bounded(t *testing.T) {
-	r, err := Run("abl-iw10", tiny())
+	r, err := Run(t.Context(), "abl-iw10", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestAblationIW10Bounded(t *testing.T) {
 }
 
 func TestAblationECNImprovesOverDropTail(t *testing.T) {
-	r, err := Run("abl-ecn", tiny())
+	r, err := Run(t.Context(), "abl-ecn", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestAblationECNImprovesOverDropTail(t *testing.T) {
 }
 
 func TestAblationByteQueueRuns(t *testing.T) {
-	r, err := Run("abl-bytequeue", tiny())
+	r, err := Run(t.Context(), "abl-bytequeue", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestAblationByteQueueRuns(t *testing.T) {
 }
 
 func TestAblationIQXSameConclusion(t *testing.T) {
-	r, err := Run("abl-iqx", tiny())
+	r, err := Run(t.Context(), "abl-iqx", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestAblationIQXSameConclusion(t *testing.T) {
 }
 
 func TestExtRecoveryImproves(t *testing.T) {
-	r, err := Run("ext-recovery", tiny())
+	r, err := Run(t.Context(), "ext-recovery", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestExtRecoveryImproves(t *testing.T) {
 }
 
 func TestExtPSNRAgreesWithSSIM(t *testing.T) {
-	r, err := Run("ext-psnr", tiny())
+	r, err := Run(t.Context(), "ext-psnr", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestExtPSNRAgreesWithSSIM(t *testing.T) {
 }
 
 func TestExtJitterDegradesCleanNetwork(t *testing.T) {
-	r, err := Run("ext-jitter", tiny())
+	r, err := Run(t.Context(), "ext-jitter", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestExtJitterDegradesCleanNetwork(t *testing.T) {
 }
 
 func TestExtFQCoDelWebBestOrEqual(t *testing.T) {
-	r, err := Run("ext-fqcodel-web", tiny())
+	r, err := Run(t.Context(), "ext-fqcodel-web", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestExtABRShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy simulation; skipped in -short (race CI) mode")
 	}
-	r, err := Run("ext-abr", tiny())
+	r, err := Run(t.Context(), "ext-abr", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestExtABRShape(t *testing.T) {
 }
 
 func TestExtParWebNeutralAtBloat(t *testing.T) {
-	r, err := Run("ext-parweb", tiny())
+	r, err := Run(t.Context(), "ext-parweb", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestExtParWebNeutralAtBloat(t *testing.T) {
 }
 
 func TestAblationBICConsistency(t *testing.T) {
-	r, err := Run("abl-bic", tiny())
+	r, err := Run(t.Context(), "abl-bic", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}

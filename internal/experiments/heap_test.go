@@ -56,7 +56,7 @@ func TestHeapStaysTopologySized(t *testing.T) {
 			s := NewSession(1)
 			col := telemetry.New()
 			s.SetCollector(col)
-			if _, err := s.Probe(tc.spec, Options{}); err != nil {
+			if _, err := probeOne(t.Context(), s, tc.spec, Options{}); err != nil {
 				t.Fatal(err)
 			}
 			m := col.Snapshot().Sim

@@ -25,11 +25,11 @@ func TestCellKeysPinned(t *testing.T) {
 		ClipSeconds: 6, CDNFlows: 1234, CIHalfWidth: 0.25, MinReps: 3,
 	}.withDefaults()
 	probe := func(p ProbeSpec) engine.Task {
-		task, err := p.task(o)
+		tasks, err := compileProbes([]ProbeSpec{p}, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return task
+		return tasks[0]
 	}
 	mix := &testbed.Workload{
 		Up:   []testbed.Component{{Sessions: 2, Infinite: true}},

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -70,7 +71,7 @@ func panelDir(panel string) testbed.Direction {
 // combined up+down scenario the paper describes in §7.2 ("plot not
 // shown": results resemble upload-only, with the listen direction
 // slightly worse from the added downlink traffic).
-func fig7(s *Session, o Options, panel string) (*Result, error) {
+func fig7(ctx context.Context, s *Session, o Options, panel string) (*Result, error) {
 	dir := panelDir(panel)
 	scenarios := accessNet.scenarios
 	var rows []string
@@ -88,17 +89,17 @@ func fig7(s *Session, o Options, panel string) (*Result, error) {
 			jobs = append(jobs, cellJob{cellTask(o, accessNet, s, dir, buf, variant{}, voipFG), s, col})
 		}
 	}
-	s.runCells(jobs, func(row, col string, v any) {
+	err := s.runCells(ctx, jobs, func(row, col string, v any) {
 		p := v.(voipScore)
 		g.Set("user-listens/"+row, col, Cell{Value: p.Listen, Class: string(qoe.VoIPSatisfaction(p.Listen))})
 		g.Set("user-talks/"+row, col, Cell{Value: p.Talk, Class: string(qoe.VoIPSatisfaction(p.Talk))})
 	})
-	return &Result{ID: "fig7" + panel, Grids: []*Grid{g}}, nil
+	return &Result{ID: "fig7" + panel, Grids: []*Grid{g}}, err
 }
 
 // fig8 regenerates the Figure 8 backbone VoIP heatmap (unidirectional
 // calls, server -> client, as in the paper).
-func fig8(s *Session, o Options) (*Result, error) {
+func fig8(ctx context.Context, s *Session, o Options) (*Result, error) {
 	scenarios := backboneNet.scenarios
 	g := NewGrid("Figure 8: VoIP backbone median MOS", scenarios, bufferCols(backboneNet.buffers))
 	var jobs []cellJob
@@ -108,11 +109,11 @@ func fig8(s *Session, o Options) (*Result, error) {
 			jobs = append(jobs, cellJob{cellTask(o, backboneNet, s, testbed.DirDown, buf, variant{}, voipFG), s, col})
 		}
 	}
-	s.runCells(jobs, func(row, col string, v any) {
+	err := s.runCells(ctx, jobs, func(row, col string, v any) {
 		m := v.(float64)
 		g.Set(row, col, Cell{Value: m, Class: string(qoe.VoIPSatisfaction(m))})
 	})
-	return &Result{ID: "fig8", Grids: []*Grid{g}}, nil
+	return &Result{ID: "fig8", Grids: []*Grid{g}}, err
 }
 
 // videoReps streams the clip sequentially Reps times; start is
@@ -146,7 +147,7 @@ func videoReps(se *sim.Engine, o Options, cs *CellScratch, pc *telemetry.PhaseCl
 // fig9 regenerates the Figure 9 video heatmaps: panel "a" is the
 // access testbed (download congestion only: IPTV is downstream),
 // "b" the backbone.
-func fig9(s *Session, o Options, panel string) (*Result, error) {
+func fig9(ctx context.Context, s *Session, o Options, panel string) (*Result, error) {
 	profiles := []video.Profile{video.SD, video.HD}
 	clip := video.ClipC // the clip the paper displays
 
@@ -173,14 +174,14 @@ func fig9(s *Session, o Options, panel string) (*Result, error) {
 			}
 		}
 	}
-	s.runCells(jobs, func(row, col string, v any) {
+	err := s.runCells(ctx, jobs, func(row, col string, v any) {
 		ssim := v.(videoScore).SSIM
 		g.Set(row, col, Cell{
 			Value: ssim,
 			Class: string(qoe.Rate(qoe.SSIMToMOS(ssim))),
 		})
 	})
-	return &Result{ID: "fig9" + panel, Grids: []*Grid{g}}, nil
+	return &Result{ID: "fig9" + panel, Grids: []*Grid{g}}, err
 }
 
 // webReps fetches the page sequentially Reps times and returns the
@@ -219,21 +220,21 @@ func webReps(se *sim.Engine, o Options, cs *CellScratch, pc *telemetry.PhaseCloc
 // is download congestion, "b" upload congestion. Variant "c" is the
 // combined workload of §9.2 ("not shown": dominated by the upload
 // side, with somewhat shorter PLTs than upload-only).
-func fig10(s *Session, o Options, panel string) (*Result, error) {
+func fig10(ctx context.Context, s *Session, o Options, panel string) (*Result, error) {
 	dir := panelDir(panel)
-	return webFigure(s, o, accessNet, dir, "fig10"+panel,
+	return webFigure(ctx, s, o, accessNet, dir, "fig10"+panel,
 		fmt.Sprintf("Figure 10%s: access median PLT (s) and WebQoE, %s congestion", panel, dir))
 }
 
 // fig11 regenerates the Figure 11 backbone WebQoE heatmap.
-func fig11(s *Session, o Options) (*Result, error) {
-	return webFigure(s, o, backboneNet, testbed.DirDown, "fig11", "Figure 11: backbone median PLT (s) and WebQoE")
+func fig11(ctx context.Context, s *Session, o Options) (*Result, error) {
+	return webFigure(ctx, s, o, backboneNet, testbed.DirDown, "fig11", "Figure 11: backbone median PLT (s) and WebQoE")
 }
 
 // webFigure sweeps a network's Table 1 workloads over its Table 2
 // buffers with the web foreground and rates each median PLT on the
 // network's WebQoE model.
-func webFigure(s *Session, o Options, n *network, dir testbed.Direction, id, title string) (*Result, error) {
+func webFigure(ctx context.Context, s *Session, o Options, n *network, dir testbed.Direction, id, title string) (*Result, error) {
 	model := n.webModel()
 	g := NewGrid(title, n.scenarios, bufferCols(n.buffers))
 	var jobs []cellJob
@@ -243,7 +244,7 @@ func webFigure(s *Session, o Options, n *network, dir testbed.Direction, id, tit
 			jobs = append(jobs, cellJob{cellTask(o, n, s, dir, buf, variant{}, webFG(0)), s, col})
 		}
 	}
-	s.runCells(jobs, func(row, col string, v any) {
+	err := s.runCells(ctx, jobs, func(row, col string, v any) {
 		plt := v.(time.Duration)
 		mos := model.MOS(plt)
 		g.Set(row, col, Cell{
@@ -252,5 +253,5 @@ func webFigure(s *Session, o Options, n *network, dir testbed.Direction, id, tit
 			Class: string(qoe.Rate(mos)),
 		})
 	})
-	return &Result{ID: id, Grids: []*Grid{g}}, nil
+	return &Result{ID: id, Grids: []*Grid{g}}, err
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -18,7 +19,7 @@ import (
 // parallelism cannot move a "bad" cell out of the bad band — the
 // paper's methodology choice is QoE-neutral. The sequential cells are
 // shared with abl-iqx through the cache.
-func extParWeb(s *Session, o Options) (*Result, error) {
+func extParWeb(ctx context.Context, s *Session, o Options) (*Result, error) {
 	model := qoe.AccessWebModel()
 	bufs := []int{8, 64, 256}
 	cols := bufferCols(bufs)
@@ -35,7 +36,7 @@ func extParWeb(s *Session, o Options) (*Result, error) {
 				mode, cols[bi]})
 		}
 	}
-	s.runCells(jobs, func(row, col string, v any) {
+	err := s.runCells(ctx, jobs, func(row, col string, v any) {
 		plt := v.(time.Duration)
 		mos := model.MOS(plt)
 		g.Set(row+" PLT", col, Cell{Value: plt.Seconds(), Text: fmt.Sprintf("%.2fs", plt.Seconds())})
@@ -45,5 +46,5 @@ func extParWeb(s *Session, o Options) (*Result, error) {
 		ID:    "ext-parweb",
 		Grids: []*Grid{g},
 		Notes: []string{"the paper's sequential-wget methodology is QoE-neutral: parallelism cannot rescue congested cells and roughly ties on idle ones"},
-	}, nil
+	}, err
 }

@@ -365,16 +365,6 @@ func (p ProbeSpec) cellSpec(o Options) engine.CellSpec {
 	return cellSpec(o, networks[p.Testbed], p.Scenario, p.Direction, p.Buffer, &v, &fg)
 }
 
-// task validates the spec and compiles it into the engine task it
-// names.
-func (p ProbeSpec) task(o Options) (engine.Task, error) {
-	p, err := p.Normalize()
-	if err != nil {
-		return engine.Task{}, err
-	}
-	return p.compile(o), nil
-}
-
 // compile builds a normalized spec's engine task, the closure that
 // simulates the cell included.
 func (p ProbeSpec) compile(o Options) engine.Task {
@@ -428,25 +418,6 @@ func (p ProbeSpec) Validate() error {
 	return err
 }
 
-// Probe runs one probe cell on the session's engine.
-func (s *Session) Probe(p ProbeSpec, o Options) (ProbeValue, error) {
-	return s.ProbeCtx(s.context(), p, o)
-}
-
-// ProbeCtx is Probe bounded by ctx: it returns ErrCanceled if the
-// context is canceled before the cell executes.
-func (s *Session) ProbeCtx(ctx context.Context, p ProbeSpec, o Options) (ProbeValue, error) {
-	t, err := p.task(s.opts(o))
-	if err != nil {
-		return ProbeValue{}, err
-	}
-	raw, err := s.eng.DoCtx(ctx, t.Spec, t.Fn.Compute)
-	if err != nil {
-		return ProbeValue{}, err
-	}
-	return p.value(raw), nil
-}
-
 // compileProbes validates every spec up front and returns its engine
 // tasks; an invalid spec fails the whole batch before any simulation
 // starts. A task carries its CellSpec and a pointer to its probeCell,
@@ -469,20 +440,16 @@ func compileProbes(ps []ProbeSpec, o Options) ([]engine.Task, error) {
 // the whole call before any simulation starts — then fans the cells
 // out across the session's worker pool and returns one value per
 // spec, in input order. Duplicate specs within the batch, or specs
-// the session has already answered, are simulated once.
-func (s *Session) ProbeBatch(ps []ProbeSpec, o Options) ([]ProbeValue, error) {
-	return s.ProbeBatchCtx(s.context(), ps, o)
-}
-
-// ProbeBatchCtx is ProbeBatch bounded by ctx. A canceled batch returns
-// ErrCanceled: in-flight cells drain into the session cache, queued
-// cells are abandoned, and no partial values are returned.
-func (s *Session) ProbeBatchCtx(ctx context.Context, ps []ProbeSpec, o Options) ([]ProbeValue, error) {
+// the session has already answered, are simulated once. Once ctx is
+// canceled the batch returns ErrCanceled: in-flight cells drain into
+// the session cache, queued cells are abandoned, and no partial
+// values are returned.
+func (s *Session) ProbeBatch(ctx context.Context, ps []ProbeSpec, o Options) ([]ProbeValue, error) {
 	tasks, err := compileProbes(ps, s.opts(o))
 	if err != nil {
 		return nil, err
 	}
-	raws, err := s.eng.RunBatchCtx(ctx, tasks)
+	raws, err := s.eng.RunBatch(ctx, tasks)
 	if err != nil {
 		return nil, err
 	}

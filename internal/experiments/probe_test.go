@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 	"time"
 
+	"bufferqoe/internal/engine"
 	"bufferqoe/internal/testbed"
 	"bufferqoe/internal/video"
 )
@@ -51,7 +53,7 @@ func TestProbeBatchPairsLinks(t *testing.T) {
 		{Scenario: "short-few", Direction: testbed.DirUp, Buffer: 64, Media: "web",
 			Link: testbed.LinkParams{UpRate: 1e9, DownRate: 1e9, ClientDelay: 2 * time.Millisecond, ServerDelay: 10 * time.Millisecond}},
 	}
-	vals, err := s.ProbeBatch(specs, o)
+	vals, err := s.ProbeBatch(t.Context(), specs, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +75,7 @@ func TestProbeBatchPairsLinks(t *testing.T) {
 // before any simulation.
 func TestProbeBatchFailsFast(t *testing.T) {
 	s := NewSession(0)
-	_, err := s.ProbeBatch([]ProbeSpec{
+	_, err := s.ProbeBatch(t.Context(), []ProbeSpec{
 		{Scenario: "noBG", Buffer: 64, Media: "web"},
 		{Scenario: "bogus", Buffer: 64, Media: "web"},
 	}, tiny())
@@ -112,7 +114,7 @@ func TestVideoProbeHonorsDirection(t *testing.T) {
 	o := tiny()
 	down := ProbeSpec{Scenario: "long-many", Direction: testbed.DirDown, Buffer: 64, Media: "video"}
 	up := ProbeSpec{Scenario: "long-many", Direction: testbed.DirUp, Buffer: 64, Media: "video"}
-	vals, err := s.ProbeBatch([]ProbeSpec{down, up}, o)
+	vals, err := s.ProbeBatch(t.Context(), []ProbeSpec{down, up}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +131,11 @@ func TestVideoProbeHonorsDirection(t *testing.T) {
 	// builds exactly this task).
 	grid := cellTask(s.opts(o), accessNet, "long-many", testbed.DirDown, 64, variant{},
 		videoFG(video.ClipC, video.SD, video.RecoveryNone))
-	if got := s.runOne(grid).(videoScore).SSIM; got != vals[0].SSIM {
+	gridVals, err := s.eng.RunBatch(t.Context(), []engine.Task{grid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := gridVals[0].(videoScore).SSIM; got != vals[0].SSIM {
 		t.Fatalf("down probe %v != grid cell %v", vals[0].SSIM, got)
 	}
 	if st := s.EngineStats(); st.Misses != 2 {
@@ -145,4 +151,13 @@ func TestProbeRejectsOutOfRangeDirection(t *testing.T) {
 	if err := p.Validate(); err == nil {
 		t.Fatal("out-of-range direction accepted")
 	}
+}
+
+// probeOne runs one probe as a one-spec batch.
+func probeOne(ctx context.Context, s *Session, p ProbeSpec, o Options) (ProbeValue, error) {
+	vals, err := s.ProbeBatch(ctx, []ProbeSpec{p}, o)
+	if err != nil {
+		return ProbeValue{}, err
+	}
+	return vals[0], nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"bufferqoe/internal/qoe"
@@ -20,7 +21,7 @@ func bufferCols(sizes []int) []string {
 
 // table2 regenerates Table 2 by computation (buffer size <-> maximum
 // queueing delay).
-func table2(s *Session, o Options) (*Result, error) {
+func table2(ctx context.Context, s *Session, o Options) (*Result, error) {
 	g := NewGrid("Table 2: buffer sizes and maximum queueing delays",
 		[]string{"access uplink (1 Mbit/s)", "access downlink (16 Mbit/s)", "backbone (OC3)"},
 		[]string{"buffers (pkts)", "delays (ms)", "schemes"})
@@ -61,7 +62,7 @@ func join(xs []string) string {
 
 // table1 reruns every Table 1 workload at BDP buffers and reports the
 // measured utilization, loss and concurrency.
-func table1(s *Session, o Options) (*Result, error) {
+func table1(ctx context.Context, s *Session, o Options) (*Result, error) {
 	cols := []string{"conc flows", "util up %", "util down %", "sd up", "sd down", "loss up %", "loss down %"}
 	var rows []string
 	var jobs []cellJob
@@ -73,7 +74,7 @@ func table1(s *Session, o Options) (*Result, error) {
 		}
 	}
 	g := NewGrid("Table 1 (access): measured workload characteristics at BDP buffers", rows, cols)
-	s.runCells(jobs, func(row, _ string, v any) {
+	if err := s.runCells(ctx, jobs, func(row, _ string, v any) {
 		m := v.(bgMetrics)
 		g.Set(row, "conc flows", Cell{Value: m.Conc})
 		g.Set(row, "util up %", Cell{Value: m.UtilUpPct})
@@ -82,7 +83,9 @@ func table1(s *Session, o Options) (*Result, error) {
 		g.Set(row, "sd down", Cell{Value: m.SdDown})
 		g.Set(row, "loss up %", Cell{Value: m.LossUpPct})
 		g.Set(row, "loss down %", Cell{Value: m.LossDownPct})
-	})
+	}); err != nil {
+		return nil, err
+	}
 
 	bbNames := []string{"short-low", "short-medium", "short-high", "short-overload", "long"}
 	var bbRows []string
@@ -94,20 +97,20 @@ func table1(s *Session, o Options) (*Result, error) {
 	}
 	g2 := NewGrid("Table 1 (backbone): measured workload characteristics at BDP buffers",
 		bbRows, []string{"conc flows", "util %", "sd", "loss %"})
-	s.runCells(bbJobs, func(row, _ string, v any) {
+	err := s.runCells(ctx, bbJobs, func(row, _ string, v any) {
 		m := v.(bgMetrics)
 		g2.Set(row, "conc flows", Cell{Value: m.Conc})
 		g2.Set(row, "util %", Cell{Value: m.UtilDownPct})
 		g2.Set(row, "sd", Cell{Value: m.SdDown})
 		g2.Set(row, "loss %", Cell{Value: m.LossDownPct})
 	})
-	return &Result{ID: "table1", Grids: []*Grid{g, g2}}, nil
+	return &Result{ID: "table1", Grids: []*Grid{g, g2}}, err
 }
 
 // fig4 regenerates the Figure 4 mean-queueing-delay heatmaps for one
 // workload direction: "a" = downstream only, "b" = bidirectional,
 // "c" = upstream only.
-func fig4(s *Session, o Options, panel string) (*Result, error) {
+func fig4(ctx context.Context, s *Session, o Options, panel string) (*Result, error) {
 	dir := map[string]testbed.Direction{
 		"a": testbed.DirDown, "b": testbed.DirBidir, "c": testbed.DirUp,
 	}[panel]
@@ -127,7 +130,7 @@ func fig4(s *Session, o Options, panel string) (*Result, error) {
 			jobs = append(jobs, cellJob{cellTask(o, accessNet, s, dir, buf, variant{bufUp: buf}, backgroundFG), s, col})
 		}
 	}
-	s.runCells(jobs, func(row, col string, v any) {
+	err := s.runCells(ctx, jobs, func(row, col string, v any) {
 		m := v.(bgMetrics)
 		g.Set("uplink/"+row, col, Cell{
 			Value: m.DelayUpMs,
@@ -138,14 +141,14 @@ func fig4(s *Session, o Options, panel string) (*Result, error) {
 			Class: qoe.ClassifyDelay(msToDuration(m.DelayDownMs)).String(),
 		})
 	})
-	return &Result{ID: "fig4" + panel, Grids: []*Grid{g}}, nil
+	return &Result{ID: "fig4" + panel, Grids: []*Grid{g}}, err
 }
 
 // fig5 regenerates the Figure 5 utilization boxplots: bidirectional
 // long workload (8 uplink, 64 downlink flows) across buffer sizes.
 // Its cells are the same background runs as fig4b's long-many column,
 // so a full-suite run pays for them once.
-func fig5(s *Session, o Options) (*Result, error) {
+func fig5(ctx context.Context, s *Session, o Options) (*Result, error) {
 	cols := bufferCols(accessNet.buffers)
 	rows := []string{
 		"downlink median", "downlink q1", "downlink q3", "downlink min", "downlink max",
@@ -156,7 +159,7 @@ func fig5(s *Session, o Options) (*Result, error) {
 	for bi, buf := range accessNet.buffers {
 		jobs = append(jobs, cellJob{cellTask(o, accessNet, "long-many", testbed.DirBidir, buf, variant{bufUp: buf}, backgroundFG), "", cols[bi]})
 	}
-	s.runCells(jobs, func(_, col string, v any) {
+	err := s.runCells(ctx, jobs, func(_, col string, v any) {
 		m := v.(bgMetrics)
 		set := func(prefix string, b stats.Boxplot) {
 			g.Set(prefix+" median", col, Cell{Value: b.Median})
@@ -168,5 +171,5 @@ func fig5(s *Session, o Options) (*Result, error) {
 		set("downlink", m.DownBox)
 		set("uplink", m.UpBox)
 	})
-	return &Result{ID: "fig5", Grids: []*Grid{g}}, nil
+	return &Result{ID: "fig5", Grids: []*Grid{g}}, err
 }

@@ -17,6 +17,11 @@ import (
 // the abandoned cells.
 var ErrCanceled = engine.ErrCanceled
 
+// ErrCellPanicked reports that a run failed because one of its cells
+// panicked; the error wrapping it names the panic value. The session
+// stays usable, and the panicking cell is not cached.
+var ErrCellPanicked = engine.ErrCellPanicked
+
 // Session owns one cell-execution engine: a worker pool, a result
 // cache, and the hit/miss counters. Everything the package can run —
 // experiment grids, probes, sweeps — runs *on* a session, so
@@ -26,18 +31,13 @@ var ErrCanceled = engine.ErrCanceled
 // on Default, preserving the original single-engine behavior.
 type Session struct {
 	eng *engine.Engine
-	// ctx, when non-nil, bounds every run on this view of the session;
-	// see WithContext. nil means context.Background().
-	ctx context.Context
 	// collector, when non-nil, is merged into every run's Options (see
 	// opts) so cells report per-cell telemetry without each caller
-	// threading a collector through. Set via SetCollector on the root
-	// session, before WithContext views are taken.
+	// threading a collector through. Set via SetCollector.
 	collector *telemetry.Collector
 	// store is the session's handle on the persistent result store
 	// attached to the engine, kept so CloseStore/ResetCache can flush
-	// and release it. Like collector, manage it on the root session
-	// before WithContext views are taken (views copy the struct).
+	// and release it.
 	store *store.Store
 	// content is the reference media every worker's scratch shares.
 	content *contentCache
@@ -60,28 +60,6 @@ func NewSession(workers int) *Session {
 // caller that uses the package-level API.
 var Default = NewSession(0)
 
-// WithContext returns a view of the session whose runs are bounded by
-// ctx: queued cells are abandoned once ctx is canceled and the run
-// returns ErrCanceled. The view shares the session's engine, cache,
-// and counters — it is a call-scoping device, not a new session.
-func (s *Session) WithContext(ctx context.Context) *Session {
-	view := *s
-	view.ctx = ctx
-	return &view
-}
-
-// Context returns the context bounding this session view:
-// context.Background() unless the view came from WithContext.
-func (s *Session) Context() context.Context {
-	if s.ctx != nil {
-		return s.ctx
-	}
-	return context.Background()
-}
-
-// context is shorthand for Context in the run paths.
-func (s *Session) context() context.Context { return s.Context() }
-
 // SetParallelism resizes the session's cell worker pool; n <= 0 means
 // GOMAXPROCS. Parallelism never changes results: each cell's seed is
 // derived from its canonical spec, not from scheduling order.
@@ -97,8 +75,7 @@ func (s *Session) EngineStats() engine.Stats { return s.eng.Stats() }
 // detaches): the cell engine mirrors its cache counters, gauges, and
 // per-cell wall time into it, and every run whose Options leave
 // Collector nil reports phase telemetry to it. Attach before
-// submitting work and before taking WithContext views — views copy
-// the session struct, so they see the collector set at copy time.
+// submitting work.
 func (s *Session) SetCollector(c *telemetry.Collector) {
 	s.collector = c
 	s.eng.SetCollector(c)
@@ -123,9 +100,8 @@ func (s *Session) opts(o Options) Options {
 // dir as the engine's second cache tier: in-memory misses are
 // answered from disk when a prior run (any process, any machine)
 // already computed the cell under the same engine.Version, and fresh
-// computes are written through off the hot path. Open the store on
-// the root session before submitting work or taking WithContext
-// views; a session holds at most one store at a time.
+// computes are written through off the hot path. Open the store
+// before submitting work; a session holds at most one store at a time.
 func (s *Session) OpenStore(dir string) error {
 	if s.store != nil {
 		return fmt.Errorf("experiments: session already has a store open at %s", s.store.Dir())
@@ -174,39 +150,23 @@ func (s *Session) ResetCache() {
 	}
 }
 
-// cancelSignal carries a cancellation out of a grid runner through the
-// panic path. The ~40 runners are straight-line cell submitters with
-// no error plumbing of their own; rather than threading a ctx check
-// through every one, runOne/runCells panic with this sentinel and
-// Session.Run recovers it into an ordinary ErrCanceled return. The
-// sentinel never crosses a goroutine boundary: runCells collects cell
-// errors on the calling goroutine before panicking.
-type cancelSignal struct{ err error }
-
-// runOne executes a single cell synchronously (probes and small
-// grids); batches should go through runCells.
-func (s *Session) runOne(t engine.Task) any {
-	v, err := s.eng.DoCtx(s.context(), t.Spec, t.Fn.Compute)
-	if err != nil {
-		panic(cancelSignal{err})
-	}
-	return v
-}
-
 // runCells fans a batch of jobs out across the engine and hands each
-// value back with its grid coordinates.
-func (s *Session) runCells(jobs []cellJob, each func(row, col string, v any)) {
+// value back with its grid coordinates. It fills nothing and returns
+// the batch's error if any cell failed: ErrCanceled once ctx is
+// canceled, or a panicking cell's error.
+func (s *Session) runCells(ctx context.Context, jobs []cellJob, fill func(row, col string, v any)) error {
 	tasks := make([]engine.Task, len(jobs))
 	for i, j := range jobs {
 		tasks[i] = j.task
 	}
-	vals, err := s.eng.RunBatchCtx(s.context(), tasks)
+	vals, err := s.eng.RunBatch(ctx, tasks)
 	if err != nil {
-		panic(cancelSignal{err})
+		return err
 	}
 	for i, v := range vals {
-		each(jobs[i].row, jobs[i].col, v)
+		fill(jobs[i].row, jobs[i].col, v)
 	}
+	return nil
 }
 
 // SetParallelism resizes the Default session's worker pool.

@@ -119,7 +119,7 @@ func TestWifiBBRSeedPairing(t *testing.T) {
 		{Scenario: "short-few", Direction: testbed.DirDown, Buffer: 64, Media: "voip"},
 		{Scenario: "short-few", Direction: testbed.DirDown, Buffer: 64, Media: "voip", Link: wifi, CC: "bbr"},
 	}
-	vals, err := s.ProbeBatch(specs, o)
+	vals, err := s.ProbeBatch(t.Context(), specs, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,22 +1,29 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"bufferqoe/internal/cdn"
+	"bufferqoe/internal/engine"
 	"bufferqoe/internal/stats"
 )
 
-// wildAnalysis runs (or fetches from the cell cache) the synthetic
-// CDN analysis; the three Figure 1 panels share one population per
-// (seed, flows) pair.
-func wildAnalysis(s *Session, o Options) *cdn.Analysis {
-	return s.runOne(wildTask(o)).(*cdn.Analysis)
+// wild binds a Figure 1 panel to the synthetic CDN analysis, which it
+// runs (or fetches from the cell cache): the three panels share one
+// population per (seed, flows) pair.
+func wild(panel func(*cdn.Analysis) *Result) runner {
+	return func(ctx context.Context, s *Session, o Options) (*Result, error) {
+		vals, err := s.eng.RunBatch(ctx, []engine.Task{wildTask(o)})
+		if err != nil {
+			return nil, err
+		}
+		return panel(vals[0].(*cdn.Analysis)), nil
+	}
 }
 
 // fig1a regenerates the min/avg/max sRTT PDFs.
-func fig1a(s *Session, o Options) (*Result, error) {
-	a := wildAnalysis(s, o)
+func fig1a(a *cdn.Analysis) *Result {
 	g := NewGrid("Figure 1a: PDF of log sRTT (sparklines over 1ms..10s)",
 		[]string{"min RTT", "avg RTT", "max RTT"},
 		[]string{"pdf", "mode (ms)"})
@@ -30,12 +37,11 @@ func fig1a(s *Session, o Options) (*Result, error) {
 		ID:    "fig1a",
 		Grids: []*Grid{g},
 		Notes: []string{fmt.Sprintf("%d flows analyzed (>=10 samples)", a.FlowsAnalyzed)},
-	}, nil
+	}
 }
 
 // fig1b regenerates the min-vs-max 2D histogram.
-func fig1b(s *Session, o Options) (*Result, error) {
-	a := wildAnalysis(s, o)
+func fig1b(a *cdn.Analysis) *Result {
 	g := NewGrid("Figure 1b: min vs max RTT per flow",
 		[]string{"frac near diagonal (+-1 bin)"}, []string{"value"})
 	g.Set("frac near diagonal (+-1 bin)", "value", Cell{Value: a.MinMax.FracOnDiagonal(1)})
@@ -43,13 +49,12 @@ func fig1b(s *Session, o Options) (*Result, error) {
 		ID:    "fig1b",
 		Grids: []*Grid{g},
 		Notes: []string{"density plot:\n" + a.MinMax.RenderASCII()},
-	}, nil
+	}
 }
 
 // fig1c regenerates the estimated queueing-delay PDFs by access
 // technology, plus the headline marginals.
-func fig1c(s *Session, o Options) (*Result, error) {
-	a := wildAnalysis(s, o)
+func fig1c(a *cdn.Analysis) *Result {
 	rows := []string{"FTTH", "Cable", "ADSL", "all"}
 	g := NewGrid("Figure 1c: PDF of estimated queueing delay (max-min sRTT)",
 		rows, []string{"pdf", "n"})
@@ -67,5 +72,5 @@ func fig1c(s *Session, o Options) (*Result, error) {
 		[]string{"near flows"}, []string{"<100ms", "<1000ms"})
 	p.Set("near flows", "<100ms", Cell{Value: 100 * a.NearFracBelow100})
 	p.Set("near flows", "<1000ms", Cell{Value: 100 * a.NearFracBelow1000})
-	return &Result{ID: "fig1c", Grids: []*Grid{g, m, p}}, nil
+	return &Result{ID: "fig1c", Grids: []*Grid{g, m, p}}
 }

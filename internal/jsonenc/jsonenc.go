@@ -31,8 +31,15 @@ const (
 type Indent string
 
 // NewIndent returns the line starts of a document written with the
-// given prefix.
+// given prefix. The two prefixes the writers use, "" for a document of
+// its own and "  " for one nested in a reply, allocate nothing.
 func NewIndent(prefix string) Indent {
+	switch prefix {
+	case "":
+		return ",\n" + levels
+	case "  ":
+		return ",\n  " + levels
+	}
 	return Indent(",\n" + prefix + levels)
 }
 

@@ -88,9 +88,9 @@ type Recommendation struct {
 
 // AppendJSON appends the recommendation to b as
 // json.MarshalIndent(r, prefix, "  ") renders it, in one pass (see
-// Grid.AppendJSON): its fields carry no tags, so the keys are the
-// field names. A recommendation holding NaN or ±Inf appends nothing
-// and returns the error MarshalIndent returns.
+// Grid.AppendJSON), growing b at most once: its fields carry no tags,
+// so the keys are the field names. A recommendation holding NaN or
+// ±Inf appends nothing and returns the error MarshalIndent returns.
 func (r *Recommendation) AppendJSON(b []byte, prefix string) ([]byte, error) {
 	ok := jsonenc.Finite(r.Score)
 	for _, c := range r.Cells {
@@ -100,6 +100,7 @@ func (r *Recommendation) AppendJSON(b []byte, prefix string) ([]byte, error) {
 		_, err := json.MarshalIndent(r, prefix, "  ")
 		return b, err
 	}
+	b = growJSON(b, r.jsonSize(prefix))
 	in := jsonenc.NewIndent(prefix)
 	line, next := in.Line(1), in.Next(1)
 	b = append(b, '{')
@@ -129,6 +130,14 @@ func (r *Recommendation) AppendJSON(b []byte, prefix string) ([]byte, error) {
 	b = append(b, '}')
 	b = append(b, in.Line(0)...)
 	return append(b, '}'), nil
+}
+
+// jsonSize bounds the bytes AppendJSON appends at prefix, unless a
+// label needs escaping: the fields, the scheme, the buffers tried and
+// the cells (see Grid.jsonSize).
+func (r *Recommendation) jsonSize(prefix string) int {
+	p := len(prefix)
+	return 340 + 15*p + len(r.Scheme.Name) + len(r.BuffersTried)*(26+p) + cellsJSONSize(r.Cells, prefix)
 }
 
 // evaluation is one candidate buffer's measured outcome.
@@ -331,7 +340,7 @@ func (r *recommendSearch) evaluate(idx ...int) error {
 			specs = append(specs, sp)
 		}
 	}
-	values, err := r.s.inner.ProbeBatchCtx(r.ctx, specs, r.o.internal())
+	values, err := r.s.inner.ProbeBatch(r.ctx, specs, r.o.internal())
 	if err != nil {
 		return err
 	}

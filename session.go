@@ -31,20 +31,6 @@ func NewSession() *Session {
 // through either API share one cache.
 var defaultSession = &Session{inner: experiments.Default}
 
-// WithContext returns a view of the session whose runs — Run, RunAll,
-// Sweep, the Measure* probes — are bounded by ctx: once ctx is
-// canceled, queued cells are abandoned (in-flight cells drain into
-// the cache) and the run returns ErrCanceled. The view shares the
-// session's engine, cache, and counters; it scopes calls, it does not
-// create a new session. The explicit-context entry points (RunCtx,
-// SweepCtx, SweepStream, Recommend) are usually more convenient.
-func (s *Session) WithContext(ctx context.Context) *Session {
-	return &Session{inner: s.inner.WithContext(ctx)}
-}
-
-// ctx returns the context this session view is bounded by.
-func (s *Session) ctx() context.Context { return s.inner.Context() }
-
 // SetParallelism resizes the session's cell worker pool; n <= 0 means
 // GOMAXPROCS. Parallelism never changes results.
 func (s *Session) SetParallelism(n int) { s.inner.SetParallelism(n) }
@@ -89,23 +75,29 @@ func (s *Session) ResetCache() { s.inner.ResetCache() }
 
 // Run executes one experiment by ID on the session.
 func (s *Session) Run(id string, o Options) (*Result, error) {
-	res, err := s.inner.Run(id, o.internal())
+	return s.RunCtx(context.Background(), id, o)
+}
+
+// RunCtx is Run bounded by ctx: a canceled context abandons the
+// experiment's queued cells and returns ErrCanceled.
+func (s *Session) RunCtx(ctx context.Context, id string, o Options) (*Result, error) {
+	res, err := s.inner.Run(ctx, id, o.internal())
 	if err != nil {
 		return nil, err
 	}
 	return &Result{ID: res.ID, Text: res.Render(), inner: res}, nil
 }
 
-// RunCtx is Run bounded by ctx: a canceled context abandons the
-// experiment's queued cells and returns ErrCanceled.
-func (s *Session) RunCtx(ctx context.Context, id string, o Options) (*Result, error) {
-	return s.WithContext(ctx).Run(id, o)
-}
-
 // RunAll executes a batch of experiments on the session; see the
 // package-level RunAll for the batching semantics.
 func (s *Session) RunAll(ids []string, o Options) []Outcome {
-	inner := s.inner.RunAll(ids, o.internal())
+	return s.RunAllCtx(context.Background(), ids, o)
+}
+
+// RunAllCtx is RunAll bounded by ctx: canceled experiments record
+// ErrCanceled outcomes instead of results.
+func (s *Session) RunAllCtx(ctx context.Context, ids []string, o Options) []Outcome {
+	inner := s.inner.RunAll(ctx, ids, o.internal())
 	out := make([]Outcome, len(inner))
 	for i, oc := range inner {
 		out[i] = Outcome{ID: oc.ID, Err: oc.Err, Elapsed: oc.Elapsed}
@@ -116,19 +108,14 @@ func (s *Session) RunAll(ids []string, o Options) []Outcome {
 	return out
 }
 
-// RunAllCtx is RunAll bounded by ctx: canceled experiments record
-// ErrCanceled outcomes instead of results.
-func (s *Session) RunAllCtx(ctx context.Context, ids []string, o Options) []Outcome {
-	return s.WithContext(ctx).RunAll(ids, o)
-}
-
 // The Measure* methods compile a one-cell Scenario/Probe pair through
 // the same spec path as Sweep, so an unknown scenario, direction, or
 // profile returns an error here instead of crashing a worker
 // goroutine, and a probe of a configuration any sweep or experiment
 // on this session has visited is a cache hit.
 
-// measure compiles one legacy probe and runs it. On the backbone the
+// measure compiles one legacy probe and runs it as a one-spec batch.
+// On the backbone the
 // caller's direction is ignored (the paper's backbone is
 // downstream-only and the pre-Session probes accepted any direction
 // there), matching the historical Measure* behavior.
@@ -141,7 +128,11 @@ func (s *Session) measure(n Network, scenario string, dir Direction, buffer int,
 	if err != nil {
 		return experiments.ProbeValue{}, err
 	}
-	return s.inner.Probe(spec, o.internal())
+	vals, err := s.inner.ProbeBatch(context.Background(), []experiments.ProbeSpec{spec}, o.internal())
+	if err != nil {
+		return experiments.ProbeValue{}, err
+	}
+	return vals[0], nil
 }
 
 // MeasureVoIP runs VoIP calls under the named workload and returns

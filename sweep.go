@@ -1,8 +1,10 @@
 package bufferqoe
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -137,25 +139,14 @@ func (c SweepCell) render() string {
 
 // JSON renders the grid as indented machine-readable JSON, byte for
 // byte what json.MarshalIndent(g, "", "  ") writes; see AppendJSON.
-func (g *Grid) JSON() ([]byte, error) {
-	// A cell writes 190-250 bytes besides its scenario label, which a
-	// custom link makes long.
-	size := 256
-	for _, s := range g.Scenarios {
-		size += 8 + len(s)
-	}
-	for _, c := range g.Cells {
-		size += 240 + len(c.Scenario)
-	}
-	return g.AppendJSON(make([]byte, 0, size), "")
-}
+func (g *Grid) JSON() ([]byte, error) { return g.AppendJSON(nil, "") }
 
 // AppendJSON appends the grid to b as json.MarshalIndent(g, prefix,
 // "  ") renders it, in one pass rather than a marshal and a re-scan to
-// indent. A server nesting the grid one level deep in an indented
-// reply passes the prefix "  ". A grid holding NaN or ±Inf, which JSON
-// cannot represent, appends nothing and returns the error
-// MarshalIndent returns.
+// indent, growing b at most once (see growJSON). A server nesting the
+// grid one level deep in an indented reply passes the prefix "  ". A
+// grid holding NaN or ±Inf, which JSON cannot represent, appends
+// nothing and returns the error MarshalIndent returns.
 func (g *Grid) AppendJSON(b []byte, prefix string) ([]byte, error) {
 	for _, c := range g.Cells {
 		if !c.finite() {
@@ -163,6 +154,7 @@ func (g *Grid) AppendJSON(b []byte, prefix string) ([]byte, error) {
 			return b, err
 		}
 	}
+	b = growJSON(b, g.jsonSize(prefix))
 	in := jsonenc.NewIndent(prefix)
 	line, next := in.Line(1), in.Next(1)
 	b = append(b, '{')
@@ -176,6 +168,41 @@ func (g *Grid) AppendJSON(b []byte, prefix string) ([]byte, error) {
 	b = jsonenc.AppendArray(b, in, 1, g.Cells, appendJSONCell)
 	b = append(b, in.Line(0)...)
 	return append(b, '}'), nil
+}
+
+// jsonSize bounds the bytes AppendJSON appends at prefix, unless a
+// label needs escaping: the braces, keys and indentation of the four
+// axes, each label on a line of its own, and the cells.
+func (g *Grid) jsonSize(prefix string) int {
+	p := len(prefix)
+	n := 80 + 9*p + len(g.Buffers)*(26+p) + cellsJSONSize(g.Cells, prefix)
+	for _, axis := range [...][]string{g.Scenarios, g.Probes} {
+		for _, l := range axis {
+			n += 8 + p + len(l)
+		}
+	}
+	return n
+}
+
+// cellsJSONSize bounds the bytes cells take in an indented document
+// at prefix, unless a label needs escaping: per cell, 280 bytes of
+// keys, quotes, indentation and numbers at their widest, and its labels.
+func cellsJSONSize(cells []SweepCell, prefix string) (n int) {
+	for _, c := range cells {
+		n += 280 + 11*len(prefix) + len(c.Scenario) + len(c.Probe) + len(c.Metric) + len(c.Rating) + len(c.TalkRating)
+	}
+	return n
+}
+
+// growJSON grows b once, if it cannot take n more bytes, by n and the
+// room it had to spare: the one-pass writers reserve what they will
+// append, and a caller that sized b for what it writes around them
+// keeps that room.
+func growJSON(b []byte, n int) []byte {
+	if spare := cap(b) - len(b); spare < n {
+		b = slices.Grow(b, n+spare)
+	}
+	return b
 }
 
 // finite reports whether JSON can represent every float of the cell.
@@ -298,9 +325,9 @@ func (p *sweepPlan) cell(i int, v experiments.ProbeValue) SweepCell {
 // and returns the structured results. Every combination is validated
 // before any cell is simulated, so an invalid corner fails the call
 // instead of crashing a worker mid-run. Sweep is SweepCtx without a
-// deadline (it still observes a WithContext bound on the session).
+// deadline.
 func (s *Session) Sweep(sw Sweep, o Options) (*Grid, error) {
-	return s.SweepCtx(s.ctx(), sw, o)
+	return s.SweepCtx(context.Background(), sw, o)
 }
 
 // sweepCell scores one raw probe value on the opinion scale.

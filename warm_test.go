@@ -51,8 +51,9 @@ func warmRequery(tb testing.TB, s *Session, sw Sweep, o Options) {
 // grid allocates: a cache hit renders its key and looks it up, and
 // resolves no workload, builds no closure and renders no tag: each
 // scenario is normalized once a call. Counts, not times, so the pin has
-// no timing noise; the budget is 1.1x the 131 allocations measured
-// when the pin was last tightened (157 while every video cell rendered
+// no timing noise; the budget is 1.1x the 130 allocations measured
+// when the pin was last tightened (131 while writing the JSON built its
+// indentation at run time; 157 while every video cell rendered
 // its variant lead; 371 while every hit built its cell's closure; the
 // fmt-keyed, build-time-resolved, MarshalIndent path allocated 1,037).
 func TestWarmSweepAllocs(t *testing.T) {
@@ -65,7 +66,7 @@ func TestWarmSweepAllocs(t *testing.T) {
 	if got := s.Stats().Misses; got != misses {
 		t.Fatalf("warm re-queries simulated %d cells", got-misses)
 	}
-	const measured = 131
+	const measured = 130
 	if allocs > 1.1*measured {
 		t.Fatalf("warm 81-cell re-query allocates %.0f, budget %.0f (1.1 x %d)", allocs, 1.1*measured, measured)
 	}
@@ -117,8 +118,9 @@ func warmCustomSession(tb testing.TB) (*Session, Sweep, Options) {
 // TestWarmCustomSweepAllocs pins the same for the off-paper grid,
 // whose scenarios carry a custom link, an AQM and a congestion control:
 // each scenario renders its label, link tag and variant tag once a
-// call, not once a cell. The budget is 1.1x the 107 allocations
-// measured (583 while every cell rendered its tags with fmt).
+// call, not once a cell. The budget is 1.1x the 106 allocations
+// measured (107 while writing the JSON built its indentation at run
+// time; 583 while every cell rendered its tags with fmt).
 func TestWarmCustomSweepAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fills a 30-cell grid")
@@ -129,7 +131,7 @@ func TestWarmCustomSweepAllocs(t *testing.T) {
 	if got := s.Stats().Misses; got != misses {
 		t.Fatalf("warm re-queries simulated %d cells", got-misses)
 	}
-	const measured = 107
+	const measured = 106
 	if allocs > 1.1*measured {
 		t.Fatalf("warm 30-cell custom re-query allocates %.0f, budget %.0f (1.1 x %d)", allocs, 1.1*measured, measured)
 	}
