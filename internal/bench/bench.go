@@ -37,7 +37,6 @@ import (
 	"testing"
 	"time"
 
-	"bufferqoe/internal/media"
 	"bufferqoe/internal/netem"
 	"bufferqoe/internal/sim"
 	"bufferqoe/internal/stats"
@@ -115,7 +114,7 @@ func LinkForward(b *testing.B) {
 // the cold path are benchmarked separately).
 func WholeCell(b *testing.B) {
 	b.ReportAllocs()
-	ref := media.LibrarySample(42, 0)
+	ref := voip.Activity(42, 0)
 	wl, err := testbed.LookupAccessScenario("short-few", testbed.DirDown)
 	if err != nil {
 		b.Fatal(err)
@@ -152,7 +151,7 @@ func WholeCell(b *testing.B) {
 // "cheap when on" half of the telemetry layer's contract.
 func WholeCellTelemetry(b *testing.B) {
 	b.ReportAllocs()
-	ref := media.LibrarySample(42, 0)
+	ref := voip.Activity(42, 0)
 	wl, err := testbed.LookupAccessScenario("short-few", testbed.DirDown)
 	if err != nil {
 		b.Fatal(err)
@@ -235,7 +234,7 @@ func wifiLink() testbed.LinkParams {
 // process must not reintroduce per-event allocation.
 func WifiCell(b *testing.B) {
 	b.ReportAllocs()
-	ref := media.LibrarySample(42, 0)
+	ref := voip.Activity(42, 0)
 	wl, err := testbed.LookupAccessScenario("short-few", testbed.DirDown)
 	if err != nil {
 		b.Fatal(err)
@@ -272,7 +271,7 @@ func WifiCell(b *testing.B) {
 // segment.
 func PacedCell(b *testing.B) {
 	b.ReportAllocs()
-	ref := media.LibrarySample(42, 0)
+	ref := voip.Activity(42, 0)
 	wl, err := testbed.LookupAccessScenario("short-few", testbed.DirDown)
 	if err != nil {
 		b.Fatal(err)
@@ -335,9 +334,9 @@ func StatsAccumulate(b *testing.B) {
 func CellRepLoop(b *testing.B) {
 	const reps = 3
 	b.ReportAllocs()
-	var lib [2 * reps]*media.Sample // the recordings the reps play
+	var lib [2 * reps][]bool // the recordings the reps play
 	for i := range lib {
-		lib[i] = media.LibrarySample(42, i)
+		lib[i] = voip.Activity(42, i)
 	}
 	wl, err := testbed.LookupAccessScenario("short-few", testbed.DirDown)
 	if err != nil {

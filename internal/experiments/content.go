@@ -4,20 +4,23 @@ import (
 	"sync"
 	"time"
 
-	"bufferqoe/internal/media"
 	"bufferqoe/internal/telemetry"
 	"bufferqoe/internal/video"
+	"bufferqoe/internal/voip"
 )
 
-// contentCap bounds the reference media a session keeps resident. One
-// round of the paper's access grid plays 9 seeds x 6 recordings of
-// 512 KB plus one rendered clip, so a grid's working set fits and
-// whatever earlier grids left behind is evicted instead of pinned.
+// contentCap bounds the reference media a session keeps resident. A
+// recording is held as its 400-byte activity mask, so the bound is
+// set by rendered clips: one round of the paper's access grid holds
+// 9 seeds x 6 masks plus one clip (1.2 MB at SD, the default 4 s), a
+// grid's working set fits many times over, and whatever earlier grids
+// left behind is evicted instead of pinned.
 const contentCap = 32 << 20
 
 // contentKey names one piece of reference media and is everything its
-// bytes depend on: a speech recording is a pure function of (cell
-// seed, index), a rendered clip of (clip, profile, length).
+// bytes depend on: a speech recording's activity mask is a pure
+// function of (cell seed, index), a rendered clip of (clip, profile,
+// length).
 type contentKey struct {
 	video bool
 	// Speech: recording index of the seed's 20-sample reference set.
@@ -35,8 +38,8 @@ func (k contentKey) build() (any, int64) {
 		src := video.NewSource(k.clip, k.profile, k.seconds)
 		return src, int64(src.Frames() * k.profile.W * k.profile.H)
 	}
-	s := media.LibrarySample(k.seed, k.index)
-	return s, int64(8 * len(s.PCM))
+	mask := voip.Activity(k.seed, k.index)
+	return mask, int64(len(mask))
 }
 
 // contentEntry is one cache slot. once makes the build single-flight:
@@ -114,7 +117,7 @@ func (c *contentCache) get(k contentKey, col *telemetry.Collector, use *telemetr
 // being built have no size yet and stay (evicting one would only lose
 // its single-flight); an entry larger than the cap evicts itself last
 // and is simply handed to its asker unretained. The scan is linear:
-// the cap holds some sixty recordings.
+// what a grid keeps resident is tens of entries.
 func (c *contentCache) evict() int {
 	n := 0
 	for c.bytes > contentCap {

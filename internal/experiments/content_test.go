@@ -3,33 +3,23 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
-	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"bufferqoe/internal/media"
 	"bufferqoe/internal/telemetry"
+	"bufferqoe/internal/testbed"
 	"bufferqoe/internal/video"
 )
 
-func samePCM(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// TestContentCacheBounded sweeps VoIP cells under more distinct seeds
-// than the cap holds recordings for — what a long-lived server sees —
-// and checks that the resident bytes never pass the cap, that eviction
-// is what kept them there, and that an evicted recording comes back
-// bit-equal, as does the cell that plays it.
+// TestContentCacheBounded plays a VoIP cell, then renders more HD clips
+// than the cap holds — what a long-lived server sees — and checks that
+// the resident bytes never pass the cap, that eviction is what kept
+// them there, that the counters add up, and that an evicted recording
+// comes back bit-equal, as does the cell that plays it.
 func TestContentCacheBounded(t *testing.T) {
 	s := NewSession(2)
 	col := telemetry.New()
@@ -37,34 +27,37 @@ func TestContentCacheBounded(t *testing.T) {
 	if s.content.resident() != 0 {
 		t.Fatal("a fresh session's content cache is not cold")
 	}
-	cs := &CellScratch{content: s.content}
-	held := cs.speech(Options{Seed: 99, Collector: col}, 0)
 	probe := ProbeSpec{Buffer: 64, Media: "voip"} // noBG: two recordings a cell at Reps 1
 	o := tiny()
-	const recordingBytes = 8 * 8 * media.SampleRate
-	seeds := contentCap/(2*recordingBytes) + 8
-	var first ProbeValue
-	for seed := 1; seed <= seeds; seed++ {
-		o.Seed = uint64(seed)
-		v, err := probeOne(t.Context(), s, probe, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seed == 1 {
-			first = v
-		}
+	o.Seed = 1
+	first, err := probeOne(t.Context(), s, probe, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := &CellScratch{content: s.content}
+	held := cs.speech(Options{Seed: 99, Collector: col}, 0)
+	const clips = 4 // HD clips of 16-19 s: 47 MB against the 32 MiB cap
+	for seconds := 16; seconds < 16+clips; seconds++ {
+		cs.source(Options{ClipSeconds: seconds, Collector: col}, video.ClipA, video.HD)
 		if got := s.content.resident(); got > contentCap {
-			t.Fatalf("after %d seeds the cache holds %d bytes, cap %d", seed, got, contentCap)
+			t.Fatalf("after a %d s clip the cache holds %d bytes, cap %d", seconds, got, contentCap)
 		}
 	}
 	snap := col.Snapshot()
-	if want := uint64(1 + 2*seeds); snap.ContentSynthesized != want {
-		t.Errorf("synthesized %d recordings, want %d (two per cell and the held one)", snap.ContentSynthesized, want)
+	if want := uint64(3 + clips); snap.ContentSynthesized != want {
+		t.Errorf("synthesized %d pieces, want %d (two recordings a cell, the held one, %d clips)", snap.ContentSynthesized, want, clips)
 	}
-	if snap.ContentEvicted == 0 || snap.ContentBytes != s.content.resident() ||
-		snap.ContentBytes != int64(snap.ContentSynthesized-snap.ContentEvicted)*recordingBytes {
-		t.Errorf("evicted %d of %d, gauge %d, resident %d: the counters do not add up",
-			snap.ContentEvicted, snap.ContentSynthesized, snap.ContentBytes, s.content.resident())
+	s.content.mu.Lock()
+	var sum int64
+	for _, e := range s.content.entries {
+		sum += e.size
+	}
+	entries := len(s.content.entries)
+	s.content.mu.Unlock()
+	if snap.ContentEvicted == 0 || snap.ContentBytes != s.content.resident() || sum != s.content.resident() ||
+		uint64(entries) != snap.ContentSynthesized-snap.ContentEvicted {
+		t.Errorf("evicted %d of %d, %d entries of %d bytes, gauge %d, resident %d: the counters do not add up",
+			snap.ContentEvicted, snap.ContentSynthesized, entries, sum, snap.ContentBytes, s.content.resident())
 	}
 
 	// Seed 1's recordings are long evicted. Dropping the cell results
@@ -75,7 +68,6 @@ func TestContentCacheBounded(t *testing.T) {
 	if s.content.resident() != before {
 		t.Error("ResetCache touched the content cache")
 	}
-	o.Seed = 1
 	again, err := probeOne(t.Context(), s, probe, o)
 	if err != nil {
 		t.Fatal(err)
@@ -87,10 +79,10 @@ func TestContentCacheBounded(t *testing.T) {
 		t.Errorf("replaying an evicted seed synthesized %d recordings, want 2", got-snap.ContentSynthesized)
 	}
 	rebuilt := cs.speech(Options{Seed: 99}, media.LibrarySize) // the index wraps
-	if rebuilt == held {
-		t.Fatal("the oldest recording survived a sweep larger than the cap")
+	if &rebuilt[0] == &held[0] {
+		t.Fatal("the oldest recording survived more clips than the cap holds")
 	}
-	if !samePCM(rebuilt.PCM, held.PCM) {
+	if !slices.Equal(rebuilt, held) {
 		t.Error("a recording rebuilt after eviction differs from the evicted one")
 	}
 }
@@ -121,9 +113,16 @@ func TestContentCacheSingleFlight(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
+	// A mask is one value if it is one backing array.
+	identity := func(v any) any {
+		if m, ok := v.([]bool); ok {
+			return &m[0]
+		}
+		return v
+	}
 	for k := range keys {
 		for w := 1; w < workers; w++ {
-			if got[k][w] != got[k][0] {
+			if identity(got[k][w]) != identity(got[k][0]) {
 				t.Fatalf("key %d: worker %d got a different value than worker 0", k, w)
 			}
 		}
@@ -180,7 +179,7 @@ func TestContentIsFetchedWhenPlayed(t *testing.T) {
 	}
 	for _, line := range []string{
 		"qoe_content_hits_total 6", "qoe_content_synthesized_total 6",
-		"qoe_content_evicted_total 0", "qoe_content_resident_bytes 3072000",
+		"qoe_content_evicted_total 0", "qoe_content_resident_bytes 2400",
 	} {
 		if !strings.Contains(prom.String(), line+"\n") {
 			t.Errorf("/metrics lacks %q", line)
@@ -200,5 +199,42 @@ func TestContentHitDoesNotAllocate(t *testing.T) {
 	o.Collector = telemetry.New()
 	if n := testing.AllocsPerRun(100, func() { cs.speech(o, 0) }); n != 0 {
 		t.Errorf("a content hit with a collector allocates %v times", n)
+	}
+}
+
+// TestAccessGridContentResident pins what the paper's 81-cell access
+// grid (Figs. 7-9) leaves in the content cache: the activity masks of
+// the recordings its VoIP cells play — two a (scenario, direction)
+// seed at Reps 1, 400 B each — and the one SD clip its video cells
+// share. Holding the recordings as PCM made it 9,523,200 bytes.
+func TestAccessGridContentResident(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates an 81-cell grid")
+	}
+	type scen struct {
+		name string
+		dir  testbed.Direction
+	}
+	scens := []scen{{"noBG", testbed.DirDown}}
+	for _, wl := range []string{"short-few", "short-many", "long-few", "long-many"} {
+		scens = append(scens, scen{wl, testbed.DirDown}, scen{wl, testbed.DirUp})
+	}
+	var ps []ProbeSpec
+	for _, sc := range scens {
+		for _, buf := range []int{8, 64, 256} {
+			for _, m := range []string{"voip", "web", "video"} {
+				ps = append(ps, ProbeSpec{Scenario: sc.name, Direction: sc.dir, Buffer: buf, Media: m})
+			}
+		}
+	}
+	s := NewSession(2)
+	o := Options{Seed: 5, Warmup: time.Second, Reps: 1, ClipSeconds: 1}
+	if _, err := s.ProbeBatch(t.Context(), ps, o); err != nil {
+		t.Fatal(err)
+	}
+	masks := int64(len(scens) * 2 * 8 * 50) // 8 s recordings, a byte a 20 ms frame
+	const clip = 1 * 25 * 128 * 96          // 1 s of SD at 25 fps
+	if got := s.content.resident(); len(ps) != 81 || got != masks+clip {
+		t.Errorf("%d cells leave %d bytes resident, want %d (%d of masks, %d of clip)", len(ps), got, masks+clip, masks, clip)
 	}
 }

@@ -7,16 +7,18 @@ import (
 	"bufferqoe/internal/telemetry"
 	"bufferqoe/internal/testbed"
 	"bufferqoe/internal/video"
+	"bufferqoe/internal/voip"
 )
 
 // CellScratch is the per-worker reusable working memory of the cell
 // runners. What is mutable is per worker and behind Reset: the
 // testbed's bottleneck monitors and carcasses, the rep-loop arenas,
-// the cell's content tally. Reference media — speech recordings and
-// rendered clips — is content, not working memory: it lives once per
-// session in the shared, bounded contentCache the scratch points at
-// (see content.go), so no worker synthesizes what another already has
-// and no worker pins what the session has evicted.
+// the cell's content tally. Reference media — speech recordings (as
+// activity masks) and rendered clips — is content, not working
+// memory: it lives once per session in the shared, bounded
+// contentCache the scratch points at (see content.go), so no worker
+// synthesizes what another already has and no worker pins what the
+// session has evicted.
 type CellScratch struct {
 	// Testbed holds the queue/link monitors a testbed build would
 	// otherwise allocate per cell, plus the cached testbed carcasses
@@ -72,16 +74,16 @@ func (cs *CellScratch) tb() *testbed.Scratch {
 	return &cs.Testbed
 }
 
-// speech returns recording i (mod the set size) of the reference
-// speech set of the cell's seed. Callers ask when the call that plays
-// the recording starts, so recordings no repetition reaches are never
-// synthesized.
-func (cs *CellScratch) speech(o Options, i int) *media.Sample {
+// speech returns the activity mask of recording i (mod the set size)
+// of the reference speech set of the cell's seed. Callers ask when the
+// call that plays the recording starts, so recordings no repetition
+// reaches are never synthesized.
+func (cs *CellScratch) speech(o Options, i int) []bool {
 	i %= media.LibrarySize
 	if cs == nil {
-		return media.LibrarySample(o.Seed, i)
+		return voip.Activity(o.Seed, i)
 	}
-	return cs.content.get(contentKey{seed: o.Seed, index: i}, o.Collector, &cs.use).(*media.Sample)
+	return cs.content.get(contentKey{seed: o.Seed, index: i}, o.Collector, &cs.use).([]bool)
 }
 
 // source returns the rendered video source for a clip/profile at the

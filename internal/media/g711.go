@@ -32,8 +32,20 @@ func ALawEncode(x float64) byte {
 	return sign | q
 }
 
+// alawTable holds ALawDecode's value for every code point, expanded
+// once: decoding is a load, not a log-domain exp per sample.
+var alawTable = func() (t [256]float64) {
+	for b := range t {
+		t[b] = alawExpand(byte(b))
+	}
+	return t
+}()
+
 // ALawDecode expands an 8-bit A-law code point back to [-1, 1].
-func ALawDecode(b byte) float64 {
+func ALawDecode(b byte) float64 { return alawTable[b] }
+
+// alawExpand is the A-law expansion alawTable is built from.
+func alawExpand(b byte) float64 {
 	sign := 1.0
 	if b&0x80 == 0 {
 		sign = -1
@@ -48,13 +60,12 @@ func ALawDecode(b byte) float64 {
 	return sign * x
 }
 
-// ALawRoundTrip quantizes a whole signal through the codec, modeling
-// the (slight) G.711 quantization distortion of the paper's PCMA
-// encoding.
+// ALawRoundTrip quantizes a whole signal through the codec in place
+// and returns it, modeling the (slight) G.711 quantization distortion
+// of the paper's PCMA encoding.
 func ALawRoundTrip(pcm []float64) []float64 {
-	out := make([]float64, len(pcm))
 	for i, x := range pcm {
-		out[i] = ALawDecode(ALawEncode(x))
+		pcm[i] = ALawDecode(ALawEncode(x))
 	}
-	return out
+	return pcm
 }

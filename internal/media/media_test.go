@@ -26,6 +26,33 @@ func TestALawRoundTripAccuracy(t *testing.T) {
 	}
 }
 
+// alawDecodeRef is the expansion ALawDecode computed per sample before
+// it became a table lookup, kept verbatim.
+func alawDecodeRef(b byte) float64 {
+	sign := 1.0
+	if b&0x80 == 0 {
+		sign = -1
+	}
+	y := float64(b&0x7f) / 127
+	var x float64
+	if y < 1/alawDenom {
+		x = y * alawDenom / alawA
+	} else {
+		x = math.Exp(y*alawDenom-1) / alawA
+	}
+	return sign * x
+}
+
+// TestALawDecodeTable holds the decode table bit-equal to the
+// expansion on all 256 code points.
+func TestALawDecodeTable(t *testing.T) {
+	for b := 0; b < 256; b++ {
+		if got, want := ALawDecode(byte(b)), alawDecodeRef(byte(b)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("ALawDecode(%#02x) = %v, expansion %v", b, got, want)
+		}
+	}
+}
+
 func TestALawSignPreserved(t *testing.T) {
 	for _, x := range []float64{-0.5, -0.01, 0.01, 0.5} {
 		y := ALawDecode(ALawEncode(x))
@@ -155,17 +182,14 @@ func TestLibrary(t *testing.T) {
 	}
 	male, female := 0, 0
 	for _, s := range lib {
-		if s.Frames() != 400 { // 8 s at 50 frames/s
-			t.Fatalf("%s frames = %d, want 400", s.Name, s.Frames())
+		if len(s.PCM) != 400*FrameSamples { // 8 s at 50 frames/s
+			t.Fatalf("%s holds %d samples, want 400 frames of %d", s.Name, len(s.PCM), FrameSamples)
 		}
 		switch s.Voice {
 		case "male":
 			male++
 		case "female":
 			female++
-		}
-		if len(s.Frame(0)) != FrameSamples {
-			t.Fatalf("frame size = %d", len(s.Frame(0)))
 		}
 	}
 	if male != 10 || female != 10 {

@@ -21,14 +21,6 @@ type Sample struct {
 	PCM   []float64
 }
 
-// Frames returns the number of whole 20 ms frames in the sample.
-func (s *Sample) Frames() int { return len(s.PCM) / FrameSamples }
-
-// Frame returns the i-th 20 ms frame (aliasing the sample buffer).
-func (s *Sample) Frame(i int) []float64 {
-	return s.PCM[i*FrameSamples : (i+1)*FrameSamples]
-}
-
 // GenerateSpeech synthesizes a speech-like signal: alternating voiced
 // segments (harmonic stacks with wandering fundamental and formant
 // envelope), unvoiced fricative bursts (shaped noise), and pauses —
@@ -46,7 +38,7 @@ func GenerateSpeech(rng *sim.RNG, seconds float64, f0Base float64) []float64 {
 			segN := int(rng.Uniform(0.15, 0.45) * SampleRate)
 			f0 := f0Base * rng.Uniform(0.85, 1.15)
 			amp := rng.Uniform(0.25, 0.5)
-			phase := make([]float64, 8)
+			var phase [8]float64
 			for i := 0; i < segN && pos < n; i, pos = i+1, pos+1 {
 				// Slow vibrato on the fundamental.
 				f := f0 * (1 + 0.03*math.Sin(2*math.Pi*4*float64(i)/SampleRate))

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"bufferqoe/internal/media"
 	"bufferqoe/internal/sim"
 )
 
@@ -273,4 +274,47 @@ func TestSpeechQualityMatchesReference(t *testing.T) {
 		zeros[i], negs[i] = 0, math.Copysign(0, -1)
 	}
 	check("signed zeros", zeros, negs)
+}
+
+// copyOrSilence is the degraded signal a playout buffer that only
+// loses or delays frames hands the comparator: frame i of ref where
+// played[i], silence elsewhere.
+func copyOrSilence(ref []float64, played []bool) []float64 {
+	const frame = media.FrameSamples
+	deg := make([]float64, len(ref))
+	for i, p := range played {
+		if p {
+			copy(deg[i*frame:(i+1)*frame], ref[i*frame:])
+		}
+	}
+	return deg
+}
+
+// FuzzSpeechPlayout holds PlayoutQuality bit-equal to SpeechQuality on
+// the signal it stands for: library recording (seed, index), cut to its
+// first frames%401 frames or silenced whole, played where bit i%8 of
+// mask[i/8%len(mask)] is set (nowhere for an empty mask).
+func FuzzSpeechPlayout(f *testing.F) {
+	f.Add(uint64(42), uint8(0), uint16(400), false, []byte{0xff}) // every frame played
+	f.Add(uint64(42), uint8(1), uint16(400), false, []byte{})     // none played
+	f.Add(uint64(7), uint8(3), uint16(400), true, []byte{0x5a})   // an all-silent reference
+	f.Add(uint64(9), uint8(4), uint16(1), false, []byte{0x00})    // a one-frame signal
+	f.Add(uint64(1), uint8(19), uint16(400), false, []byte{0xf7, 0x3d, 0xff, 0x81})
+	f.Fuzz(func(t *testing.T, seed uint64, index uint8, frames uint16, silent bool, mask []byte) {
+		ref := media.LibrarySample(seed, int(index)%media.LibrarySize).PCM
+		n := int(frames) % (len(ref)/media.FrameSamples + 1)
+		ref = ref[:n*media.FrameSamples]
+		if silent {
+			clear(ref)
+		}
+		played := make([]bool, n)
+		for i := range played {
+			played[i] = len(mask) > 0 && mask[i/8%len(mask)]>>(i%8)&1 == 1
+		}
+		got := PlayoutQuality(SpeechActivity(ref, media.SampleRate), played)
+		want := SpeechQuality(ref, copyOrSilence(ref, played), media.SampleRate)
+		if !sameFloat(got, want) {
+			t.Fatalf("%d frames: PlayoutQuality = %v, SpeechQuality of the played signal %v", n, got, want)
+		}
+	})
 }

@@ -129,7 +129,7 @@ func TestSpeechQualityCleanSignal(t *testing.T) {
 func TestSpeechQualityG711Codec(t *testing.T) {
 	rng := sim.NewRNG(4, "sq2")
 	pcm := media.GenerateSpeech(rng, 4.0, 120)
-	deg := media.ALawRoundTrip(pcm)
+	deg := media.ALawRoundTrip(append([]float64(nil), pcm...))
 	mos := SpeechQuality(pcm, deg, media.SampleRate)
 	if mos < 3.9 {
 		t.Fatalf("G.711 companding alone scored %v, want >= 3.9", mos)

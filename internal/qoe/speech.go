@@ -50,7 +50,7 @@ func SpeechQuality(ref, deg []float64, sampleRate int) float64 {
 		df := deg[off : off+frame]
 		eRef := rms(rf)
 		eDeg := rms(df)
-		if eRef <= 0.01 {
+		if !speechActive(eRef) {
 			if eDeg > 3*eRef+0.005 {
 				noiseFrames++ // audible noise injected into silence
 			}
@@ -96,10 +96,7 @@ func SpeechQuality(ref, deg []float64, sampleRate int) float64 {
 	if nActive == 0 {
 		return 1
 	}
-	// Gap density -> MOS along the ITU-style exponential loss curve:
-	// 0% -> 4.45, 5% -> ~3.3, 10% -> ~2.5, 20% -> ~1.65.
-	fGap := float64(disrupted) / float64(nActive)
-	mos := 1 + 3.45*math.Exp(-fGap/0.12)
+	mos := gapMOS(disrupted, nActive)
 	// Background distortion penalty with a small inaudibility
 	// threshold (keeps G.711 companding nearly free).
 	if nBg > 0 {
@@ -117,6 +114,69 @@ func SpeechQuality(ref, deg []float64, sampleRate int) float64 {
 		mos = 1
 	}
 	return mos
+}
+
+// activityFloor is the reference frame level (RMS) at or below which
+// SpeechQuality treats a frame as a pause: it scores noise injected
+// into the frame, never the frame's loss.
+const activityFloor = 0.01
+
+// speechActive is the activity rule of SpeechQuality: a reference frame
+// of the given level is speech unless the level is at most
+// activityFloor (a NaN level counts as speech).
+func speechActive(level float64) bool { return !(level <= activityFloor) }
+
+// gapMOS maps the density of disrupted frames among speech-active ones
+// onto MOS along the ITU-style exponential loss curve: 0% -> 4.45,
+// 5% -> ~3.3, 10% -> ~2.5, 20% -> ~1.65.
+func gapMOS(disrupted, nActive int) float64 {
+	fGap := float64(disrupted) / float64(nActive)
+	return 1 + 3.45*math.Exp(-fGap/0.12)
+}
+
+// SpeechActivity returns the activity mask of a reference signal: one
+// entry per whole 20 ms frame, true where SpeechQuality counts the
+// frame as speech. It is all PlayoutQuality needs of a recording.
+func SpeechActivity(ref []float64, sampleRate int) []bool {
+	frame := sampleRate / 50
+	if frame == 0 {
+		return nil
+	}
+	mask := make([]bool, len(ref)/frame)
+	for i := range mask {
+		mask[i] = speechActive(rms(ref[i*frame : (i+1)*frame]))
+	}
+	return mask
+}
+
+// PlayoutQuality is SpeechQuality scored from masks: for a reference
+// with samples in [-1, 1], activity mask active = SpeechActivity(ref),
+// and a degraded signal whose frame i is a bit copy of the reference
+// where played[i] and silence elsewhere — all a playout buffer that
+// only loses or delays frames can hand the comparator — it returns
+// SpeechQuality(ref, deg) bit for bit without either signal.
+//
+// A played speech frame is undamaged (nActive++, nBg++, distBg += 0). A
+// silenced one drops from a level above activityFloor to 0, more than
+// 40 dB, so it is disrupted. A pause adds nothing, played or silenced,
+// and silence injects no noise. What SpeechQuality has left is the gap
+// curve: the background penalty sees distBg = 0 and the noise penalty
+// zero frames. played must be at least as long as active.
+func PlayoutQuality(active, played []bool) float64 {
+	var nActive, disrupted int
+	for i, a := range active {
+		if a {
+			nActive++
+			if !played[i] {
+				disrupted++
+			}
+		}
+	}
+	if nActive == 0 {
+		return 1
+	}
+	// In [1, 4.45]: SpeechQuality's clamp to [1, 4.5] never bites.
+	return gapMOS(disrupted, nActive)
 }
 
 // speechBands returns the analysis band center frequencies, roughly

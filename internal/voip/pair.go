@@ -3,7 +3,6 @@ package voip
 import (
 	"time"
 
-	"bufferqoe/internal/media"
 	"bufferqoe/internal/netem"
 	"bufferqoe/internal/qoe"
 )
@@ -27,14 +26,14 @@ type PairResult struct {
 // and the remote speaker (server): the listen direction streams
 // server -> client, the talk direction client -> server. onDone fires
 // when both directions have been evaluated.
-func StartPair(client, server *netem.Node, listenSample, talkSample *media.Sample, playout time.Duration, onDone func(PairResult)) {
-	var listen, talk *Result
+func StartPair(client, server *netem.Node, listen, talk []bool, playout time.Duration, onDone func(PairResult)) {
+	var listenRes, talkRes *Result
 	finish := func() {
-		if listen == nil || talk == nil {
+		if listenRes == nil || talkRes == nil {
 			return
 		}
-		conv := (listen.OneWayDelay + talk.OneWayDelay) / 2
-		pr := PairResult{Listen: *listen, Talk: *talk, ConversationalDelay: conv}
+		conv := (listenRes.OneWayDelay + talkRes.OneWayDelay) / 2
+		pr := PairResult{Listen: *listenRes, Talk: *talkRes, ConversationalDelay: conv}
 		pr.Listen.OneWayDelay = conv
 		pr.Talk.OneWayDelay = conv
 		pr.Listen.MOS = qoe.VoIPScore(pr.Listen.Z1, conv)
@@ -43,12 +42,12 @@ func StartPair(client, server *netem.Node, listenSample, talkSample *media.Sampl
 			onDone(pr)
 		}
 	}
-	Start(server, client, listenSample, playout, func(r Result) {
-		listen = &r
+	Start(server, client, listen, playout, func(r Result) {
+		listenRes = &r
 		finish()
 	})
-	Start(client, server, talkSample, playout, func(r Result) {
-		talk = &r
+	Start(client, server, talk, playout, func(r Result) {
+		talkRes = &r
 		finish()
 	})
 }

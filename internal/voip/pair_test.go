@@ -4,14 +4,13 @@ import (
 	"testing"
 	"time"
 
-	"bufferqoe/internal/media"
 	"bufferqoe/internal/testbed"
 )
 
 func runPair(t *testing.T, a *testbed.Testbed) PairResult {
 	t.Helper()
 	var got *PairResult
-	StartPair(a.MediaClient, a.MediaServer, media.LibrarySample(4, 0), media.LibrarySample(4, 1), 0,
+	StartPair(a.MediaClient, a.MediaServer, Activity(4, 0), Activity(4, 1), 0,
 		func(pr PairResult) { got = &pr })
 	a.Eng.RunFor(25 * time.Second)
 	if got == nil {

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"bufferqoe/internal/media"
 	"bufferqoe/internal/netem"
 	"bufferqoe/internal/sim"
 )
@@ -49,8 +48,8 @@ func (r rivalTick) Fire(now sim.Time) { r.log.add(now, r.id) }
 // requires the same (time, frame) trace, the same event count and a
 // heap that no longer holds the whole call.
 func TestSelfClockedSendsMatchPrescheduling(t *testing.T) {
-	sample := media.LibrarySample(1, 0)
-	n := sample.Frames()
+	active := Activity(1, 0)
+	n := len(active)
 	const offset = 7 * time.Millisecond
 	run := func(selfClocked bool) (sendLog, uint64, int) {
 		eng := sim.New()
@@ -66,7 +65,7 @@ func TestSelfClockedSendsMatchPrescheduling(t *testing.T) {
 			nw := netem.NewNetwork(eng)
 			from, to := nw.NewNode("from"), nw.NewNode("to")
 			from.SetDefaultRoute(wire{eng, &log})
-			Start(from, to, sample, 0, nil)
+			Start(from, to, active, 0, nil)
 		} else {
 			// The sender Call used to be, kept as the reference: one
 			// pooled one-shot per frame, all scheduled at call start.

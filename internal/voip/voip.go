@@ -25,6 +25,15 @@ const FrameInterval = 20 * time.Millisecond
 // DefaultPlayout is the receiver's fixed jitter-buffer depth.
 const DefaultPlayout = 60 * time.Millisecond
 
+// Activity returns the activity mask of recording i of the reference
+// speech set of seed (media.LibrarySample): one entry per 20 ms frame,
+// true where the frame is speech. A call streams one frame per entry
+// and is scored from the mask alone, so the recording's PCM is garbage
+// as soon as the mask is read.
+func Activity(seed uint64, i int) []bool {
+	return qoe.SpeechActivity(media.LibrarySample(seed, i).PCM, media.SampleRate)
+}
+
 // rtp is the payload attached to each simulated voice packet.
 type rtp struct {
 	seq  int
@@ -56,7 +65,7 @@ func (r Result) LossPct() float64 {
 // Call is one in-flight voice transmission.
 type Call struct {
 	eng      *sim.Engine
-	sample   *media.Sample
+	active   []bool // the recording's activity mask, one entry per frame
 	from     *netem.Node
 	to       *netem.Node
 	fromP    uint16
@@ -109,38 +118,39 @@ func (e callEnd) Fire(sim.Time) { e.finish() }
 // adaptive playout buffer (EWMA delay estimate plus four deviations)
 // instead of the fixed jitter buffer — the behaviour of the paper's
 // PjSIP receiver. The fixed playout value is kept as a floor.
-func StartAdaptive(from, to *netem.Node, sample *media.Sample, onDone func(Result)) *Call {
-	c := Start(from, to, sample, 0, onDone)
+func StartAdaptive(from, to *netem.Node, active []bool, onDone func(Result)) *Call {
+	c := Start(from, to, active, 0, onDone)
 	c.adaptive = true
 	return c
 }
 
-// Start streams sample from -> to and invokes onDone with the QoE
-// result once the call (plus playout drain) completes. playout <= 0
-// uses DefaultPlayout.
-func Start(from, to *netem.Node, sample *media.Sample, playout time.Duration, onDone func(Result)) *Call {
+// Start streams a recording from -> to, one frame per entry of its
+// activity mask (see Activity), and invokes onDone with the QoE result
+// once the call (plus playout drain) completes. playout <= 0 uses
+// DefaultPlayout.
+func Start(from, to *netem.Node, active []bool, playout time.Duration, onDone func(Result)) *Call {
 	if playout <= 0 {
 		playout = DefaultPlayout
 	}
 	eng := from.Engine()
 	c := &Call{
 		eng:      eng,
-		sample:   sample,
+		active:   active,
 		from:     from,
 		to:       to,
 		fromP:    from.AllocPort(netem.ProtoUDP),
 		toP:      to.AllocPort(netem.ProtoUDP),
 		playout:  playout,
 		start:    eng.Now(),
-		arrivals: make([]sim.Time, sample.Frames()),
-		received: make([]bool, sample.Frames()),
+		arrivals: make([]sim.Time, len(active)),
+		received: make([]bool, len(active)),
 		onDone:   onDone,
 	}
 	// The sender binds too so the port pair is reserved symmetrically.
 	from.Bind(netem.ProtoUDP, c.fromP, netem.HandlerFunc(func(*netem.Packet) {}))
 	to.Bind(netem.ProtoUDP, c.toP, netem.HandlerFunc(c.receive))
 
-	n := sample.Frames()
+	n := len(active)
 	c.rtps = make([]rtp, n)
 	for i := range c.rtps {
 		c.rtps[i] = rtp{seq: i, call: c}
@@ -186,7 +196,7 @@ func (c *Call) finish() {
 	c.from.Unbind(netem.ProtoUDP, c.fromP)
 	c.to.Unbind(netem.ProtoUDP, c.toP)
 
-	n := c.sample.Frames()
+	n := len(c.active)
 	res := Result{Sent: n}
 
 	// Playout schedule: the receiver anchors its clock to the first
@@ -202,8 +212,9 @@ func (c *Call) finish() {
 		}
 	}
 
-	ref := c.sample.PCM[:n*media.FrameSamples]
-	deg := make([]float64, len(ref))
+	// Every frame is played out as sent or concealed by silence, so
+	// the played mask is the whole degraded signal (qoe.PlayoutQuality).
+	played := make([]bool, n)
 	var delaySum time.Duration
 	var delayN int
 
@@ -250,12 +261,12 @@ func (c *Call) finish() {
 			res.Late++
 			continue
 		}
-		copy(deg[i*media.FrameSamples:(i+1)*media.FrameSamples], c.sample.Frame(i))
+		played[i] = true
 		delaySum += netDelay
 		delayN++
 	}
 
-	res.Z1 = qoe.SpeechQuality(ref, deg, media.SampleRate)
+	res.Z1 = qoe.PlayoutQuality(c.active, played)
 	if anchored && delayN > 0 {
 		// Mouth-to-ear: network + jitter buffer + one packetization
 		// interval. For the adaptive receiver the buffer term is the

@@ -1,10 +1,11 @@
 package voip
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
-	"bufferqoe/internal/media"
+	"bufferqoe/internal/netem"
 	"bufferqoe/internal/sim"
 	"bufferqoe/internal/testbed"
 )
@@ -16,7 +17,7 @@ func runCall(t *testing.T, a *testbed.Testbed, talk bool) Result {
 	if talk {
 		from, to = a.MediaClient, a.MediaServer // user talks
 	}
-	Start(from, to, media.LibrarySample(1, 0), 0, func(r Result) { got = &r })
+	Start(from, to, Activity(1, 0), 0, func(r Result) { got = &r })
 	a.Eng.RunFor(20 * time.Second)
 	if got == nil {
 		t.Fatal("call never finished")
@@ -79,7 +80,7 @@ func TestUplinkBloatDegradesListenDirectionViaDelay(t *testing.T) {
 	// by measuring the talk direction's delay and noting that z2
 	// applies to the conversation: here we verify the signal arrives
 	// clean but the talk path is impaired.
-	Start(a.MediaServer, a.MediaClient, media.LibrarySample(2, 1), 0, func(r Result) { listen = &r })
+	Start(a.MediaServer, a.MediaClient, Activity(2, 1), 0, func(r Result) { listen = &r })
 	a.Eng.RunFor(20 * time.Second)
 	if listen == nil {
 		t.Fatal("no result")
@@ -123,7 +124,7 @@ func TestPlayoutBufferLateLoss(t *testing.T) {
 	a.StartWorkload(testbed.MustSpec(testbed.LookupAccessScenario("long-many", testbed.DirDown)))
 	a.Eng.RunFor(8 * time.Second)
 	var r *Result
-	Start(a.MediaServer, a.MediaClient, media.LibrarySample(3, 2), 20*time.Millisecond, func(x Result) { r = &x })
+	Start(a.MediaServer, a.MediaClient, Activity(3, 2), 20*time.Millisecond, func(x Result) { r = &x })
 	a.Eng.RunFor(20 * time.Second)
 	if r == nil {
 		t.Fatal("no result")
@@ -148,7 +149,7 @@ func TestDeterminism(t *testing.T) {
 
 func runCallQuiet(a *testbed.Testbed) Result {
 	var got Result
-	Start(a.MediaServer, a.MediaClient, media.LibrarySample(1, 0), 0, func(r Result) { got = r })
+	Start(a.MediaServer, a.MediaClient, Activity(1, 0), 0, func(r Result) { got = r })
 	a.Eng.RunFor(20 * time.Second)
 	return got
 }
@@ -167,9 +168,9 @@ func TestAdaptivePlayoutReducesLateLoss(t *testing.T) {
 		a.Eng.RunFor(8 * time.Second)
 		var got Result
 		if adaptive {
-			StartAdaptive(a.MediaServer, a.MediaClient, media.LibrarySample(5, 4), func(r Result) { got = r })
+			StartAdaptive(a.MediaServer, a.MediaClient, Activity(5, 4), func(r Result) { got = r })
 		} else {
-			Start(a.MediaServer, a.MediaClient, media.LibrarySample(5, 4), 0, func(r Result) { got = r })
+			Start(a.MediaServer, a.MediaClient, Activity(5, 4), 0, func(r Result) { got = r })
 		}
 		a.Eng.RunFor(20 * time.Second)
 		return got
@@ -187,9 +188,9 @@ func TestAdaptivePlayoutReducesLateLoss(t *testing.T) {
 		a := testbed.NewAccess(testbed.Config{BufferUp: 8, BufferDown: 64, Seed: 22})
 		var got Result
 		if adaptive {
-			StartAdaptive(a.MediaServer, a.MediaClient, media.LibrarySample(6, 0), func(r Result) { got = r })
+			StartAdaptive(a.MediaServer, a.MediaClient, Activity(6, 0), func(r Result) { got = r })
 		} else {
-			Start(a.MediaServer, a.MediaClient, media.LibrarySample(6, 0), 0, func(r Result) { got = r })
+			Start(a.MediaServer, a.MediaClient, Activity(6, 0), 0, func(r Result) { got = r })
 		}
 		a.Eng.RunFor(20 * time.Second)
 		return got
@@ -197,5 +198,39 @@ func TestAdaptivePlayoutReducesLateLoss(t *testing.T) {
 	ca, cf := clean(true), clean(false)
 	if ca.MOS < cf.MOS-0.3 {
 		t.Fatalf("adaptive on clean line: %v vs fixed %v", ca.MOS, cf.MOS)
+	}
+}
+
+// TestCallAllocationBounded bounds the bytes one call allocates: the
+// per-frame bookkeeping of a 400-frame recording (arrival times,
+// received and played flags, payloads), about 11 KB, and the call's
+// handful of small objects. Scoring from the played mask builds no
+// degraded signal; a PCM copy of the recording alone would be 512 KB.
+func TestCallAllocationBounded(t *testing.T) {
+	active := Activity(1, 0)
+	eng := sim.New()
+	nw := netem.NewNetwork(eng)
+	from, to := nw.NewNode("from"), nw.NewNode("to")
+	nw.Connect(from, to, 1e9, time.Millisecond, 64)
+	call := func() Result {
+		var got *Result
+		Start(from, to, active, 0, func(r Result) { got = &r })
+		eng.RunFor(20 * time.Second)
+		if got == nil {
+			t.Fatal("call never finished")
+		}
+		return *got
+	}
+	call() // grow the packet pool and the event queue
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := call()
+	runtime.ReadMemStats(&after)
+	if r.Lost != 0 || r.Late != 0 {
+		t.Fatalf("lossless line lost/late = %d/%d", r.Lost, r.Late)
+	}
+	const budget = 32 << 10
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Fatalf("one call allocated %d bytes, budget %d", got, budget)
 	}
 }
