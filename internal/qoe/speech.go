@@ -126,6 +126,14 @@ const activityFloor = 0.01
 // activityFloor (a NaN level counts as speech).
 func speechActive(level float64) bool { return !(level <= activityFloor) }
 
+// FrameActive is the activity rule on a reference frame of n samples
+// whose squares sum to sumSq: speechActive of the frame's RMS level.
+// It never turns false as sumSq grows, so a running sum of a frame's
+// squares that satisfies it decides the frame.
+func FrameActive(sumSq float64, n int) bool {
+	return speechActive(math.Sqrt(sumSq / float64(n)))
+}
+
 // gapMOS maps the density of disrupted frames among speech-active ones
 // onto MOS along the ITU-style exponential loss curve: 0% -> 4.45,
 // 5% -> ~3.3, 10% -> ~2.5, 20% -> ~1.65.
@@ -144,7 +152,7 @@ func SpeechActivity(ref []float64, sampleRate int) []bool {
 	}
 	mask := make([]bool, len(ref)/frame)
 	for i := range mask {
-		mask[i] = speechActive(rms(ref[i*frame : (i+1)*frame]))
+		mask[i] = FrameActive(sumSquares(ref[i*frame:(i+1)*frame]), frame)
 	}
 	return mask
 }
@@ -258,9 +266,14 @@ func rms(x []float64) float64 {
 	if len(x) == 0 {
 		return 0
 	}
+	return math.Sqrt(sumSquares(x) / float64(len(x)))
+}
+
+// sumSquares sums the squares of x in order.
+func sumSquares(x []float64) float64 {
 	var s float64
 	for _, v := range x {
 		s += v * v
 	}
-	return math.Sqrt(s / float64(len(x)))
+	return s
 }

@@ -289,3 +289,49 @@ func TestEntryNameShape(t *testing.T) {
 		t.Fatal("distinct keys share a file name")
 	}
 }
+
+// FuzzStoreEntry: parseEntry never panics, and a record it accepts is
+// exactly the one encodeEntry writes for the payload it returns — no
+// two byte strings load as the same entry. Each input is a valid
+// record with one edit: kept, truncated at at, n bytes at at replaced
+// by edit (a splice), or edit appended as a tail; the CRC is then
+// re-sealed so the edit reaches the structural checks. Op 4 parses
+// edit itself, unsealed.
+func FuzzStoreEntry(f *testing.F) {
+	f.Add("1", "k", []byte("Sv"), uint8(0), uint16(0), uint8(0), []byte(nil))
+	f.Add("1", "k", []byte("Sv"), uint8(1), uint16(9), uint8(0), []byte(nil))
+	f.Add("1", "key", []byte("Svalue"), uint8(2), uint16(9), uint8(1), []byte{0xff})
+	f.Add("1", "key", []byte("Svalue"), uint8(2), uint16(16), uint8(4), []byte{9, 0, 0, 0, 'S', 'v', 'a', 'l', 'u', 'e', '!', '!', '!'})
+	f.Add("1", "key", []byte("Svalue"), uint8(3), uint16(0), uint8(0), []byte("tail"))
+	f.Add("v1", "", []byte(nil), uint8(3), uint16(0), uint8(0), []byte{0})
+	f.Add("1", "k", []byte(nil), uint8(4), uint16(0), uint8(0), []byte("QBS1\xff\xff\xff\xff"))
+	f.Fuzz(func(t *testing.T, version, key string, payload []byte, op uint8, at uint16, n uint8, edit []byte) {
+		rec := encodeEntry(version, key, payload)
+		body := rec[:len(rec)-4]
+		cut := int(at) % (len(body) + 1)
+		var data []byte
+		switch op % 5 {
+		case 0:
+			data = body
+		case 1:
+			data = body[:cut]
+		case 2:
+			end := min(cut+int(n), len(body))
+			data = append(append(append([]byte(nil), body[:cut]...), edit...), body[end:]...)
+		case 3:
+			data = append(append([]byte(nil), body...), edit...)
+		case 4:
+			data = edit
+		}
+		if op%5 != 4 {
+			data = binary.LittleEndian.AppendUint32(append([]byte(nil), data...), crcOf(data))
+		}
+		got, err := parseEntry(data, version, key)
+		if err != nil {
+			return
+		}
+		if again := encodeEntry(version, key, got); string(again) != string(data) {
+			t.Fatalf("parseEntry accepted %q as payload %q, which encodes as %q", data, got, again)
+		}
+	})
+}

@@ -27,11 +27,13 @@ const DefaultPlayout = 60 * time.Millisecond
 
 // Activity returns the activity mask of recording i of the reference
 // speech set of seed (media.LibrarySample): one entry per 20 ms frame,
-// true where the frame is speech. A call streams one frame per entry
-// and is scored from the mask alone, so the recording's PCM is garbage
-// as soon as the mask is read.
+// true where the frame is speech, bit-equal to qoe.SpeechActivity of
+// the recording. A call streams one frame per entry and is scored from
+// the mask alone, so the recording's PCM is never built: the mask
+// walks the recording's segments and evaluates a frame's samples only
+// until qoe.FrameActive decides it (media.LibraryActivity).
 func Activity(seed uint64, i int) []bool {
-	return qoe.SpeechActivity(media.LibrarySample(seed, i).PCM, media.SampleRate)
+	return media.LibraryActivity(seed, i, qoe.FrameActive)
 }
 
 // rtp is the payload attached to each simulated voice packet.

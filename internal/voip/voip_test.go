@@ -234,3 +234,28 @@ func TestCallAllocationBounded(t *testing.T) {
 		t.Fatalf("one call allocated %d bytes, budget %d", got, budget)
 	}
 }
+
+// TestActivityAllocs bounds the bytes one mask allocates: the 400-entry
+// mask and the recording's RNG stream. The mask never builds the
+// recording, whose PCM alone would be 512 KB.
+func TestActivityAllocs(t *testing.T) {
+	const masks = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < masks; i++ {
+		Activity(42, i)
+	}
+	runtime.ReadMemStats(&after)
+	const budget = 1 << 10
+	if got := (after.TotalAlloc - before.TotalAlloc) / masks; got > budget {
+		t.Fatalf("one mask allocated %d bytes, budget %d", got, budget)
+	}
+}
+
+// BenchmarkActivity times one recording's activity mask.
+func BenchmarkActivity(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		Activity(uint64(i/20), i%20)
+	}
+}
