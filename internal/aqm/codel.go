@@ -82,7 +82,7 @@ func NewCoDelForRate(capPackets int, rateBps float64) *CoDel {
 func (c *CoDel) Enqueue(p *netem.Packet, now sim.Time) bool {
 	if c.Len() >= c.CapPackets {
 		if c.Monitor != nil {
-			c.Monitor.NoteDrop(p, now, c.Len(), c.bytes)
+			c.Monitor.NoteDrop()
 		}
 		return false
 	}
@@ -90,7 +90,7 @@ func (c *CoDel) Enqueue(p *netem.Packet, now sim.Time) bool {
 	c.q = append(c.q, p)
 	c.bytes += p.Size
 	if c.Monitor != nil {
-		c.Monitor.NoteEnqueue(p, now, c.Len(), c.bytes)
+		c.Monitor.NoteEnqueue()
 	}
 	return true
 }
@@ -156,7 +156,7 @@ func (c *CoDel) Dequeue(now sim.Time) *netem.Packet {
 				c.Drops++
 				c.dropCount++
 				if c.Monitor != nil {
-					c.Monitor.NoteDrop(p, now, c.Len(), c.bytes)
+					c.Monitor.NoteDrop()
 				}
 				p.Release()
 				var ok bool
@@ -190,7 +190,7 @@ func (c *CoDel) Dequeue(now sim.Time) *netem.Packet {
 		// Enter dropping state: drop this packet and schedule the next.
 		c.Drops++
 		if c.Monitor != nil {
-			c.Monitor.NoteDrop(p, now, c.Len(), c.bytes)
+			c.Monitor.NoteDrop()
 		}
 		p.Release()
 		p2, _ := c.doDequeue(now)
@@ -221,7 +221,7 @@ func (c *CoDel) controlLaw(t sim.Time) sim.Time {
 // CoDel state machine are counted by the monitor as drops.
 func (c *CoDel) note(p *netem.Packet, now sim.Time) *netem.Packet {
 	if p != nil && c.Monitor != nil {
-		c.Monitor.NoteDequeue(p, now, c.Len(), c.bytes)
+		c.Monitor.NoteDequeue(p, now)
 	}
 	return p
 }

@@ -154,7 +154,7 @@ func (fq *FQCoDel) Enqueue(p *netem.Packet, now sim.Time) bool {
 		fq.newFlows = append(fq.newFlows, f)
 	}
 	if fq.Monitor != nil {
-		fq.Monitor.NoteEnqueue(p, now, fq.pkts, fq.bytes)
+		fq.Monitor.NoteEnqueue()
 	}
 	if fq.pkts > fq.CapPackets {
 		fq.dropFromFattest(now)
@@ -182,7 +182,7 @@ func (fq *FQCoDel) dropFromFattest(now sim.Time) {
 	fq.OverflowDrops++
 	fq.Drops++
 	if fq.Monitor != nil {
-		fq.Monitor.NoteDrop(p, now, fq.pkts, fq.bytes)
+		fq.Monitor.NoteDrop()
 	}
 	p.Release()
 }
@@ -233,7 +233,7 @@ func (fq *FQCoDel) codelDequeue(f *fqFlow, now sim.Time) *netem.Packet {
 				fq.Drops++
 				f.dropCount++
 				if fq.Monitor != nil {
-					fq.Monitor.NoteDrop(p, now, fq.pkts, fq.bytes)
+					fq.Monitor.NoteDrop()
 				}
 				p.Release()
 				var ok bool
@@ -265,7 +265,7 @@ func (fq *FQCoDel) codelDequeue(f *fqFlow, now sim.Time) *netem.Packet {
 		}
 		fq.Drops++
 		if fq.Monitor != nil {
-			fq.Monitor.NoteDrop(p, now, fq.pkts, fq.bytes)
+			fq.Monitor.NoteDrop()
 		}
 		p.Release()
 		p, _ = pop()
@@ -320,7 +320,7 @@ func (fq *FQCoDel) Dequeue(now sim.Time) *netem.Packet {
 		}
 		f.deficit -= p.Size
 		if fq.Monitor != nil {
-			fq.Monitor.NoteDequeue(p, now, fq.pkts, fq.bytes)
+			fq.Monitor.NoteDequeue(p, now)
 		}
 		return p
 	}

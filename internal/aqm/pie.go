@@ -94,7 +94,7 @@ func (pi *PIE) Enqueue(p *netem.Packet, now sim.Time) bool {
 	pi.update(now)
 	if pi.Len() >= pi.CapPackets {
 		if pi.Monitor != nil {
-			pi.Monitor.NoteDrop(p, now, pi.Len(), pi.bytes)
+			pi.Monitor.NoteDrop()
 		}
 		return false
 	}
@@ -105,7 +105,7 @@ func (pi *PIE) Enqueue(p *netem.Packet, now sim.Time) bool {
 		} else {
 			pi.Drops++
 			if pi.Monitor != nil {
-				pi.Monitor.NoteDrop(p, now, pi.Len(), pi.bytes)
+				pi.Monitor.NoteDrop()
 			}
 			return false
 		}
@@ -114,7 +114,7 @@ func (pi *PIE) Enqueue(p *netem.Packet, now sim.Time) bool {
 	pi.q = append(pi.q, p)
 	pi.bytes += p.Size
 	if pi.Monitor != nil {
-		pi.Monitor.NoteEnqueue(p, now, pi.Len(), pi.bytes)
+		pi.Monitor.NoteEnqueue()
 	}
 	return true
 }
@@ -238,7 +238,7 @@ func (pi *PIE) Dequeue(now sim.Time) *netem.Packet {
 		}
 	}
 	if pi.Monitor != nil {
-		pi.Monitor.NoteDequeue(p, now, pi.Len(), pi.bytes)
+		pi.Monitor.NoteDequeue(p, now)
 	}
 	return p
 }

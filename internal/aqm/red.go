@@ -124,7 +124,7 @@ func (r *RED) Enqueue(p *netem.Packet, now sim.Time) bool {
 	}
 	drop := func() bool {
 		if r.Monitor != nil {
-			r.Monitor.NoteDrop(p, now, r.Len(), r.bytes)
+			r.Monitor.NoteDrop()
 		}
 		return false
 	}
@@ -163,7 +163,7 @@ func (r *RED) Enqueue(p *netem.Packet, now sim.Time) bool {
 	r.q = append(r.q, p)
 	r.bytes += p.Size
 	if r.Monitor != nil {
-		r.Monitor.NoteEnqueue(p, now, r.Len(), r.bytes)
+		r.Monitor.NoteEnqueue()
 	}
 	return true
 }
@@ -182,7 +182,7 @@ func (r *RED) Dequeue(now sim.Time) *netem.Packet {
 	}
 	r.bytes -= p.Size
 	if r.Monitor != nil {
-		r.Monitor.NoteDequeue(p, now, r.Len(), r.bytes)
+		r.Monitor.NoteDequeue(p, now)
 	}
 	return p
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -71,4 +72,77 @@ func TestHeapStaysTopologySized(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCellMemoryStaysTopologySized is to memory what
+// TestHeapStaysTopologySized is to the timer heap: a cell's memory is
+// as large as its topology (nodes, links, stacks, connections), not as
+// large as its traffic. One cell per shape, on a fresh one-worker
+// session at the default options, must stay under budgets of about
+// twice what it measures today, both in bytes allocated and in bytes
+// still live after a collection (the worker's scratch and testbed
+// carcass, the session's cache and content). While every bottleneck
+// dequeue appended its delay to an unread per-packet sample, these
+// cells allocated 29.2, 20.7 and 5.1 MB and retained 7.8, 4.5 and
+// 1.6 MB. The horizon case runs the backbone long cell at 12
+// repetitions instead of 3: four times the simulated time may not cost
+// half as much memory again (the per-packet sample made it 3.6x).
+func TestCellMemoryStaysTopologySized(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates three backbone cells")
+	}
+	const mb = 1 << 20
+	backboneLong := ProbeSpec{Testbed: "backbone", Scenario: "long", Buffer: 749, Media: "voip"}
+	cases := []struct {
+		name                  string
+		spec                  ProbeSpec
+		maxAlloc, maxRetained uint64 // measured: 2.7/2.4, 3.1/1.0, 0.65/0.53 MB
+	}{
+		{"backbone-long-voip", backboneLong, 11 * mb / 2, 5 * mb},
+		{"backbone-short-medium-voip", ProbeSpec{Testbed: "backbone", Scenario: "short-medium", Buffer: 749, Media: "voip"},
+			6 * mb, 9 * mb / 4},
+		{"access-long-many-256-voip", ProbeSpec{Scenario: "long-many", Direction: testbed.DirDown, Buffer: 256, Media: "voip"},
+			13 * mb / 10, 6 * mb / 5},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			alloc, retained := cellMemory(t, tc.spec, Options{})
+			t.Logf("allocated %d B, retained %d B", alloc, retained)
+			if alloc > tc.maxAlloc {
+				t.Errorf("cell allocated %d B, budget %d: something records per packet again", alloc, tc.maxAlloc)
+			}
+			if retained > tc.maxRetained {
+				t.Errorf("cell retained %d B after GC, budget %d: a worker keeps per-packet state across cells", retained, tc.maxRetained)
+			}
+		})
+	}
+	t.Run("backbone-long-voip-horizon", func(t *testing.T) {
+		short, _ := cellMemory(t, backboneLong, Options{Reps: 3})
+		long, _ := cellMemory(t, backboneLong, Options{Reps: 12})
+		t.Logf("allocated %d B at 3 reps, %d B at 12 reps", short, long)
+		if 2*long >= 3*short {
+			t.Errorf("12 reps allocate %.2fx what 3 reps do, budget < 1.5x: memory grows with simulated time", float64(long)/float64(short))
+		}
+	})
+}
+
+// cellMemory simulates one cell on a fresh one-worker session and
+// returns the bytes it allocated and the bytes still live after a
+// collection, session included.
+func cellMemory(t *testing.T, spec ProbeSpec, o Options) (alloc, retained uint64) {
+	t.Helper()
+	s := NewSession(1)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := probeOne(t.Context(), s, spec, o); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	if after.HeapAlloc > before.HeapAlloc {
+		retained = after.HeapAlloc - before.HeapAlloc
+	}
+	return after.TotalAlloc - before.TotalAlloc, retained
 }

@@ -388,7 +388,7 @@ func (p ProbeSpec) compile(o Options) engine.Task {
 // variant with its queue and CC factories, and the foreground — is
 // built in Compute, which the engine calls only on a miss.
 type probeCell struct {
-	p ProbeSpec
+	p *ProbeSpec
 	o *Options
 }
 
@@ -421,14 +421,19 @@ func (p ProbeSpec) Validate() error {
 // compileProbes validates every spec up front and returns its engine
 // tasks; an invalid spec fails the whole batch before any simulation
 // starts. A task carries its CellSpec and a pointer to its probeCell,
-// so compiling a batch of cache hits builds no closure per cell.
+// so compiling a batch of cache hits builds no closure per cell. A
+// normalized spec is not copied: its cell points at ps[i].
 func compileProbes(ps []ProbeSpec, o Options) ([]engine.Task, error) {
 	tasks := make([]engine.Task, len(ps))
 	cells := make([]probeCell, len(ps))
 	for i := range ps {
-		p, err := ps[i].Normalize()
-		if err != nil {
-			return nil, fmt.Errorf("spec %d: %w", i, err)
+		p := &ps[i]
+		if p.tags == nil {
+			n, err := p.Normalize()
+			if err != nil {
+				return nil, fmt.Errorf("spec %d: %w", i, err)
+			}
+			p = &n
 		}
 		cells[i] = probeCell{p: p, o: &o}
 		tasks[i] = engine.Task{Spec: p.cellSpec(o), Fn: &cells[i]}
@@ -443,7 +448,8 @@ func compileProbes(ps []ProbeSpec, o Options) ([]engine.Task, error) {
 // the session has already answered, are simulated once. Once ctx is
 // canceled the batch returns ErrCanceled: in-flight cells drain into
 // the session cache, queued cells are abandoned, and no partial
-// values are returned.
+// values are returned. A draining cell may still read ps, so the
+// caller must not modify ps after the call.
 func (s *Session) ProbeBatch(ctx context.Context, ps []ProbeSpec, o Options) ([]ProbeValue, error) {
 	tasks, err := compileProbes(ps, s.opts(o))
 	if err != nil {
@@ -468,7 +474,8 @@ func (s *Session) ProbeBatch(ctx context.Context, ps []ProbeSpec, o Options) ([]
 // err is ErrCanceled for cells abandoned because ctx was canceled
 // before they executed. ProbeSubmit returns once every callback has
 // run; cells already executing at cancellation drain into the session
-// cache first.
+// cache first. As with ProbeBatch, the caller must not modify ps after
+// the call.
 func (s *Session) ProbeSubmit(ctx context.Context, ps []ProbeSpec, o Options, each func(i int, v ProbeValue, err error)) error {
 	tasks, err := compileProbes(ps, s.opts(o))
 	if err != nil {

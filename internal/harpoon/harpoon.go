@@ -54,8 +54,6 @@ type Stats struct {
 	// Concurrent samples the number of in-flight transfers once a
 	// second (the "Concurrent Flows" column of Table 1).
 	Concurrent stats.Welford
-	// CompletionSec collects per-flow completion times in seconds.
-	CompletionSec stats.Sample
 }
 
 // Generator drives one traffic direction: data flows from the sender
@@ -174,7 +172,6 @@ func (g *Generator) runLoop(i int, spec Spec, size func(*sim.RNG) int64) {
 	conn := st.Dial(g.pickSink())
 	g.stats.Started++
 	g.active++
-	start := g.eng.Now()
 	conn.OnEstablished = func() {
 		conn.Send(n)
 		conn.CloseWrite()
@@ -187,7 +184,6 @@ func (g *Generator) runLoop(i int, spec Spec, size func(*sim.RNG) int64) {
 		} else {
 			g.stats.Completed++
 			g.stats.BytesMoved += n
-			g.stats.CompletionSec.Add(g.eng.Now().Sub(start).Seconds())
 		}
 		think := time.Duration(g.rng.Exponential(spec.Think.Seconds()) * float64(time.Second))
 		g.eng.ScheduleHandler(think, sim.Func(func() { g.runLoop(i, spec, size) }))

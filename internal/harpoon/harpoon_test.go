@@ -87,9 +87,6 @@ func TestClosedLoopSessions(t *testing.T) {
 	if max := st.Concurrent.Max(); max > 4 {
 		t.Fatalf("concurrency %v exceeded loop count 4", max)
 	}
-	if st.CompletionSec.N() == 0 {
-		t.Fatal("no completion samples")
-	}
 }
 
 func TestInfiniteFlowsStayUp(t *testing.T) {

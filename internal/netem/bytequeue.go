@@ -39,7 +39,7 @@ func NewDropTailBytes(capBytes int) *DropTailBytes {
 func (d *DropTailBytes) Enqueue(p *Packet, now sim.Time) bool {
 	if d.bytes >= d.CapBytes {
 		if d.Monitor != nil {
-			d.Monitor.drop(p, now, d.Len(), d.bytes)
+			d.Monitor.NoteDrop()
 		}
 		return false
 	}
@@ -47,7 +47,7 @@ func (d *DropTailBytes) Enqueue(p *Packet, now sim.Time) bool {
 	d.q = append(d.q, p)
 	d.bytes += p.Size
 	if d.Monitor != nil {
-		d.Monitor.enqueue(p, now, d.Len(), d.bytes)
+		d.Monitor.NoteEnqueue()
 	}
 	return true
 }
@@ -66,7 +66,7 @@ func (d *DropTailBytes) Dequeue(now sim.Time) *Packet {
 	}
 	d.bytes -= p.Size
 	if d.Monitor != nil {
-		d.Monitor.dequeue(p, now, d.Len(), d.bytes)
+		d.Monitor.NoteDequeue(p, now)
 	}
 	return p
 }

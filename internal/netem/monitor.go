@@ -8,8 +8,10 @@ import (
 )
 
 // QueueMonitor collects the buffer statistics the paper reads from the
-// NetFPGA cards: time-weighted occupancy, per-packet queueing delay
-// (Figure 4 heatmaps), and drop counts (Table 1 loss columns).
+// NetFPGA cards as running statistics: packet counts (Table 1 loss
+// columns) and the mean and maximum queueing delay (Figure 4). It
+// keeps no per-packet record, so its size is fixed however long the
+// run.
 type QueueMonitor struct {
 	Name string
 
@@ -17,59 +19,27 @@ type QueueMonitor struct {
 	Dropped  uint64
 	Dequeued uint64
 
-	// Delay collects per-packet waiting times in milliseconds.
-	Delay stats.Sample
 	// DelayMean tracks mean/max waiting time in milliseconds.
 	DelayMean stats.Welford
-	// OccupancyPkts tracks the time-weighted queue length.
-	OccupancyPkts stats.TimeWeighted
 }
 
-// Reset clears the monitor for reuse on another run, keeping the
-// sample backing arrays so a scratch-pooled monitor refills without
-// reallocating.
+// Reset clears the monitor for reuse on another run.
 func (m *QueueMonitor) Reset(name string) {
-	m.Name = name
-	m.Enqueued, m.Dropped, m.Dequeued = 0, 0, 0
-	m.Delay.Reset()
-	m.DelayMean.Reset()
-	m.OccupancyPkts.Reset()
+	*m = QueueMonitor{Name: name}
 }
 
-func (m *QueueMonitor) enqueue(p *Packet, now sim.Time, qlen, qbytes int) {
-	m.Enqueued++
-	m.OccupancyPkts.Set(now.Seconds(), float64(qlen))
-}
+// NoteEnqueue records an accepted packet. The drop-tail queues of this
+// package call it, and so do the aqm disciplines.
+func (m *QueueMonitor) NoteEnqueue() { m.Enqueued++ }
 
-func (m *QueueMonitor) drop(p *Packet, now sim.Time, qlen, qbytes int) {
-	m.Dropped++
-}
+// NoteDrop records a dropped packet.
+func (m *QueueMonitor) NoteDrop() { m.Dropped++ }
 
-func (m *QueueMonitor) dequeue(p *Packet, now sim.Time, qlen, qbytes int) {
+// NoteDequeue records a dequeued packet at now; its queueing delay is
+// derived from p.Enqueued.
+func (m *QueueMonitor) NoteDequeue(p *Packet, now sim.Time) {
 	m.Dequeued++
-	ms := now.Sub(p.Enqueued).Seconds() * 1000
-	m.Delay.Add(ms)
-	m.DelayMean.Add(ms)
-	m.OccupancyPkts.Set(now.Seconds(), float64(qlen))
-}
-
-// NoteEnqueue records an accepted packet from a queue implementation
-// outside this package (the aqm disciplines).
-func (m *QueueMonitor) NoteEnqueue(p *Packet, now sim.Time, qlen, qbytes int) {
-	m.enqueue(p, now, qlen, qbytes)
-}
-
-// NoteDrop records a dropped packet from an external queue
-// implementation.
-func (m *QueueMonitor) NoteDrop(p *Packet, now sim.Time, qlen, qbytes int) {
-	m.drop(p, now, qlen, qbytes)
-}
-
-// NoteDequeue records a dequeued packet from an external queue
-// implementation; per-packet queueing delay is derived from
-// p.Enqueued.
-func (m *QueueMonitor) NoteDequeue(p *Packet, now sim.Time, qlen, qbytes int) {
-	m.dequeue(p, now, qlen, qbytes)
+	m.DelayMean.Add(now.Sub(p.Enqueued).Seconds() * 1000)
 }
 
 // LossRate returns the fraction of offered packets that were dropped.

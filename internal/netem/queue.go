@@ -72,7 +72,7 @@ func (d *DropTail) Reset() {
 func (d *DropTail) Enqueue(p *Packet, now sim.Time) bool {
 	if d.n >= d.CapPackets {
 		if d.Monitor != nil {
-			d.Monitor.drop(p, now, d.n, d.bytes)
+			d.Monitor.NoteDrop()
 		}
 		return false
 	}
@@ -88,7 +88,7 @@ func (d *DropTail) Enqueue(p *Packet, now sim.Time) bool {
 	d.n++
 	d.bytes += p.Size
 	if d.Monitor != nil {
-		d.Monitor.enqueue(p, now, d.n, d.bytes)
+		d.Monitor.NoteEnqueue()
 	}
 	return true
 }
@@ -126,7 +126,7 @@ func (d *DropTail) Dequeue(now sim.Time) *Packet {
 	d.n--
 	d.bytes -= p.Size
 	if d.Monitor != nil {
-		d.Monitor.dequeue(p, now, d.n, d.bytes)
+		d.Monitor.NoteDequeue(p, now)
 	}
 	return p
 }

@@ -1,8 +1,8 @@
 // Package stats provides the descriptive statistics used throughout the
-// reproduction: streaming mean/variance, sample quantiles, time-weighted
-// averages, linear and logarithmic histograms (for the PDF plots of
-// Figure 1), two-dimensional histograms (Figure 1b), and five-number
-// boxplot summaries (Figure 5).
+// reproduction: streaming mean/variance, sample quantiles, linear and
+// logarithmic histograms (for the PDF plots of Figure 1),
+// two-dimensional histograms (Figure 1b), and five-number boxplot
+// summaries (Figure 5).
 package stats
 
 import (
@@ -202,55 +202,3 @@ func BoxplotOf(s *Sample) Boxplot {
 	b.WhiskerHi = math.Min(b.Max, b.Q3+1.5*iqr)
 	return b
 }
-
-// TimeWeighted tracks a piecewise-constant signal (e.g. queue
-// occupancy) and computes its time-weighted mean and maximum.
-type TimeWeighted struct {
-	started  bool
-	lastT    float64
-	lastV    float64
-	integral float64
-	elapsed  float64
-	max      float64
-	sampled  bool
-}
-
-// Set records that the signal has value v from time t (seconds) onward.
-// Calls must have non-decreasing t.
-func (tw *TimeWeighted) Set(t, v float64) {
-	if tw.started {
-		dt := t - tw.lastT
-		if dt > 0 {
-			tw.integral += tw.lastV * dt
-			tw.elapsed += dt
-		}
-	}
-	tw.started = true
-	tw.lastT = t
-	tw.lastV = v
-	if !tw.sampled || v > tw.max {
-		tw.max = v
-		tw.sampled = true
-	}
-}
-
-// Reset clears the tracker for reuse.
-func (tw *TimeWeighted) Reset() { *tw = TimeWeighted{} }
-
-// Finish closes the observation window at time t.
-func (tw *TimeWeighted) Finish(t float64) {
-	if tw.started {
-		tw.Set(t, tw.lastV)
-	}
-}
-
-// Mean returns the time-weighted mean over the observed window.
-func (tw *TimeWeighted) Mean() float64 {
-	if tw.elapsed == 0 {
-		return tw.lastV
-	}
-	return tw.integral / tw.elapsed
-}
-
-// Max returns the maximum observed value.
-func (tw *TimeWeighted) Max() float64 { return tw.max }

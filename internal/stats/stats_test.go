@@ -124,21 +124,6 @@ func TestBoxplot(t *testing.T) {
 	}
 }
 
-func TestTimeWeighted(t *testing.T) {
-	var tw TimeWeighted
-	tw.Set(0, 0)
-	tw.Set(1, 10) // value 0 for [0,1)
-	tw.Set(3, 0)  // value 10 for [1,3)
-	tw.Finish(4)  // value 0 for [3,4)
-	// mean = (0*1 + 10*2 + 0*1)/4 = 5
-	if got := tw.Mean(); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("time-weighted mean = %v, want 5", got)
-	}
-	if tw.Max() != 10 {
-		t.Fatalf("max = %v", tw.Max())
-	}
-}
-
 func TestHistPDFIntegratesToOne(t *testing.T) {
 	h := NewHist(0, 10, 20)
 	r := rand.New(rand.NewPCG(1, 2))

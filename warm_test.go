@@ -2,6 +2,7 @@ package bufferqoe
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -56,6 +57,8 @@ func warmRequery(tb testing.TB, s *Session, sw Sweep, o Options) {
 // indentation at run time; 157 while every video cell rendered
 // its variant lead; 371 while every hit built its cell's closure; the
 // fmt-keyed, build-time-resolved, MarshalIndent path allocated 1,037).
+// The bytes are pinned the same way: 1.1x the 96,040 B measured
+// (116,392 B while every probe cell held a copy of its spec).
 func TestWarmSweepAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fills an 81-cell grid")
@@ -70,7 +73,26 @@ func TestWarmSweepAllocs(t *testing.T) {
 	if allocs > 1.1*measured {
 		t.Fatalf("warm 81-cell re-query allocates %.0f, budget %.0f (1.1 x %d)", allocs, 1.1*measured, measured)
 	}
-	t.Logf("warm 81-cell re-query: %.0f allocs", allocs)
+	bytes := bytesPerRun(20, func() { warmRequery(t, s, sw, o) })
+	const measuredBytes = 96040
+	if bytes > 1.1*measuredBytes {
+		t.Fatalf("warm 81-cell re-query allocates %.0f B, budget %.0f (1.1 x %d)", bytes, 1.1*measuredBytes, measuredBytes)
+	}
+	t.Logf("warm 81-cell re-query: %.0f allocs, %.0f B", allocs, bytes)
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the average heap
+// bytes one call of f allocates, after a warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // BenchmarkWarmSweep times the same warm re-query.
