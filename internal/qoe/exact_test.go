@@ -8,9 +8,25 @@ import (
 	"bufferqoe/internal/sim"
 )
 
-// The full loops SSIM and SpeechQuality ran before they learned to
-// skip undamaged rows and frames, kept verbatim as the references the
-// fast paths are held bit-equal against.
+// The full loops SSIM, PSNR and SpeechQuality ran before they learned
+// to skip undamaged rows and frames and to sum integer moments, kept
+// verbatim as the references the fast paths are held bit-equal against.
+
+func psnrRef(ref, deg []uint8) float64 {
+	if len(ref) == 0 || len(ref) != len(deg) {
+		return math.NaN()
+	}
+	var mse float64
+	for i := range ref {
+		d := float64(ref[i]) - float64(deg[i])
+		mse += d * d
+	}
+	mse /= float64(len(ref))
+	if mse == 0 {
+		return math.Inf(1)
+	}
+	return 10 * math.Log10(255*255/mse)
+}
 
 func ssimRef(ref, deg []uint8, w, h int) float64 {
 	if len(ref) != w*h || len(deg) != w*h || w < 8 || h < 8 {

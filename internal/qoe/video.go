@@ -11,21 +11,60 @@ func PSNR(ref, deg []uint8) float64 {
 	if len(ref) == 0 || len(ref) != len(deg) {
 		return math.NaN()
 	}
-	var mse float64
+	// The squared error is an integer below 2^53 for any plane of fewer
+	// than 2^37 pixels, so this is the float sum exactly.
+	var se int64
 	for i := range ref {
-		d := float64(ref[i]) - float64(deg[i])
-		mse += d * d
+		d := int64(ref[i]) - int64(deg[i])
+		se += d * d
 	}
-	mse /= float64(len(ref))
+	mse := float64(se) / float64(len(ref))
 	if mse == 0 {
 		return math.Inf(1)
 	}
 	return 10 * math.Log10(255*255/mse)
 }
 
+// moments are the integer sums of one 4x4 block of a reference (a) and
+// a degraded (b) plane: Σa, Σb, Σa², Σb² and Σab.
+type moments struct{ a, b, aa, bb, ab int }
+
+// blockRow sums the moments of the 4x4 blocks of pixel rows
+// [y, y+4) into m, one per block column.
+func blockRow(m []moments, ref, deg []uint8, w, y int) {
+	clear(m)
+	for j := y; j < y+4; j++ {
+		ra, rb := ref[j*w:(j+1)*w], deg[j*w:(j+1)*w]
+		for k := range m {
+			s := &m[k]
+			pa, pb := ra[4*k:4*k+4], rb[4*k:4*k+4]
+			for i := range pa {
+				a, b := int(pa[i]), int(pb[i])
+				s.a += a
+				s.b += b
+				s.aa += a * a
+				s.bb += b * b
+				s.ab += a * b
+			}
+		}
+	}
+}
+
+// ssimStackBlocks is the widest block row SSIM keeps on the stack: 64
+// blocks, a 256-pixel plane (SD is 32 blocks wide, HD 48).
+const ssimStackBlocks = 64
+
 // SSIM computes the mean structural similarity index (Wang, Bovik,
 // Sheikh, Simoncelli 2004) between two 8-bit luma planes of
 // dimensions w x h, using 8x8 windows with stride 4.
+//
+// A window's moments are the integer sums of the four 4x4 blocks it
+// covers, each block summed once. The variances and the covariance
+// come from them as (4096·Σab − 64·Σa·Σb)/4096 — Σ(a−ma)(b−mb), the
+// sum the per-pixel form accumulates in floats. That form is exact
+// too: every deviation is a multiple of 1/64, every product and
+// partial sum a multiple of 2⁻¹² below 2²², within 34 bits, so both
+// forms give the same doubles, signs of zero included.
 func SSIM(ref, deg []uint8, w, h int) float64 {
 	if len(ref) != w*h || len(deg) != w*h || w < 8 || h < 8 {
 		return math.NaN()
@@ -38,6 +77,18 @@ func SSIM(ref, deg []uint8, w, h int) float64 {
 	)
 	c1 := (k1 * L) * (k1 * L)
 	c2 := (k2 * L) * (k2 * L)
+	n := float64(win * win)
+	// top and bot are the block rows under the upper and lower half of
+	// the current row of windows; top is valid for block row have.
+	nb := w / stride
+	var stack [2][ssimStackBlocks]moments
+	var top, bot []moments
+	if nb <= ssimStackBlocks {
+		top, bot = stack[0][:nb], stack[1][:nb]
+	} else {
+		top, bot = make([]moments, nb), make([]moments, nb)
+	}
+	have := -1
 	var sum float64
 	var count int
 	for y := 0; y+win <= h; y += stride {
@@ -53,29 +104,22 @@ func SSIM(ref, deg []uint8, w, h int) float64 {
 			}
 			continue
 		}
-		for x := 0; x+win <= w; x += stride {
-			var ma, mb float64
-			for j := 0; j < win; j++ {
-				row := (y+j)*w + x
-				for i := 0; i < win; i++ {
-					ma += float64(ref[row+i])
-					mb += float64(deg[row+i])
-				}
-			}
-			n := float64(win * win)
-			ma /= n
-			mb /= n
-			var va, vb, cov float64
-			for j := 0; j < win; j++ {
-				row := (y+j)*w + x
-				for i := 0; i < win; i++ {
-					da := float64(ref[row+i]) - ma
-					db := float64(deg[row+i]) - mb
-					va += da * da
-					vb += db * db
-					cov += da * db
-				}
-			}
+		if have != y {
+			blockRow(top, ref, deg, w, y)
+		}
+		blockRow(bot, ref, deg, w, y+stride)
+		for k := 0; k+1 < len(top); k++ {
+			t0, t1, b0, b1 := &top[k], &top[k+1], &bot[k], &bot[k+1]
+			sa := t0.a + t1.a + b0.a + b1.a
+			sb := t0.b + t1.b + b0.b + b1.b
+			saa := t0.aa + t1.aa + b0.aa + b1.aa
+			sbb := t0.bb + t1.bb + b0.bb + b1.bb
+			sab := t0.ab + t1.ab + b0.ab + b1.ab
+			ma := float64(sa) / n
+			mb := float64(sb) / n
+			va := float64(4096*saa-64*sa*sa) / 4096
+			vb := float64(4096*sbb-64*sb*sb) / 4096
+			cov := float64(4096*sab-64*sa*sb) / 4096
 			va /= n - 1
 			vb /= n - 1
 			cov /= n - 1
@@ -87,6 +131,8 @@ func SSIM(ref, deg []uint8, w, h int) float64 {
 			sum += s
 			count++
 		}
+		top, bot = bot, top
+		have = y + stride
 	}
 	if count == 0 {
 		return math.NaN()

@@ -62,21 +62,35 @@ var (
 // Clips lists the reference content in paper order.
 var Clips = []Clip{ClipA, ClipB, ClipC}
 
-// Source lazily renders and caches the frames of one (clip, profile)
-// pair so repeated runs don't re-synthesize content.
+// Source holds the rendered frames of one (clip, profile, length):
+// NewSource renders every frame up front, and a session's content
+// cache keeps one Source per (clip, profile, seconds) so repeated runs
+// don't re-synthesize content.
 type Source struct {
 	Clip    Clip
 	Profile Profile
 	frames  [][]uint8
 }
 
+// texN is the side of the static texture tile, a power of two.
+const texN = 64
+
 // NewSource creates a frame source for the given duration in seconds.
 func NewSource(clip Clip, p Profile, seconds int) *Source {
 	s := &Source{Clip: clip, Profile: p}
 	n := seconds * p.FPS
 	s.frames = make([][]uint8, n)
+	// Static texture: a small tileable noise table, the same for every
+	// frame of the clip.
+	texRng := sim.NewRNG(clip.Seed, "texture")
+	tex := make([]float64, texN*texN)
+	for i := range tex {
+		tex[i] = texRng.Float64()*2 - 1
+	}
+	cols := make([]float64, p.W)
+	rows := make([]float64, p.H)
 	for t := 0; t < n; t++ {
-		s.frames[t] = renderFrame(clip, p, t)
+		s.frames[t] = renderFrame(clip, p, t, tex, cols, rows)
 	}
 	return s
 }
@@ -89,31 +103,45 @@ func (s *Source) Frame(t int) []uint8 { return s.frames[t] }
 
 // renderFrame procedurally generates a luma plane: moving sinusoidal
 // structure (global pan driven by Motion) over a static texture field
-// (Detail), with a roaming high-contrast blob standing in for
-// foreground objects.
-func renderFrame(c Clip, p Profile, t int) []uint8 {
+// tex (Detail), with a roaming high-contrast blob standing in for
+// foreground objects. cols and rows are scratch of length p.W and p.H.
+//
+// Every pixel takes the value the per-pixel form 128 + 45*sin(x)*cos(y)
+// + texture + blob gives, bit for bit: the sinusoid is separable, so
+// its two factors are tabulated once a frame and multiplied in the
+// same order, and the blob's distance is only computed inside the box
+// where it can fall below the radius — math.Hypot is
+// max*sqrt(1+(min/max)^2), never less than either leg.
+func renderFrame(c Clip, p Profile, t int, tex, cols, rows []float64) []uint8 {
 	out := make([]uint8, p.W*p.H)
 	// Global pan in pixels/frame.
 	pan := c.Motion * 3 * float64(t)
 	// Blob path.
 	bx := float64(p.W)/2 + float64(p.W)/3*math.Sin(0.05*float64(t)*(0.5+c.Motion))
 	by := float64(p.H)/2 + float64(p.H)/3*math.Cos(0.04*float64(t)*(0.5+c.Motion))
-	texRng := sim.NewRNG(c.Seed, "texture")
-	// Static texture: a small tileable noise table.
-	const texN = 64
-	tex := make([]float64, texN*texN)
-	for i := range tex {
-		tex[i] = texRng.Float64()*2 - 1
+	radius := float64(p.H) / 6
+	for x := range cols {
+		cols[x] = 45 * math.Sin(2*math.Pi*(float64(x)+pan)/37)
+	}
+	for y := range rows {
+		rows[y] = math.Cos(2 * math.Pi * (float64(y) + 0.5*pan) / 29)
 	}
 	for y := 0; y < p.H; y++ {
-		for x := 0; x < p.W; x++ {
-			fx, fy := float64(x), float64(y)
+		dy := float64(y) - by
+		cy := rows[y]
+		trow := tex[(y%texN)*texN : (y%texN+1)*texN]
+		line := out[y*p.W : (y+1)*p.W]
+		inRows := math.Abs(dy) < radius
+		for x := range line {
+			dx := float64(x) - bx
 			v := 128.0
-			v += 45 * math.Sin(2*math.Pi*(fx+pan)/37) * math.Cos(2*math.Pi*(fy+0.5*pan)/29)
-			v += c.Detail * 30 * tex[(y%texN)*texN+x%texN]
-			d := math.Hypot(fx-bx, fy-by)
-			if d < float64(p.H)/6 {
-				v += 70 * (1 - d/(float64(p.H)/6))
+			v += cols[x] * cy
+			v += c.Detail * 30 * trow[x&(texN-1)]
+			if inRows && math.Abs(dx) < radius {
+				d := math.Hypot(dx, dy)
+				if d < radius {
+					v += 70 * (1 - d/radius)
+				}
 			}
 			if v < 0 {
 				v = 0
@@ -121,7 +149,7 @@ func renderFrame(c Clip, p Profile, t int) []uint8 {
 			if v > 255 {
 				v = 255
 			}
-			out[y*p.W+x] = uint8(v)
+			line[x] = uint8(v)
 		}
 	}
 	return out
