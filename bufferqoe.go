@@ -86,6 +86,8 @@ type Options struct {
 	// observes progress only — it cannot alter results, and it does
 	// not participate in cell identity: runs with different hooks
 	// share cache entries.
+	//
+	//qoe:notaxis a progress hook observes a run and never names a cell, so a sweep's plan is shared across hooks
 	OnProgress func(Progress)
 	// Collector, when non-nil, receives telemetry from this run:
 	// per-cell build/sim/score phase timings, simulator event counts,
@@ -94,6 +96,8 @@ type Options struct {
 	// share cache entries and produce bit-identical results. Runs that
 	// leave this nil report to the session's collector, if one was
 	// attached with Session.SetCollector.
+	//
+	//qoe:notaxis a collector observes a run and never names a cell; a kept plan binds the run's collector at submit
 	Collector *Collector
 }
 

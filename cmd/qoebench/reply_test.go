@@ -128,13 +128,15 @@ func TestServeRepliesMatchEncoder(t *testing.T) {
 
 // TestServeWarmAllocs pins what one warm 36-cell /sweep costs the
 // handler, shaped like the serve_warm benchmark's large bodies (two
-// upstream workloads x six buffers x three probes): decode, compile,
-// a key and a lookup per cell, one reply write. Counts, not times, so
-// the pin has no timing noise; the budget is 1.1x the 107 allocations
-// measured last (json.Encoder writing the reply and a closure built
-// per cell hit allocated 255; compiling the body through CLI strings,
-// 147; rendering each video cell's variant lead, 119). The reply takes
-// two: the envelope's buffer, and one growth the grid's writer sizes.
+// upstream workloads x six buffers x three probes): decode, the
+// session's kept plan, a lookup per cell by its stored key, one reply
+// write. Counts, not times, so the pin has no timing noise; the budget
+// is 1.1x the 56 allocations measured last (compiling the sweep and
+// rendering a key per cell on every request allocated 107; json.Encoder
+// writing the reply and a closure built per cell hit, 255; compiling
+// the body through CLI strings, 147; rendering each video cell's
+// variant lead, 119). The reply takes two: the envelope's buffer, and
+// one growth the grid's writer sizes.
 func TestServeWarmAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fills a 36-cell grid")
@@ -155,7 +157,7 @@ func TestServeWarmAllocs(t *testing.T) {
 	if got := session.Stats().Misses; got != misses {
 		t.Fatalf("warm requests simulated %d cells", got-misses)
 	}
-	const measured = 107
+	const measured = 56
 	if allocs > 1.1*measured {
 		t.Fatalf("warm 36-cell /sweep allocates %.0f, budget %.0f (1.1 x %d)", allocs, 1.1*measured, measured)
 	}

@@ -26,7 +26,7 @@ func benchTasks() []Task {
 				Testbed: "access", Scenario: sc, Direction: "up", Buffer: buf,
 				Media: "bench", Seed: 42, Duration: 4 * time.Second, Reps: 1,
 			}
-			tasks = append(tasks, Task{Spec: sp, Fn: CellFunc(busyCell)})
+			tasks = append(tasks, NewTask(sp, CellFunc(busyCell)))
 		}
 	}
 	return tasks

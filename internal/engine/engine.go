@@ -90,10 +90,37 @@ type Scratch interface {
 	Reset()
 }
 
-// Task pairs a spec with what computes it, for batch submission.
+// Task is one cell of a batch: its canonical spec, the cache key the
+// spec renders, and what computes it. NewTask canonicalizes and keys
+// the spec once, so a batch built once and submitted many times — a
+// warm re-query of a prepared sweep — renders no key per submit.
 type Task struct {
-	Spec CellSpec
-	Fn   Computer
+	spec CellSpec
+	key  string
+	fn   Computer
+}
+
+// NewTask pairs a spec with what computes it, for batch submission.
+func NewTask(spec CellSpec, fn Computer) Task {
+	spec = spec.Canonical()
+	return Task{spec: spec, key: spec.Key(), fn: fn}
+}
+
+// Spec returns the task's canonical spec.
+func (t Task) Spec() CellSpec { return t.spec }
+
+// Key returns the cache key of the task's spec.
+func (t Task) Key() string { return t.key }
+
+// Fn returns what computes the task's cell.
+func (t Task) Fn() Computer { return t.fn }
+
+// WithFn returns the same cell computed by fn: the spec and key are
+// kept, so a batch can be bound to a run's observer without keying
+// its cells again.
+func (t Task) WithFn(fn Computer) Task {
+	t.fn = fn
+	return t
 }
 
 // Stats is a snapshot of the engine's counters.
@@ -284,22 +311,22 @@ func (e *Engine) Workers() int {
 // released, the cache entry is dropped (a retry recomputes), and the
 // panic propagates to the computing caller and any coalesced waiters.
 func (e *Engine) Do(spec CellSpec, fn CellFunc) any {
-	spec = spec.Canonical()
+	t := NewTask(spec, fn)
 	// context.Background is never canceled, so do cannot fail here. One
 	// collector load per call: the nil check is the entire cost of
 	// disabled telemetry on this path.
-	v, _ := e.do(context.Background(), spec, spec.Key(), fn, e.collector.Load())
+	v, _ := e.do(context.Background(), t, e.collector.Load())
 	return v
 }
 
-// do computes or fetches the cell of a canonical spec whose key the
-// caller has computed. A call whose ctx is canceled before the cell
-// starts executing returns ErrCanceled and leaves the engine exactly
-// as if the call never happened (no cache entry, no leaked worker
-// slot — a later call recomputes). Once a cell is executing it runs
-// to completion and is cached; cancellation only prevents execution
-// from starting.
-func (e *Engine) do(ctx context.Context, spec CellSpec, k string, fn Computer, col *telemetry.Collector) (any, error) {
+// do computes or fetches a task's cell. A call whose ctx is canceled
+// before the cell starts executing returns ErrCanceled and leaves the
+// engine exactly as if the call never happened (no cache entry, no
+// leaked worker slot — a later call recomputes). Once a cell is
+// executing it runs to completion and is cached; cancellation only
+// prevents execution from starting.
+func (e *Engine) do(ctx context.Context, t Task, col *telemetry.Collector) (any, error) {
+	k := t.key
 	for {
 		if ctx.Err() != nil {
 			e.noteCanceled(col)
@@ -394,7 +421,7 @@ func (e *Engine) do(ctx context.Context, spec CellSpec, k string, fn Computer, c
 		if col != nil {
 			col.CacheMisses.Inc()
 		}
-		e.compute(ctx, spec, fn, k, ent, sem, col)
+		e.compute(ctx, t, ent, sem, col)
 		// Write-through: persist the fresh result. Put only enqueues
 		// (the store writes on its own goroutine), so the compute path
 		// never waits on disk; a panicking cell never reaches here.
@@ -440,7 +467,8 @@ func (e *Engine) storeGet(st CellStore, k string, col *telemetry.Collector) (any
 // the in-flight gauge and — with a collector attached — the wall-time
 // histogram, worker busy-time, and pprof labels, on completion and
 // panic alike.
-func (e *Engine) compute(ctx context.Context, spec CellSpec, fn Computer, k string, ent *entry, sem chan struct{}, col *telemetry.Collector) {
+func (e *Engine) compute(ctx context.Context, t Task, ent *entry, sem chan struct{}, col *telemetry.Collector) {
+	spec := t.spec
 	e.inFlight.Add(1)
 	var start time.Time
 	if col != nil {
@@ -462,7 +490,7 @@ func (e *Engine) compute(ctx context.Context, spec CellSpec, fn Computer, k stri
 		if !completed {
 			ent.panicked = recover()
 			e.mu.Lock()
-			delete(e.cache, k)
+			delete(e.cache, t.key)
 			e.mu.Unlock()
 			close(ent.done)
 			panic(ent.panicked)
@@ -483,10 +511,10 @@ func (e *Engine) compute(ctx context.Context, spec CellSpec, fn Computer, k stri
 			"qoe_media", spec.Media,
 			"qoe_buffer", strconv.Itoa(spec.Buffer),
 		), func(context.Context) {
-			ent.val = fn.Compute(spec, DeriveSeed(spec), scr)
+			ent.val = t.fn.Compute(spec, DeriveSeed(spec), scr)
 		})
 	} else {
-		ent.val = fn.Compute(spec, DeriveSeed(spec), scr)
+		ent.val = t.fn.Compute(spec, DeriveSeed(spec), scr)
 	}
 	completed = true
 }
@@ -558,25 +586,23 @@ func (e *Engine) SubmitBatch(ctx context.Context, tasks []Task, each func(i int,
 	var wg sync.WaitGroup
 	var turn chan struct{} // closed once the previous goroutine has entered the engine
 	for i, t := range tasks {
-		spec := t.Spec.Canonical()
-		k := spec.Key()
-		if v, ok := e.cached(ctx, k, col); ok {
+		if v, ok := e.cached(ctx, t.key, col); ok {
 			each(i, v, nil)
 			continue
 		}
 		wg.Add(1)
 		next := make(chan struct{})
-		// Arguments, not captures: a captured spec would be heap-allocated
+		// Arguments, not captures: a captured task would be heap-allocated
 		// for every task, including the ones answered above.
-		go func(i int, spec CellSpec, k string, fn Computer, turn <-chan struct{}, next chan<- struct{}) {
+		go func(i int, t Task, turn <-chan struct{}, next chan<- struct{}) {
 			defer wg.Done()
 			if turn != nil {
 				<-turn
 			}
 			close(next)
-			v, err := e.try(ctx, spec, k, fn, col)
+			v, err := e.try(ctx, t, col)
 			each(i, v, err)
-		}(i, spec, k, t.Fn, turn, next)
+		}(i, t, turn, next)
 		turn = next
 	}
 	wg.Wait()
@@ -585,13 +611,13 @@ func (e *Engine) SubmitBatch(ctx context.Context, tasks []Task, each func(i int,
 // try is do on a task's own goroutine: a panic of the cell, or the
 // re-panic a coalesced waiter sees, is returned wrapping
 // ErrCellPanicked, the panic value on the first line of its text.
-func (e *Engine) try(ctx context.Context, spec CellSpec, k string, fn Computer, col *telemetry.Collector) (v any, err error) {
+func (e *Engine) try(ctx context.Context, t Task, col *telemetry.Collector) (v any, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			v, err = nil, fmt.Errorf("%w: %v\n\n%s", ErrCellPanicked, p, debug.Stack())
 		}
 	}()
-	return e.do(ctx, spec, k, fn, col)
+	return e.do(ctx, t, col)
 }
 
 // cached answers a cell whose computation has already completed,

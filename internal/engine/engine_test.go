@@ -176,7 +176,7 @@ func TestRunBatchOrderAndParallelism(t *testing.T) {
 	var tasks []Task
 	bufs := []int{8, 16, 32, 64, 128, 256, 512, 1024}
 	for _, b := range bufs {
-		tasks = append(tasks, Task{Spec: spec(b), Fn: CellFunc(fn)})
+		tasks = append(tasks, NewTask(spec(b), CellFunc(fn)))
 	}
 	out, err := e.RunBatch(context.Background(), tasks)
 	if err != nil {
@@ -204,7 +204,7 @@ func TestSchedulingOrderIndependence(t *testing.T) {
 	}
 	var fwd, rev []Task
 	for _, b := range []int{8, 16, 32, 64} {
-		fwd = append(fwd, Task{Spec: spec(b), Fn: CellFunc(fn)})
+		fwd = append(fwd, NewTask(spec(b), CellFunc(fn)))
 	}
 	for i := len(fwd) - 1; i >= 0; i-- {
 		rev = append(rev, fwd[i])
@@ -292,7 +292,7 @@ func TestSubmitBatchReportsPanickingCell(t *testing.T) {
 	bufs := []int{8, 16, 32, 16, 64}
 	var tasks []Task
 	for _, b := range bufs {
-		tasks = append(tasks, Task{Spec: spec(b), Fn: CellFunc(fn)})
+		tasks = append(tasks, NewTask(spec(b), CellFunc(fn)))
 	}
 	var mu sync.Mutex
 	vals, errs := map[int]any{}, map[int]error{}
@@ -325,7 +325,7 @@ func TestSubmitBatchReportsPanickingCell(t *testing.T) {
 // doOne runs one cell as a one-task batch: the way a caller with a
 // context reaches the engine.
 func doOne(e *Engine, ctx context.Context, sp CellSpec, fn CellFunc) (any, error) {
-	vs, err := e.RunBatch(ctx, []Task{{Spec: sp, Fn: fn}})
+	vs, err := e.RunBatch(ctx, []Task{NewTask(sp, fn)})
 	if err != nil {
 		return nil, err
 	}
@@ -469,7 +469,7 @@ func TestSubmitBatchCompletionCallbacks(t *testing.T) {
 	bufs := []int{8, 16, 32, 64}
 	var tasks []Task
 	for _, b := range bufs {
-		tasks = append(tasks, Task{Spec: spec(b), Fn: CellFunc(fn)})
+		tasks = append(tasks, NewTask(spec(b), CellFunc(fn)))
 	}
 	var mu sync.Mutex
 	got := map[int]any{}
@@ -508,16 +508,16 @@ func TestSubmitBatchAnswersCachedCellsInline(t *testing.T) {
 	}
 	var tasks []Task
 	for b := 1; b <= 12; b++ {
-		tasks = append(tasks, Task{Spec: spec(b), Fn: CellFunc(fn)})
+		tasks = append(tasks, NewTask(spec(b), CellFunc(fn)))
 	}
 	if _, err := e.RunBatch(context.Background(), tasks); err != nil {
 		t.Fatal(err)
 	}
-	tasks = append(tasks, Task{Spec: spec(99), Fn: CellFunc(fn)}) // cold
+	tasks = append(tasks, NewTask(spec(99), CellFunc(fn))) // cold
 
 	var order []int // unsynchronized on purpose: -race sees any second goroutine
 	e.SubmitBatch(context.Background(), tasks, func(i int, v any, err error) {
-		if err != nil || v != tasks[i].Spec.Buffer {
+		if err != nil || v != tasks[i].Spec().Buffer {
 			t.Errorf("task %d = %v, %v", i, v, err)
 		}
 		if i < len(tasks)-1 {
@@ -575,7 +575,7 @@ func TestSubmitBatchCancellationDrainsInFlight(t *testing.T) {
 	}
 	var tasks []Task
 	for _, b := range []int{8, 16, 32, 64, 128, 256} {
-		tasks = append(tasks, Task{Spec: spec(b), Fn: CellFunc(fn)})
+		tasks = append(tasks, NewTask(spec(b), CellFunc(fn)))
 	}
 	go func() {
 		<-firstRunning
@@ -624,5 +624,28 @@ func TestSetWorkersAndReset(t *testing.T) {
 	st := e.Stats()
 	if st.Entries != 0 || st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("reset left stats %+v", st)
+	}
+}
+
+// TestWarmBatchKeysNothing: a task is keyed when it is built, so
+// submitting a batch whose cells are all cached renders no spec or key
+// per task — what lets a caller that keeps its batch re-ask it for a
+// map lookup a cell. The budget is what SubmitBatch itself allocates,
+// however many tasks the batch holds.
+func TestWarmBatchKeysNothing(t *testing.T) {
+	e := New(2)
+	fn := CellFunc(func(sp CellSpec, _ uint64, _ Scratch) any { return sp.Buffer })
+	var tasks []Task
+	for b := 1; b <= 64; b++ {
+		tasks = append(tasks, NewTask(spec(b), fn))
+	}
+	if _, err := e.RunBatch(context.Background(), tasks); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		e.SubmitBatch(context.Background(), tasks, func(int, any, error) {})
+	})
+	if allocs > 1 {
+		t.Fatalf("a warm 64-task batch allocates %.0f, want at most 1", allocs)
 	}
 }

@@ -57,7 +57,7 @@ func TestCollectorReconcilesWithStats(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	tasks := make([]Task, 8)
 	for i := range tasks {
-		tasks[i] = Task{Spec: spec(1000 + i), Fn: CellFunc(slow)}
+		tasks[i] = NewTask(spec(1000+i), CellFunc(slow))
 	}
 	done := make(chan struct{})
 	var sawCancel atomic.Bool

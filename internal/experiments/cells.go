@@ -343,9 +343,14 @@ func cellSpec(o Options, n *network, scenario string, dir testbed.Direction, buf
 
 // cellTask pairs a cell's spec with the closure that simulates it.
 func cellTask(o Options, n *network, scenario string, dir testbed.Direction, buf int, v variant, fg foreground) engine.Task {
-	spec := cellSpec(o, n, scenario, dir, buf, &v, &fg)
-	name := spec.Scenario
-	return engine.Task{Spec: spec, Fn: engine.CellFunc(func(sp engine.CellSpec, seed uint64, scr engine.Scratch) any {
+	return engine.NewTask(cellSpec(o, n, scenario, dir, buf, &v, &fg), cellFunc(o, n, scenario, dir, buf, v, fg))
+}
+
+// cellFunc is the closure that simulates the cell cellSpec names for
+// the same arguments.
+func cellFunc(o Options, n *network, scenario string, dir testbed.Direction, buf int, v variant, fg foreground) engine.CellFunc {
+	name, _ := workloadAxis(scenario, dir, v.mix)
+	return func(sp engine.CellSpec, seed uint64, scr engine.Scratch) any {
 		cs := scratchOf(scr)
 		pc := o.Collector.StartCell()
 		oc := o
@@ -361,7 +366,7 @@ func cellTask(o Options, n *network, scenario string, dir testbed.Direction, buf
 		val := fg.run(&fg, n, tb, oc, cs, &pc)
 		finishCell(&pc, sp, tb.Eng, tb.Net, cs)
 		return val
-	})}
+	}
 }
 
 // --- VoIP foregrounds ---------------------------------------------
@@ -640,8 +645,8 @@ func wildTask(o Options) engine.Task {
 	sp := engine.CellSpec{
 		Media: "wild", Seed: o.Seed, CDNFlows: o.CDNFlows,
 	}
-	return engine.Task{Spec: sp, Fn: engine.CellFunc(func(_ engine.CellSpec, seed uint64, _ engine.Scratch) any {
+	return engine.NewTask(sp, engine.CellFunc(func(_ engine.CellSpec, seed uint64, _ engine.Scratch) any {
 		flows := cdn.Generate(cdn.Config{Flows: o.CDNFlows, Seed: seed})
 		return cdn.Analyze(flows, cdn.MinSamplesDefault)
-	})}
+	}))
 }

@@ -76,7 +76,7 @@ func renderGolden(v any) string {
 // runTaskForTest invokes a cell function directly, bypassing the
 // engine's cache so the golden test always simulates.
 func runTaskForTest(task engine.Task, seed uint64) any {
-	return task.Fn.Compute(task.Spec.Canonical(), seed, nil)
+	return task.Fn().Compute(task.Spec(), seed, nil)
 }
 
 // TestGoldenCrossSection pins a small cross-section of Grid metrics
@@ -93,7 +93,7 @@ func TestGoldenCrossSection(t *testing.T) {
 		name, task := name, task
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			spec := task.Spec.Canonical()
+			spec := task.Spec()
 			got := renderGolden(runTaskForTest(task, engine.DeriveSeed(spec)))
 			if want := goldenCells[name]; got != want {
 				t.Errorf("golden mismatch for %s:\n got:  %s\n want: %s", spec, got, want)

@@ -25,11 +25,11 @@ func TestCellKeysPinned(t *testing.T) {
 		ClipSeconds: 6, CDNFlows: 1234, CIHalfWidth: 0.25, MinReps: 3,
 	}.withDefaults()
 	probe := func(p ProbeSpec) engine.Task {
-		tasks, err := compileProbes([]ProbeSpec{p}, o)
+		pl, err := PrepareProbes([]ProbeSpec{p}, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tasks[0]
+		return pl.tasks[0]
 	}
 	mix := &testbed.Workload{
 		Up:   []testbed.Component{{Sessions: 2, Infinite: true}},
@@ -102,7 +102,7 @@ func TestCellKeysPinned(t *testing.T) {
 			"tb=access|sc=long-few|dir=up|buf=64|bufup=0|media=voip|var=|link=|seed=7|dur=0|warm=3000000000|reps=5|clip=0|cdn=0|stop=ci3:0.25"},
 	}
 	for _, c := range cases {
-		if got := c.task.Spec.Key(); got != c.want {
+		if got := c.task.Key(); got != c.want {
 			t.Errorf("%s: key changed\n got:  %s\n want: %s", c.name, got, c.want)
 		}
 	}

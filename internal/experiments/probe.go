@@ -10,6 +10,7 @@ import (
 	"bufferqoe/internal/netem"
 	"bufferqoe/internal/sim"
 	"bufferqoe/internal/tcp"
+	"bufferqoe/internal/telemetry"
 	"bufferqoe/internal/testbed"
 	"bufferqoe/internal/video"
 )
@@ -365,9 +366,8 @@ func (p ProbeSpec) cellSpec(o Options) engine.CellSpec {
 	return cellSpec(o, networks[p.Testbed], p.Scenario, p.Direction, p.Buffer, &v, &fg)
 }
 
-// compile builds a normalized spec's engine task, the closure that
-// simulates the cell included.
-func (p ProbeSpec) compile(o Options) engine.Task {
+// compile builds the closure that simulates a normalized spec's cell.
+func (p ProbeSpec) compile(o Options) engine.CellFunc {
 	n := networks[p.Testbed]
 	v := p.variant()
 	// The discipline goes on every queue under test: both on a duplex
@@ -379,7 +379,7 @@ func (p ProbeSpec) compile(o Options) engine.Task {
 	} else {
 		v.downQueue, _ = aqmFactory(p.AQM, testbed.BackboneRate, "aqm-down")
 	}
-	return cellTask(o, n, p.Scenario, p.Direction, p.Buffer, v, p.foreground())
+	return cellFunc(o, n, p.Scenario, p.Direction, p.Buffer, v, p.foreground())
 }
 
 // probeCell is one compiled probe of a batch: its normalized spec and
@@ -393,7 +393,7 @@ type probeCell struct {
 }
 
 func (c *probeCell) Compute(sp engine.CellSpec, seed uint64, scr engine.Scratch) any {
-	return c.p.compile(*c.o).Fn.Compute(sp, seed, scr)
+	return c.p.compile(*c.o)(sp, seed, scr)
 }
 
 // value converts a cell's raw result into a ProbeValue.
@@ -418,14 +418,30 @@ func (p ProbeSpec) Validate() error {
 	return err
 }
 
-// compileProbes validates every spec up front and returns its engine
-// tasks; an invalid spec fails the whole batch before any simulation
-// starts. A task carries its CellSpec and a pointer to its probeCell,
-// so compiling a batch of cache hits builds no closure per cell. A
-// normalized spec is not copied: its cell points at ps[i].
-func compileProbes(ps []ProbeSpec, o Options) ([]engine.Task, error) {
-	tasks := make([]engine.Task, len(ps))
-	cells := make([]probeCell, len(ps))
+// ProbePlan is a batch of probes compiled once: every cell's
+// normalized spec and its keyed engine task, under options whose
+// defaults are filled and which carry no collector. It holds no cell
+// values and no observer, so a cache reset or a store change leaves it
+// valid, and nothing writes it once prepared, so concurrent callers
+// may run one plan at once. A caller that asks the same batch again
+// keeps the plan and submits it, rendering no spec or key a submit.
+type ProbePlan struct {
+	o     Options
+	cells []probeCell
+	tasks []engine.Task
+}
+
+// PrepareProbes validates every spec up front and compiles the batch;
+// an invalid spec fails the whole batch before any simulation starts.
+// A task carries its keyed CellSpec and a pointer to its probeCell, so
+// a batch of cache hits builds no closure per cell. A normalized spec
+// is not copied: its cell points at ps[i], so the caller must not
+// modify ps while the plan is in use.
+func PrepareProbes(ps []ProbeSpec, o Options) (*ProbePlan, error) {
+	pl := &ProbePlan{o: o.withDefaults()}
+	pl.o.Collector = nil
+	pl.cells = make([]probeCell, len(ps))
+	pl.tasks = make([]engine.Task, len(ps))
 	for i := range ps {
 		p := &ps[i]
 		if p.tags == nil {
@@ -435,11 +451,44 @@ func compileProbes(ps []ProbeSpec, o Options) ([]engine.Task, error) {
 			}
 			p = &n
 		}
-		cells[i] = probeCell{p: p, o: &o}
-		tasks[i] = engine.Task{Spec: p.cellSpec(o), Fn: &cells[i]}
+		pl.cells[i] = probeCell{p: p, o: &pl.o}
+		pl.tasks[i] = engine.NewTask(p.cellSpec(pl.o), &pl.cells[i])
 	}
-	return tasks, nil
+	return pl, nil
 }
+
+// Len returns the number of cells in the plan.
+func (pl *ProbePlan) Len() int { return len(pl.tasks) }
+
+// Keys returns the cache key of every cell, in plan order.
+func (pl *ProbePlan) Keys() []string {
+	keys := make([]string, len(pl.tasks))
+	for i, t := range pl.tasks {
+		keys[i] = t.Key()
+	}
+	return keys
+}
+
+// observed returns the plan's tasks as a run reporting to col computes
+// them: the plan's own when nothing observes the run, otherwise copies
+// whose cells carry col in their options, keyed as the plan's are.
+func (pl *ProbePlan) observed(col *telemetry.Collector) []engine.Task {
+	if col == nil {
+		return pl.tasks
+	}
+	o := pl.o
+	o.Collector = col
+	cells := make([]probeCell, len(pl.cells))
+	tasks := make([]engine.Task, len(pl.tasks))
+	for i, t := range pl.tasks {
+		cells[i] = probeCell{p: pl.cells[i].p, o: &o}
+		tasks[i] = t.WithFn(&cells[i])
+	}
+	return tasks
+}
+
+// value converts the i-th cell's raw result into a ProbeValue.
+func (pl *ProbePlan) value(i int, raw any) ProbeValue { return pl.cells[i].p.value(raw) }
 
 // ProbeBatch validates every spec up front — an invalid spec fails
 // the whole call before any simulation starts — then fans the cells
@@ -451,42 +500,35 @@ func compileProbes(ps []ProbeSpec, o Options) ([]engine.Task, error) {
 // values are returned. A draining cell may still read ps, so the
 // caller must not modify ps after the call.
 func (s *Session) ProbeBatch(ctx context.Context, ps []ProbeSpec, o Options) ([]ProbeValue, error) {
-	tasks, err := compileProbes(ps, s.opts(o))
+	pl, err := PrepareProbes(ps, o)
 	if err != nil {
 		return nil, err
 	}
-	raws, err := s.eng.RunBatch(ctx, tasks)
+	raws, err := s.eng.RunBatch(ctx, pl.observed(s.observer(o.Collector)))
 	if err != nil {
 		return nil, err
 	}
-	out := make([]ProbeValue, len(ps))
+	out := make([]ProbeValue, len(raws))
 	for i, raw := range raws {
-		out[i] = ps[i].value(raw)
+		out[i] = pl.value(i, raw)
 	}
 	return out, nil
 }
 
-// ProbeSubmit is the streaming submission path: every spec is
-// validated up front (an invalid spec fails the call before any
-// simulation starts), then the cells fan out across the worker pool
-// and each(i, v, err) is invoked as every cell completes — in
-// completion order, possibly concurrently, from worker goroutines.
-// err is ErrCanceled for cells abandoned because ctx was canceled
-// before they executed. ProbeSubmit returns once every callback has
-// run; cells already executing at cancellation drain into the session
-// cache first. As with ProbeBatch, the caller must not modify ps after
-// the call.
-func (s *Session) ProbeSubmit(ctx context.Context, ps []ProbeSpec, o Options, each func(i int, v ProbeValue, err error)) error {
-	tasks, err := compileProbes(ps, s.opts(o))
-	if err != nil {
-		return err
-	}
-	s.eng.SubmitBatch(ctx, tasks, func(i int, raw any, err error) {
+// SubmitPlan is the streaming submission path: the plan's cells fan
+// out across the worker pool and each(i, v, err) is invoked as every
+// cell completes — in completion order, possibly concurrently, from
+// worker goroutines. err is ErrCanceled for cells abandoned because
+// ctx was canceled before they executed. Cells computed fresh report
+// their telemetry to col, or to the session's collector when col is
+// nil. SubmitPlan returns once every callback has run; cells already
+// executing at cancellation drain into the session cache first.
+func (s *Session) SubmitPlan(ctx context.Context, pl *ProbePlan, col *telemetry.Collector, each func(i int, v ProbeValue, err error)) {
+	s.eng.SubmitBatch(ctx, pl.observed(s.observer(col)), func(i int, raw any, err error) {
 		if err != nil {
 			each(i, ProbeValue{}, err)
 			return
 		}
-		each(i, ps[i].value(raw), nil)
+		each(i, pl.value(i, raw), nil)
 	})
-	return nil
 }

@@ -90,10 +90,17 @@ func (s *Session) Collector() *telemetry.Collector { return s.collector }
 // experiments, and sweeps alike.
 func (s *Session) opts(o Options) Options {
 	o = o.withDefaults()
-	if o.Collector == nil {
-		o.Collector = s.collector
-	}
+	o.Collector = s.observer(o.Collector)
 	return o
+}
+
+// observer is the collector a run reports to: its own, or the
+// session's when it brings none.
+func (s *Session) observer(col *telemetry.Collector) *telemetry.Collector {
+	if col == nil {
+		return s.collector
+	}
+	return col
 }
 
 // OpenStore attaches a persistent content-addressed result store at

@@ -349,7 +349,7 @@ func (r *recommendSearch) evaluate(idx ...int) error {
 		ev := &evaluation{cells: make([]SweepCell, np), ok: true}
 		var sum float64
 		for pi, v := range values[k*np : (k+1)*np] {
-			c := sweepCell(r.sc.label, r.plabels[pi], buf, r.sc.sc, r.probes[pi], v)
+			c := sweepCell(r.sc.label, r.plabels[pi], buf, r.sc.sc.Network, r.probes[pi].Media, v)
 			ev.cells[pi] = c
 			s := cellScore(c)
 			sum += s

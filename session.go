@@ -18,6 +18,9 @@ import (
 // any session at any parallelism.
 type Session struct {
 	inner *experiments.Session
+	// plans keeps the compiled plans of the sweeps asked lately, so a
+	// repeated question is a lookup per cell, not a compile.
+	plans planMemo
 }
 
 // NewSession creates a session with its own engine, cache, and

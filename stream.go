@@ -31,7 +31,7 @@ import (
 //     before it is yielded.
 func (s *Session) SweepStream(ctx context.Context, sw Sweep, o Options) iter.Seq2[SweepCell, error] {
 	return func(yield func(SweepCell, error) bool) {
-		plan, err := compileSweep(sw)
+		plan, err := s.plan(sw, o)
 		if err != nil {
 			yield(SweepCell{}, err)
 			return
@@ -55,19 +55,24 @@ func SweepStream(ctx context.Context, sw Sweep, o Options) iter.Seq2[SweepCell, 
 // the context was canceled before every cell executed. It consumes
 // the same execution path as SweepStream, so grid and stream cannot
 // disagree on a cell's value.
+//
+// A warm re-query — a sweep the session has been asked before under the
+// same options — reuses the session's compiled plan: it renders no
+// label, spec or key, and costs a cache lookup per cell and the grid.
 func (s *Session) SweepCtx(ctx context.Context, sw Sweep, o Options) (*Grid, error) {
-	plan, err := compileSweep(sw)
+	plan, err := s.plan(sw, o)
 	if err != nil {
 		return nil, err
 	}
+	g := plan.grid()
 	err = s.streamSweep(ctx, plan, o, func(i int, c SweepCell) bool {
-		plan.grid.Cells[i] = c
+		g.Cells[i] = c
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	return plan.grid, nil
+	return g, nil
 }
 
 // SweepGridCtx runs a ctx-bounded sweep on the default session.
@@ -84,7 +89,7 @@ func SweepGridCtx(ctx context.Context, sw Sweep, o Options) (*Grid, error) {
 //
 // Leak-freedom argument: the results channel is buffered to the full
 // cell count, so completion callbacks never block, so the submitting
-// goroutine always runs to ProbeSubmit's return and exits — whether
+// goroutine always runs to SubmitPlan's return and exits — whether
 // or not the consumer is still listening. In-flight cells at
 // abandonment keep simulating until they drain into the cache; the
 // submitting goroutine outlives streamSweep by exactly that drain
@@ -98,18 +103,13 @@ func (s *Session) streamSweep(ctx context.Context, plan *sweepPlan, o Options, e
 		v   experiments.ProbeValue
 		err error
 	}
-	ch := make(chan completion, len(plan.specs))
+	total := plan.cells.Len()
+	ch := make(chan completion, total)
 	go func() {
 		defer close(ch)
-		err := s.inner.ProbeSubmit(ctx, plan.specs, o.internal(), func(i int, v experiments.ProbeValue, err error) {
+		s.inner.SubmitPlan(ctx, plan.cells, o.Collector.raw(), func(i int, v experiments.ProbeValue, err error) {
 			ch <- completion{i: i, v: v, err: err}
 		})
-		if err != nil {
-			// Compilation failed before any cell ran (unreachable for
-			// specs that came from compileSweep, which validates; kept
-			// for defense in depth). Surface it as a cell error.
-			ch <- completion{i: -1, err: err}
-		}
 	}()
 
 	// The sweep-cell counter goes to the run's collector (or the
@@ -120,10 +120,10 @@ func (s *Session) streamSweep(ctx context.Context, plan *sweepPlan, o Options, e
 	}
 
 	start := time.Now()
-	completed, total := 0, len(plan.specs)
+	completed := 0
 	for c := range ch {
 		if c.err != nil {
-			// First cancellation (or compile failure) ends the stream;
+			// The first cancellation (or panicked cell) ends the stream;
 			// the deferred cancel abandons the still-queued cells and the
 			// buffered channel absorbs their completions.
 			return c.err

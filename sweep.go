@@ -241,86 +241,6 @@ func appendJSONCell(b []byte, in jsonenc.Indent, depth int, c SweepCell) []byte 
 	return append(b, '}')
 }
 
-// sweepPlan is a validated, compiled sweep: the result grid skeleton
-// (axes labeled, cells zeroed) plus one internal probe spec per cell,
-// in the grid's scenario-major cell order. Both the batch (Sweep) and
-// streaming (SweepStream) paths execute the same plan, which is why
-// they cannot diverge.
-type sweepPlan struct {
-	grid      *Grid
-	specs     []experiments.ProbeSpec
-	scenarios []Scenario
-	probes    []Probe
-}
-
-// compileSweep validates every combination of the sweep's axes and
-// compiles the cell specs, so an invalid corner fails the call before
-// any simulation starts instead of crashing a worker mid-run.
-func compileSweep(sw Sweep) (*sweepPlan, error) {
-	if len(sw.Scenarios) == 0 || len(sw.Buffers) == 0 || len(sw.Probes) == 0 {
-		return nil, fmt.Errorf("bufferqoe: a sweep needs at least one scenario, one buffer size, and one probe")
-	}
-	g := &Grid{Buffers: append([]int(nil), sw.Buffers...)}
-	seenScenario := map[string]bool{}
-	for _, sc := range sw.Scenarios {
-		l := sc.Label()
-		if seenScenario[l] {
-			return nil, fmt.Errorf("bufferqoe: duplicate scenario label %q (set Scenario.Name to disambiguate)", l)
-		}
-		seenScenario[l] = true
-		g.Scenarios = append(g.Scenarios, l)
-	}
-	seenProbe := map[string]bool{}
-	for _, p := range sw.Probes {
-		l := p.Label()
-		if seenProbe[l] {
-			return nil, fmt.Errorf("bufferqoe: duplicate probe %q", l)
-		}
-		seenProbe[l] = true
-		g.Probes = append(g.Probes, l)
-	}
-	seenBuf := map[int]bool{}
-	for _, b := range sw.Buffers {
-		if seenBuf[b] {
-			return nil, fmt.Errorf("bufferqoe: duplicate buffer size %d", b)
-		}
-		seenBuf[b] = true
-	}
-
-	// Each scenario is normalized once; a cell adds its probe and
-	// buffer only.
-	specs := make([]experiments.ProbeSpec, 0, len(sw.Scenarios)*len(sw.Probes)*len(sw.Buffers))
-	for si, sc := range sw.Scenarios {
-		c := sc.compile(g.Scenarios[si])
-		for _, p := range sw.Probes {
-			for _, buf := range sw.Buffers {
-				spec, err := c.spec(p, buf)
-				if err != nil {
-					return nil, err
-				}
-				specs = append(specs, spec)
-			}
-		}
-	}
-	g.Cells = make([]SweepCell, len(specs))
-	return &sweepPlan{
-		grid:      g,
-		specs:     specs,
-		scenarios: append([]Scenario(nil), sw.Scenarios...),
-		probes:    append([]Probe(nil), sw.Probes...),
-	}, nil
-}
-
-// cell scores the i-th spec's raw value into its SweepCell. The value
-// is a pure function of the spec, so the cell is identical no matter
-// which path — batch, stream, probe — computed it, or in what order.
-func (p *sweepPlan) cell(i int, v experiments.ProbeValue) SweepCell {
-	np, nb := len(p.probes), len(p.grid.Buffers)
-	si, pi, bi := i/(np*nb), (i/nb)%np, i%nb
-	return sweepCell(p.grid.Scenarios[si], p.grid.Probes[pi], p.grid.Buffers[bi],
-		p.scenarios[si], p.probes[pi], v)
-}
-
 // Sweep runs the full scenario x buffer x probe grid on the session
 // and returns the structured results. Every combination is validated
 // before any cell is simulated, so an invalid corner fails the call
@@ -330,22 +250,23 @@ func (s *Session) Sweep(sw Sweep, o Options) (*Grid, error) {
 	return s.SweepCtx(context.Background(), sw, o)
 }
 
-// sweepCell scores one raw probe value on the opinion scale.
-func sweepCell(scLabel, pLabel string, buffer int, sc Scenario, p Probe, v experiments.ProbeValue) SweepCell {
+// sweepCell scores one raw probe value of a cell on network n on the
+// opinion scale.
+func sweepCell(scLabel, pLabel string, buffer int, n Network, m Media, v experiments.ProbeValue) SweepCell {
 	out := SweepCell{Scenario: scLabel, Probe: pLabel, Buffer: buffer}
-	switch p.Media {
+	switch m {
 	case VoIP:
 		out.Metric = "mos"
 		out.Value = v.ListenMOS
 		out.MOS = v.ListenMOS
 		out.Rating = string(qoe.VoIPSatisfaction(v.ListenMOS))
-		if sc.Network != Backbone {
+		if n != Backbone {
 			out.TalkMOS = v.TalkMOS
 			out.TalkRating = string(qoe.VoIPSatisfaction(v.TalkMOS))
 		}
 	case Web:
 		model := qoe.AccessWebModel()
-		if sc.Network == Backbone {
+		if n == Backbone {
 			model = qoe.BackboneWebModel()
 		}
 		out.Metric = "plt_s"
