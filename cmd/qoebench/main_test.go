@@ -245,6 +245,24 @@ func TestSweepBadFlags(t *testing.T) {
 	}
 }
 
+// TestSweepRefusesLinksWithNoAnswer: a link rate that is not a finite
+// number or too slow to send one packet within a cell's cap, and a
+// reorder probability that is not a number, fail the sweep before any
+// cell runs, naming the field.
+func TestSweepRefusesLinksWithNoAnswer(t *testing.T) {
+	for _, tc := range []struct{ flag, value, names string }{
+		{"-downrate", "NaN", "DownRate"},
+		{"-downrate", "1e-300", "DownRate"},
+		{"-uprate", "+Inf", "UpRate"},
+		{"-reorder", "NaN", "reorder"},
+	} {
+		_, errOut, code := runCLI(t, "-sweep", "-buffers", "8", "-probes", "voip", "-workloads", "noBG", tc.flag, tc.value)
+		if code != 1 || !strings.Contains(errOut, tc.names) {
+			t.Errorf("%s %s: exit %d, stderr %q; want exit 1 naming %s", tc.flag, tc.value, code, errOut, tc.names)
+		}
+	}
+}
+
 // TestSweepProgress: -progress streams one per-cell completion line
 // per cell to stderr.
 func TestSweepProgress(t *testing.T) {

@@ -149,6 +149,7 @@ func TestServeBadRequests(t *testing.T) {
 		{"warmup overflow", "/sweep", `{"warmup_s": 1e10, "buffers": [8], "probes": ["voip"]}`, http.StatusBadRequest, "warmup_s"},
 		{"jitter overflow", "/sweep", `{"jitter_ms": 1e13, "buffers": [8], "probes": ["voip"]}`, http.StatusBadRequest, "jitter_ms"},
 		{"client delay overflow", "/recommend", `{"client_delay_ms": -1e13, "buffers": [8], "probes": ["voip"]}`, http.StatusBadRequest, "client_delay_ms"},
+		{"downrate below floor", "/sweep", `{"downrate": 1e-300, "buffers": [8], "probes": ["voip"]}`, http.StatusBadRequest, "DownRate"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
 	"testing"
 	"time"
 )
@@ -172,4 +173,91 @@ func FuzzGridJSON(f *testing.F) {
 		r := fuzzRecommendation(g, rshape, s2, buf, score, delay)
 		check("Recommendation.AppendJSON", r, "  ", r.AppendJSON, r.jsonSize)
 	})
+}
+
+// FuzzKeptGridJSON holds a grid written through its plan's kept JSON to
+// json.MarshalIndent, byte for byte, with an error exactly when
+// encoding/json returns one: a plan keeps a fuzzed grid's cells, and
+// that grid and a copy with fuzzed edits are written at the prefixes
+// "", "  " and "" again, each change of prefix replacing the kept JSON.
+// Each edit byte picks a cell and what to change in it; the changes
+// include a float's sign, so a kept 0 meets a -0 that == takes for it.
+func FuzzKeptGridJSON(f *testing.F) {
+	const two, one = 0xbf, 0xff
+	for _, c := range []struct {
+		shape   uint8
+		s1, s2  string
+		x, y, z float64
+		edits   string
+	}{
+		{two, "noBG", "voip", 4.12, 3.9, 0, ""},
+		{two, "noBG", "voip", 0, 3.9, 0, "\x00\x01\x02\x10\x11\x12"}, // -0 for a kept 0 in each float
+		{one, "a", "b", 0, 0, 0, "\x01\x02"},
+		{two, "a", "b", 1, 2, 3, "\x03\x04\x05\x06\x07"},
+		{two, "a<b", `say "hi"`, 1e21, 1e-7, 5e-324, "\x0b\x0c"},
+		{two, "a", "b", 1, 2, math.NaN(), "\x07"}, // an edit JSON cannot write
+		{two, "a", "b", 1, 2, 3, "\x18\x09\x17"},  // cells cut, then grown
+		{0x3f, "a", "b", 1, 2, 3, "\x08\x09"},     // no cells
+	} {
+		f.Add(c.shape, c.s1, c.s2, 8, c.x, c.y, c.z, []byte(c.edits))
+	}
+	f.Fuzz(func(t *testing.T, shape uint8, s1, s2 string, buf int, x, y, z float64, edits []byte) {
+		g := fuzzGrid(shape, s1, s2, buf, x, y, z)
+		p := &sweepPlan{}
+		p.kept.Store(&keptCells{cells: slices.Clone(g.Cells)})
+		g.plan = p
+		e := &Grid{Scenarios: g.Scenarios, Probes: g.Probes, Buffers: g.Buffers, Cells: slices.Clone(g.Cells), plan: p}
+		for _, op := range edits {
+			editCell(e, op, s1, s2, z)
+		}
+		for _, prefix := range []string{"", "  ", ""} {
+			for _, grid := range []*Grid{g, e} {
+				want, wantErr := json.MarshalIndent(grid, prefix, "  ")
+				got, err := grid.AppendJSON(nil, prefix)
+				if (err != nil) != (wantErr != nil) {
+					t.Fatalf("prefix %q: error %v, MarshalIndent error %v", prefix, err, wantErr)
+				}
+				if err == nil && !bytes.Equal(got, want) {
+					t.Fatalf("prefix %q differs from MarshalIndent\n got: %s\nwant: %s", prefix, got, want)
+				}
+			}
+		}
+	})
+}
+
+// editCell applies one fuzzed edit to a grid's cells: the low three
+// bits of op pick a field of the cell the high bits pick (or, with bit
+// 3, cut the cells there or grow them by a copy of the first).
+func editCell(g *Grid, op byte, s1, s2 string, f float64) {
+	if len(g.Cells) == 0 && op&8 == 0 {
+		return
+	}
+	i := int(op>>4) % max(len(g.Cells), 1)
+	if op&8 != 0 {
+		if op&1 == 0 {
+			g.Cells = g.Cells[:i]
+		} else if len(g.Cells) > 0 {
+			g.Cells = append(g.Cells, g.Cells[0])
+		}
+		return
+	}
+	c := &g.Cells[i]
+	switch op & 7 {
+	case 0:
+		c.Value = -c.Value
+	case 1:
+		c.MOS = -c.MOS
+	case 2:
+		c.TalkMOS = -c.TalkMOS
+	case 3:
+		c.Rating = s1
+	case 4:
+		c.TalkRating = s2
+	case 5:
+		c.Buffer++
+	case 6:
+		c.Scenario, c.Probe = c.Probe, c.Scenario
+	case 7:
+		c.Value = f
+	}
 }

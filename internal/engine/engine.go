@@ -571,29 +571,38 @@ func (e *Engine) RunBatch(ctx context.Context, tasks []Task) ([]any, error) {
 // instead of ending the process. SubmitBatch returns once every
 // callback has run.
 //
-// A task whose cell is already cached is answered on the submitting
-// goroutine: a warm re-query costs a map lookup per cell, not a
-// goroutine per cell. Only tasks that must compute, wait or report a
-// cancellation get a goroutine. Those goroutines enter the engine one
-// after the other, so cells queue for worker slots in submission order
-// (the slot channel is FIFO) rather than in whatever order the
-// scheduler runs a burst of new goroutines: a preference, not a
-// contract — it makes a small grid of unequal cells pack the same way
-// every time (the 6-cell backbone grid: 2.7-3.0 s a round, against
-// 2.6-4.0 s unordered).
+// The tasks whose cells are already cached are answered first, on the
+// submitting goroutine and in submission order (see Lookup): a warm
+// re-query costs one pass over the cache, not a goroutine per cell.
+// Only the tasks that must compute, wait or report a cancellation get
+// a goroutine.
 func (e *Engine) SubmitBatch(ctx context.Context, tasks []Task, each func(i int, v any, err error)) {
+	misses, _ := e.Lookup(ctx, tasks, func(i int, v any) bool {
+		each(i, v, nil)
+		return true
+	})
+	if len(misses) > 0 {
+		e.dispatch(ctx, tasks, misses, each)
+	}
+}
+
+// dispatch runs the given tasks of a batch, each on a goroutine of its
+// own, and returns once every callback has run. The goroutines enter
+// the engine one after the other, so cells queue for worker slots in
+// submission order (the slot channel is FIFO) rather than in whatever
+// order the scheduler runs a burst of new goroutines: a preference,
+// not a contract — it makes a small grid of unequal cells pack the
+// same way every time (the 6-cell backbone grid: 2.7-3.0 s a round,
+// against 2.6-4.0 s unordered).
+func (e *Engine) dispatch(ctx context.Context, tasks []Task, run []int, each func(i int, v any, err error)) {
 	col := e.collector.Load()
 	var wg sync.WaitGroup
 	var turn chan struct{} // closed once the previous goroutine has entered the engine
-	for i, t := range tasks {
-		if v, ok := e.cached(ctx, t.key, col); ok {
-			each(i, v, nil)
-			continue
-		}
+	for _, i := range run {
 		wg.Add(1)
 		next := make(chan struct{})
 		// Arguments, not captures: a captured task would be heap-allocated
-		// for every task, including the ones answered above.
+		// for every task.
 		go func(i int, t Task, turn <-chan struct{}, next chan<- struct{}) {
 			defer wg.Done()
 			if turn != nil {
@@ -602,7 +611,7 @@ func (e *Engine) SubmitBatch(ctx context.Context, tasks []Task, each func(i int,
 			close(next)
 			v, err := e.try(ctx, t, col)
 			each(i, v, err)
-		}(i, t, turn, next)
+		}(i, tasks[i], turn, next)
 		turn = next
 	}
 	wg.Wait()
@@ -620,33 +629,62 @@ func (e *Engine) try(ctx context.Context, t Task, col *telemetry.Collector) (v a
 	return e.do(ctx, t, col)
 }
 
-// cached answers a cell whose computation has already completed,
-// counting it exactly as do's warm-hit path would. Everything else —
-// no entry, an entry still computing, one that panicked or was
-// abandoned, a canceled ctx — is left to do.
-func (e *Engine) cached(ctx context.Context, k string, col *telemetry.Collector) (any, bool) {
+// Lookup answers every task of a batch whose cell has already
+// completed: one pass over the cache under one acquisition of its
+// lock, then hit(i, v) for each such task, in submission order, on the
+// caller's goroutine and with the lock released. The hits are counted
+// once a batch, as do's warm-hit path counts each (Stats.Hits and the
+// collector's CacheHits). It returns the indices of the other tasks,
+// in submission order — no entry, an entry still computing, one that
+// panicked or was abandoned — which only do can answer; when ctx is
+// already canceled that is every task. hit returning false stops the
+// answering, and Lookup returns ok false.
+func (e *Engine) Lookup(ctx context.Context, tasks []Task, hit func(i int, v any) bool) (misses []int, ok bool) {
 	if ctx.Err() != nil {
-		return nil, false
+		misses = make([]int, len(tasks))
+		for i := range misses {
+			misses[i] = i
+		}
+		return misses, true
 	}
+	vals := make([]any, len(tasks))
 	e.mu.Lock()
-	ent := e.cache[k]
-	e.mu.Unlock()
-	if ent == nil {
-		return nil, false
+	for i := range tasks {
+		if ent := e.cache[tasks[i].key]; ent != nil && ent.completed() {
+			vals[i] = ent.val
+		} else {
+			misses = append(misses, i)
+		}
 	}
+	e.mu.Unlock()
+	if hits := uint64(len(tasks) - len(misses)); hits > 0 {
+		e.hits.Add(hits)
+		if col := e.collector.Load(); col != nil {
+			col.CacheHits.Add(hits)
+		}
+	}
+	next := 0 // the next miss
+	for i, v := range vals {
+		if next < len(misses) && misses[next] == i {
+			next++
+			continue
+		}
+		if !hit(i, v) {
+			return misses, false
+		}
+	}
+	return misses, true
+}
+
+// completed reports whether the entry holds a value: its computation
+// finished without panicking and was not abandoned.
+func (ent *entry) completed() bool {
 	select {
 	case <-ent.done:
+		return !ent.canceled && ent.panicked == nil
 	default:
-		return nil, false
+		return false
 	}
-	if ent.canceled || ent.panicked != nil {
-		return nil, false
-	}
-	e.hits.Add(1)
-	if col != nil {
-		col.CacheHits.Inc()
-	}
-	return ent.val, true
 }
 
 // Stats snapshots the counters.

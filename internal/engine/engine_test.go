@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -552,8 +553,61 @@ func TestSubmitBatchAnswersCachedCellsInline(t *testing.T) {
 		defer func() { recover() }()
 		e.Do(spec(13), fn)
 	}()
-	if _, ok := e.cached(context.Background(), spec(13).Key(), nil); ok {
+	misses, _ := e.Lookup(context.Background(), []Task{NewTask(spec(13), CellFunc(fn))}, func(int, any) bool {
 		t.Fatal("a panicked cell was answered from the cache")
+		return false
+	})
+	if len(misses) != 1 {
+		t.Fatalf("a panicked cell's lookup reported misses %v, want [0]", misses)
+	}
+}
+
+// TestLookupAnswersHitsInOnePass: Lookup answers the cached tasks of a
+// batch in submission order and counts them once, returns the rest as
+// misses, stops when hit says so, and answers nothing under a canceled
+// context.
+func TestLookupAnswersHitsInOnePass(t *testing.T) {
+	e := New(2)
+	col := telemetry.New()
+	e.SetCollector(col)
+	fn := CellFunc(func(sp CellSpec, _ uint64, _ Scratch) any { return sp.Buffer })
+	var tasks []Task
+	for b := 1; b <= 6; b++ {
+		tasks = append(tasks, NewTask(spec(b), fn))
+	}
+	if _, err := e.RunBatch(context.Background(), []Task{tasks[0], tasks[2], tasks[3], tasks[5]}); err != nil {
+		t.Fatal(err)
+	}
+	var answered []int
+	misses, ok := e.Lookup(context.Background(), tasks, func(i int, v any) bool {
+		if v != tasks[i].Spec().Buffer {
+			t.Errorf("task %d answered %v", i, v)
+		}
+		answered = append(answered, i)
+		return true
+	})
+	if !ok || !slices.Equal(answered, []int{0, 2, 3, 5}) || !slices.Equal(misses, []int{1, 4}) {
+		t.Fatalf("answered %v, misses %v, ok %v; want [0 2 3 5], [1 4], true", answered, misses, ok)
+	}
+	if st := e.Stats(); st.Hits != 4 || col.CacheHits.Value() != 4 {
+		t.Fatalf("hits %d (collector %d), want 4", st.Hits, col.CacheHits.Value())
+	}
+	answered = answered[:0]
+	if _, ok := e.Lookup(context.Background(), tasks, func(i int, _ any) bool {
+		answered = append(answered, i)
+		return len(answered) < 2
+	}); ok || len(answered) != 2 {
+		t.Fatalf("a lookup stopped after 2 hits answered %v, ok %v", answered, ok)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	hits := e.Stats().Hits
+	misses, _ = e.Lookup(ctx, tasks, func(int, any) bool {
+		t.Fatal("a canceled lookup answered a task")
+		return false
+	})
+	if len(misses) != len(tasks) || e.Stats().Hits != hits {
+		t.Fatalf("a canceled lookup missed %v and counted %d hits", misses, e.Stats().Hits-hits)
 	}
 }
 

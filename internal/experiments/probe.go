@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"bufferqoe/internal/aqm"
@@ -255,6 +256,12 @@ func (p ProbeSpec) normalize() (ProbeSpec, error) {
 		if p.Link.UpRate < 0 || p.Link.DownRate < 0 {
 			return p, fmt.Errorf("link rates must be non-negative, got %g/%g up/down", p.Link.UpRate, p.Link.DownRate)
 		}
+		if err := checkRate("UpRate", p.Link.UpRate); err != nil {
+			return p, err
+		}
+		if err := checkRate("DownRate", p.Link.DownRate); err != nil {
+			return p, err
+		}
 		if p.Link.ClientDelay < 0 || p.Link.ServerDelay < 0 {
 			return p, fmt.Errorf("link delays must be non-negative, got %v/%v client/server", p.Link.ClientDelay, p.Link.ServerDelay)
 		}
@@ -267,7 +274,7 @@ func (p ProbeSpec) normalize() (ProbeSpec, error) {
 		if p.Link.Wifi.RetryLimit < 0 || p.Link.Wifi.MaxAggFrames < 0 {
 			return p, fmt.Errorf("wifi retry limit and aggregation must be non-negative, got %d/%d", p.Link.Wifi.RetryLimit, p.Link.Wifi.MaxAggFrames)
 		}
-		if p.Link.Reorder < 0 || p.Link.Reorder >= 1 {
+		if !(p.Link.Reorder >= 0 && p.Link.Reorder < 1) { // NaN fails both
 			return p, fmt.Errorf("reorder probability must be in [0,1), got %g", p.Link.Reorder)
 		}
 	}
@@ -288,6 +295,25 @@ func (p ProbeSpec) normalize() (ProbeSpec, error) {
 		p.tags = &tags
 	}
 	return p, nil
+}
+
+// checkRate checks a link rate field that is set (zero means the
+// paper's rate): finite, and fast enough that one MTU-sized packet
+// serializes within a cell's simulated-time cap (cellCap), a floor of
+// 6.67 bits/s. On a slower link not one full packet could cross the
+// bottleneck before the cell is cut off, so the cell would score a
+// measurement that never happened.
+func checkRate(field string, rate float64) error {
+	switch {
+	case rate == 0:
+		return nil
+	case math.IsNaN(rate) || math.IsInf(rate, 0):
+		return fmt.Errorf("link %s must be a finite rate in bits/s, got %g", field, rate)
+	case netem.MTU*8/rate > cellCap.Seconds():
+		return fmt.Errorf("link %s %g bits/s is too slow: one %d-byte packet would take longer than a cell's %v cap to send (the floor is %.4g bits/s)",
+			field, rate, netem.MTU, cellCap, netem.MTU*8/cellCap.Seconds())
+	}
+	return nil
 }
 
 // checkCell checks the fields that name a cell within its scenario:
@@ -469,20 +495,25 @@ func (pl *ProbePlan) Keys() []string {
 	return keys
 }
 
-// observed returns the plan's tasks as a run reporting to col computes
-// them: the plan's own when nothing observes the run, otherwise copies
-// whose cells carry col in their options, keyed as the plan's are.
-func (pl *ProbePlan) observed(col *telemetry.Collector) []engine.Task {
+// observed returns the tasks of the given cells as a run reporting to
+// col computes them: the plan's own when nothing observes the run,
+// otherwise copies whose cells carry col in their options, keyed as
+// the plan's are. Only the given cells are copied, so the cells a run
+// answers from the cache cost it no copy.
+func (pl *ProbePlan) observed(cells []int, col *telemetry.Collector) []engine.Task {
+	tasks := make([]engine.Task, len(cells))
 	if col == nil {
-		return pl.tasks
+		for k, i := range cells {
+			tasks[k] = pl.tasks[i]
+		}
+		return tasks
 	}
 	o := pl.o
 	o.Collector = col
-	cells := make([]probeCell, len(pl.cells))
-	tasks := make([]engine.Task, len(pl.tasks))
-	for i, t := range pl.tasks {
-		cells[i] = probeCell{p: pl.cells[i].p, o: &o}
-		tasks[i] = t.WithFn(&cells[i])
+	obs := make([]probeCell, len(cells))
+	for k, i := range cells {
+		obs[k] = probeCell{p: pl.cells[i].p, o: &o}
+		tasks[k] = pl.tasks[i].WithFn(&obs[k])
 	}
 	return tasks
 }
@@ -504,27 +535,52 @@ func (s *Session) ProbeBatch(ctx context.Context, ps []ProbeSpec, o Options) ([]
 	if err != nil {
 		return nil, err
 	}
-	raws, err := s.eng.RunBatch(ctx, pl.observed(s.observer(o.Collector)))
-	if err != nil {
-		return nil, err
+	out := make([]ProbeValue, pl.Len())
+	misses, _ := s.LookupPlan(ctx, pl, func(i int, v ProbeValue) bool {
+		out[i] = v
+		return true
+	})
+	if len(misses) == 0 {
+		return out, nil
 	}
-	out := make([]ProbeValue, len(raws))
-	for i, raw := range raws {
-		out[i] = pl.value(i, raw)
+	errs := make([]error, pl.Len())
+	s.SubmitPlan(ctx, pl, misses, o.Collector, func(i int, v ProbeValue, err error) {
+		out[i], errs[i] = v, err
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
 
-// SubmitPlan is the streaming submission path: the plan's cells fan
-// out across the worker pool and each(i, v, err) is invoked as every
-// cell completes — in completion order, possibly concurrently, from
-// worker goroutines. err is ErrCanceled for cells abandoned because
-// ctx was canceled before they executed. Cells computed fresh report
-// their telemetry to col, or to the session's collector when col is
-// nil. SubmitPlan returns once every callback has run; cells already
-// executing at cancellation drain into the session cache first.
-func (s *Session) SubmitPlan(ctx context.Context, pl *ProbePlan, col *telemetry.Collector, each func(i int, v ProbeValue, err error)) {
-	s.eng.SubmitBatch(ctx, pl.observed(s.observer(col)), func(i int, raw any, err error) {
+// LookupPlan answers, on the caller's goroutine, every cell of the
+// plan the session's cache already holds: one pass over the cache
+// under one acquisition of its lock (engine.Lookup), then hit(i, v)
+// for each such cell in plan order. It returns the other cells'
+// indices, in plan order, for SubmitPlan: none when every cell hits,
+// all of them when ctx is already canceled. hit returning false stops
+// the answering, and LookupPlan returns ok false.
+func (s *Session) LookupPlan(ctx context.Context, pl *ProbePlan, hit func(i int, v ProbeValue) bool) (misses []int, ok bool) {
+	return s.eng.Lookup(ctx, pl.tasks, func(i int, raw any) bool {
+		return hit(i, pl.value(i, raw))
+	})
+}
+
+// SubmitPlan is the streaming submission path for the given cells of a
+// plan — the misses LookupPlan returned: they fan out across the
+// worker pool and each(i, v, err) is invoked, with i the cell's index
+// in the plan, as every cell completes — in completion order, possibly
+// concurrently, from worker goroutines. err is ErrCanceled for cells
+// abandoned because ctx was canceled before they executed. Cells
+// computed fresh report their telemetry to col, or to the session's
+// collector when col is nil. SubmitPlan returns once every callback
+// has run; cells already executing at cancellation drain into the
+// session cache first.
+func (s *Session) SubmitPlan(ctx context.Context, pl *ProbePlan, cells []int, col *telemetry.Collector, each func(i int, v ProbeValue, err error)) {
+	s.eng.SubmitBatch(ctx, pl.observed(cells, s.observer(col)), func(k int, raw any, err error) {
+		i := cells[k]
 		if err != nil {
 			each(i, ProbeValue{}, err)
 			return

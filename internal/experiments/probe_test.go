@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"context"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"bufferqoe/internal/engine"
+	"bufferqoe/internal/netem"
 	"bufferqoe/internal/testbed"
 	"bufferqoe/internal/video"
 )
@@ -40,6 +43,72 @@ func TestProbeSpecValidate(t *testing.T) {
 			t.Fatalf("bad spec %d accepted: %+v", i, p)
 		}
 	}
+}
+
+// TestProbeRefusesLinksWithNoAnswer: a link rate that is not a finite
+// number, or so slow that one full packet cannot cross the bottleneck
+// within a cell's simulated-time cap, and a reorder probability that is
+// not a number, are refused with an error naming the field; the
+// slowest rate that fits the cap is accepted.
+func TestProbeRefusesLinksWithNoAnswer(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	floor := netem.MTU * 8 / cellCap.Seconds()
+	for _, tc := range []struct {
+		link  testbed.LinkParams
+		names string
+	}{
+		{testbed.LinkParams{UpRate: nan}, "UpRate"},
+		{testbed.LinkParams{UpRate: inf}, "UpRate"},
+		{testbed.LinkParams{DownRate: nan}, "DownRate"},
+		{testbed.LinkParams{DownRate: inf}, "DownRate"},
+		{testbed.LinkParams{DownRate: -inf}, "non-negative"},
+		{testbed.LinkParams{DownRate: 1e-300}, "DownRate"},
+		{testbed.LinkParams{UpRate: 1e6, DownRate: math.Nextafter(floor, 0)}, "DownRate"},
+		{testbed.LinkParams{UpRate: 6, Wifi: testbed.WifiParams{Stations: 4}}, "UpRate"},
+		{testbed.LinkParams{Reorder: nan}, "reorder"},
+	} {
+		err := ProbeSpec{Buffer: 64, Media: "voip", Link: tc.link}.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.names) {
+			t.Errorf("link %+v: error %v, want one naming %q", tc.link, err, tc.names)
+		}
+	}
+	if err := (ProbeSpec{Buffer: 64, Media: "voip", Link: testbed.LinkParams{UpRate: floor, DownRate: floor}}).Validate(); err != nil {
+		t.Errorf("a link at the floor %g bits/s was refused: %v", floor, err)
+	}
+}
+
+// FuzzProbeNormalize: every custom link Normalize accepts has finite,
+// positive rates once the paper's fill its zeros, a reorder probability
+// in [0,1), and sends one MTU-sized packet within a cell's cap.
+func FuzzProbeNormalize(f *testing.F) {
+	for _, c := range []struct{ up, down, reorder float64 }{
+		{0, 0, 0}, {1e9, 2.5e8, 0.01}, {math.NaN(), 0, 0}, {0, math.Inf(1), 0}, {0, math.Inf(-1), 0},
+		{1e-300, 0, 0}, {6.6, 7, 0}, {6.67, 6.67, 0.999}, {5e-324, math.MaxFloat64, math.NaN()},
+		{math.Copysign(0, -1), 1e6, -0.5},
+	} {
+		f.Add(c.up, c.down, c.reorder, uint8(0))
+		f.Add(c.up, c.down, c.reorder, uint8(4))
+	}
+	f.Fuzz(func(t *testing.T, up, down, reorder float64, stations uint8) {
+		p, err := ProbeSpec{Buffer: 64, Media: "voip", Link: testbed.LinkParams{
+			UpRate: up, DownRate: down, Reorder: reorder, Wifi: testbed.WifiParams{Stations: int(stations % 8)},
+		}}.Normalize()
+		if err != nil {
+			return
+		}
+		lp := p.Link.WithDefaults()
+		for _, rate := range []float64{lp.UpRate, lp.DownRate} {
+			if math.IsNaN(rate) || math.IsInf(rate, 0) || rate <= 0 {
+				t.Fatalf("accepted link %+v has rate %g", p.Link, rate)
+			}
+			if s := netem.MTU * 8 / rate; s > cellCap.Seconds() {
+				t.Fatalf("accepted link %+v takes %gs to send one packet at %g bits/s, over the %v cap", p.Link, s, rate, cellCap)
+			}
+		}
+		if !(lp.Reorder >= 0 && lp.Reorder < 1) {
+			t.Fatalf("accepted link %+v has reorder probability %g", p.Link, lp.Reorder)
+		}
+	})
 }
 
 // TestProbeBatchPairsLinks: custom-link cells must reuse the same

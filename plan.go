@@ -6,8 +6,10 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"bufferqoe/internal/experiments"
+	"bufferqoe/internal/jsonenc"
 )
 
 // sweepPlan is a validated, compiled sweep: its axes, what scores each
@@ -16,18 +18,123 @@ import (
 // batch (SweepCtx) and streaming (SweepStream) paths execute the same
 // plan, which is why they cannot diverge.
 //
-// A plan holds no cell values, so a cache reset or a store change
-// leaves it valid; it holds nothing of the caller's but copies, and no
-// run's Collector or OnProgress; and nothing writes it once compiled.
-// A session therefore keeps it for the next identical request (see
-// planMemo), and concurrent calls share it.
+// A plan holds no answers: every call takes its cells' values from the
+// engine cache, so a cache reset or a store change leaves it valid and
+// forces exactly what it forces without one. What it keeps (kept) is a
+// memo of two pure functions of a value, its score and its JSON, which
+// a call uses only for a value equal to the one they were computed
+// from. It holds nothing of the caller's but copies, and no run's
+// Collector or OnProgress; and nothing writes it once compiled but the
+// memo, which is replaced whole. A session therefore keeps it for the
+// next identical request (see planMemo), and concurrent calls share
+// it.
 type sweepPlan struct {
 	scenarios, probes []string // axis labels
 	buffers           []int
 	networks          []Network // per scenario: the network its cells are scored on
 	media             []Media   // per probe
 	cells             *experiments.ProbePlan
+
+	kept atomic.Pointer[keptCells]
 }
+
+// keptCells is what a plan last scored and wrote, so that a re-query
+// whose values have not changed scores and writes nothing: per cell,
+// the raw value and the SweepCell scored from it, and — once a grid of
+// the plan has been written — the cell's JSON at the prefix it was
+// written at. Published whole and never written after, so concurrent
+// calls share it; a call that finds it stale publishes a successor.
+type keptCells struct {
+	vals  []experiments.ProbeValue
+	cells []SweepCell
+	// prefix is the document prefix json was written at ("" for a
+	// document of its own, "  " in a -serve reply); json holds every
+	// cell's element, back to back, cell i ending at ends[i]. json and
+	// ends are nil until a grid of the plan is written.
+	prefix string
+	json   []byte
+	ends   []int
+}
+
+// fragment returns the i-th cell's JSON.
+func (k *keptCells) fragment(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = k.ends[i-1]
+	}
+	return k.json[start:k.ends[i]]
+}
+
+// written returns the plan's kept cells with their JSON at prefix:
+// the kept memo when it was written at prefix, else a successor that
+// is, published in its place. It returns nil when there is nothing to
+// write from: no kept cells yet, or one JSON cannot represent.
+func (p *sweepPlan) written(prefix string) *keptCells {
+	k := p.kept.Load()
+	if k == nil || (k.json != nil && k.prefix == prefix) {
+		return k
+	}
+	for _, c := range k.cells {
+		if !c.finite() {
+			return nil
+		}
+	}
+	w := &keptCells{vals: k.vals, cells: k.cells, prefix: prefix, ends: make([]int, len(k.cells))}
+	w.json = make([]byte, 0, cellsJSONSize(k.cells, prefix))
+	in := jsonenc.NewIndent(prefix)
+	for i, c := range k.cells {
+		w.json = appendJSONCell(w.json, in, cellDepth, c)
+		w.ends[i] = len(w.json)
+	}
+	p.kept.CompareAndSwap(k, w)
+	return w
+}
+
+// scoring is one call's scoring of its plan's cells: a value equal to
+// the kept one takes the kept cell, any other is scored again and
+// collected into a successor memo, which keep publishes.
+type scoring struct {
+	plan       *sweepPlan
+	kept, next *keptCells
+}
+
+// scoring starts a call's scoring against the plan's kept cells.
+func (p *sweepPlan) scoring() scoring { return scoring{plan: p, kept: p.kept.Load()} }
+
+// cell returns the i-th cell scored from v.
+func (s *scoring) cell(i int, v experiments.ProbeValue) SweepCell {
+	if s.kept != nil && sameValue(v, s.kept.vals[i]) {
+		return s.kept.cells[i]
+	}
+	if s.next == nil {
+		n := s.plan.cells.Len()
+		s.next = &keptCells{vals: make([]experiments.ProbeValue, n), cells: make([]SweepCell, n)}
+		if s.kept != nil {
+			copy(s.next.vals, s.kept.vals)
+			copy(s.next.cells, s.kept.cells)
+		}
+	}
+	c := s.plan.cell(i, v)
+	s.next.vals[i], s.next.cells[i] = v, c
+	return c
+}
+
+// keep publishes what a call that scored every cell scored anew, unless
+// another call has replaced the memo it scored against meanwhile.
+func (s *scoring) keep() {
+	if s.next != nil {
+		s.plan.kept.CompareAndSwap(s.kept, s.next)
+	}
+}
+
+// sameValue reports whether two values are the same bit for bit: ==
+// would take -0 for +0, which score and write differently.
+func sameValue(a, b experiments.ProbeValue) bool {
+	return sameFloat(a.ListenMOS, b.ListenMOS) && sameFloat(a.TalkMOS, b.TalkMOS) && a.PLT == b.PLT &&
+		sameFloat(a.SSIM, b.SSIM) && sameFloat(a.PSNR, b.PSNR)
+}
+
+func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // compileSweep validates every combination of the sweep's axes and
 // compiles the cell specs under o, so an invalid corner fails the
@@ -90,13 +197,15 @@ func compileSweep(sw Sweep, o Options) (*sweepPlan, error) {
 }
 
 // grid returns a fresh result grid for one call: the plan's axes,
-// copied so the caller may keep or edit them, and zeroed cells.
+// copied so the caller may keep or edit them, zeroed cells, and the
+// plan, whose kept JSON writes the cells.
 func (p *sweepPlan) grid() *Grid {
 	return &Grid{
 		Scenarios: slices.Clone(p.scenarios),
 		Probes:    slices.Clone(p.probes),
 		Buffers:   slices.Clone(p.buffers),
 		Cells:     make([]SweepCell, p.cells.Len()),
+		plan:      p,
 	}
 }
 

@@ -73,6 +73,11 @@ type Grid struct {
 	siIdx   map[string]int
 	piIdx   map[string]int
 	biIdx   map[int]int
+
+	// plan is the plan a sweep answered the grid from (nil for a grid
+	// built any other way): AppendJSON copies its kept JSON of a cell
+	// the grid holds unchanged.
+	plan *sweepPlan
 }
 
 func (g *Grid) buildIndex() {
@@ -145,7 +150,9 @@ func (g *Grid) JSON() ([]byte, error) { return g.AppendJSON(nil, "") }
 // "  ") renders it, in one pass rather than a marshal and a re-scan to
 // indent, growing b at most once (see growJSON). A server nesting the
 // grid one level deep in an indented reply passes the prefix "  ". A
-// grid holding NaN or ±Inf, which JSON cannot represent, appends
+// grid a sweep returned copies the JSON its plan kept of each cell it
+// still holds bit for bit, and writes a cell the caller edited afresh.
+// A grid holding NaN or ±Inf, which JSON cannot represent, appends
 // nothing and returns the error MarshalIndent returns.
 func (g *Grid) AppendJSON(b []byte, prefix string) ([]byte, error) {
 	for _, c := range g.Cells {
@@ -165,9 +172,37 @@ func (g *Grid) AppendJSON(b []byte, prefix string) ([]byte, error) {
 	b = jsonenc.AppendKey(b, next, `"buffers": `)
 	b = jsonenc.AppendArray(b, in, 1, g.Buffers, jsonenc.IntElem)
 	b = jsonenc.AppendKey(b, next, `"cells": `)
-	b = jsonenc.AppendArray(b, in, 1, g.Cells, appendJSONCell)
+	b = g.appendCells(b, in, prefix)
 	b = append(b, in.Line(0)...)
 	return append(b, '}'), nil
+}
+
+// cellDepth is the depth a grid document writes its cells at: elements
+// of the array that is the top object's "cells" member.
+const cellDepth = 2
+
+// appendCells writes the cells member. A grid answered by a sweep
+// copies the JSON its plan kept of each cell the grid holds as the plan
+// scored it, and writes any other cell — one the caller edited, or one
+// the plan has since scored anew — itself.
+func (g *Grid) appendCells(b []byte, in jsonenc.Indent, prefix string) []byte {
+	var k *keptCells
+	if g.plan != nil {
+		k = g.plan.written(prefix)
+	}
+	if k == nil {
+		return jsonenc.AppendArray(b, in, cellDepth-1, g.Cells, appendJSONCell)
+	}
+	i := 0
+	return jsonenc.AppendArray(b, in, cellDepth-1, g.Cells, func(b []byte, in jsonenc.Indent, depth int, c SweepCell) []byte {
+		if i < len(k.cells) && c.same(&k.cells[i]) {
+			b = append(b, k.fragment(i)...)
+		} else {
+			b = appendJSONCell(b, in, depth, c)
+		}
+		i++
+		return b
+	})
 }
 
 // jsonSize bounds the bytes AppendJSON appends at prefix, unless a
@@ -203,6 +238,14 @@ func growJSON(b []byte, n int) []byte {
 		b = slices.Grow(b, n+spare)
 	}
 	return b
+}
+
+// same reports whether c and d are the same cell bit for bit: == would
+// take -0 for +0, which JSON writes differently.
+func (c *SweepCell) same(d *SweepCell) bool {
+	return c.Scenario == d.Scenario && c.Probe == d.Probe && c.Buffer == d.Buffer && c.Metric == d.Metric &&
+		sameFloat(c.Value, d.Value) && sameFloat(c.MOS, d.MOS) && c.Rating == d.Rating &&
+		sameFloat(c.TalkMOS, d.TalkMOS) && c.TalkRating == d.TalkRating
 }
 
 // finite reports whether JSON can represent every float of the cell.

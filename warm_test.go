@@ -50,34 +50,62 @@ func warmRequery(tb testing.TB, s *Session, sw Sweep, o Options) {
 
 // TestWarmSweepAllocs pins what a warm re-query of the 81-cell access
 // grid allocates: the session's kept plan answers it, so the call
-// renders no label, spec or key and looks each cell up by the key its
-// plan stored; what is left is the grid, the completion channel and
-// the JSON. Counts, not times, so the pin has no timing noise; the
-// budget is 1.1x the 14 allocations measured when the pin was last
-// tightened (130 while every call compiled its sweep and rendered 81
-// keys; 131 while writing the JSON built its indentation at run time;
-// 157 while every video cell rendered its variant lead; 371 while
-// every hit built its cell's closure; the fmt-keyed,
-// build-time-resolved, MarshalIndent path allocated 1,037). The bytes
-// are pinned the same way: 1.1x the 42,864 B measured (96,040 B while
-// every call compiled its sweep; 116,392 B while every probe cell held
-// a copy of its spec).
+// renders no label, spec or key, looks its cells up in one pass by the
+// keys its plan stored, and scores and writes no cell its plan kept;
+// what is left is the grid, the lookup's value slice and the JSON.
+// Counts, not times, so the pin has no timing noise; the budget is
+// 1.1x the 7 allocations measured when the pin was last tightened (14
+// while every call handed its cells to a goroutine over a channel and
+// scored and wrote each again; 130 while every call compiled its sweep
+// and rendered 81 keys; 131 while writing the JSON built its
+// indentation at run time; 157 while every video cell rendered its
+// variant lead; 371 while every hit built its cell's closure; the
+// fmt-keyed, build-time-resolved, MarshalIndent path allocated 1,037).
+// The bytes are pinned the same way: 1.1x the 38,504 B measured (42,864
+// B with the hand-off; 96,040 B while every call compiled its sweep;
+// 116,392 B while every probe cell held a copy of its spec).
 func TestWarmSweepAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fills an 81-cell grid")
 	}
 	s, sw, o := warmSession(t)
+	checkWarmAllocs(t, s, sw, o)
+}
+
+// TestWarmObservedSweepAllocs: a session observed by a collector
+// answers a warm re-query within the same budget — the cells it
+// answers from the cache are not copied to carry the collector — and
+// the collector still counts every one of them a cache hit.
+func TestWarmObservedSweepAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fills an 81-cell grid")
+	}
+	s, sw, o := warmSession(t)
+	col := NewCollector()
+	s.SetCollector(col)
+	hits := col.Metrics().CacheHits
+	warmRequery(t, s, sw, o)
+	if got := col.Metrics().CacheHits - hits; got != 81 {
+		t.Fatalf("a warm 81-cell re-query counted %d cache hits", got)
+	}
+	checkWarmAllocs(t, s, sw, o)
+}
+
+// checkWarmAllocs holds a warm re-query of the 81-cell grid to its
+// budgets, and to simulating nothing.
+func checkWarmAllocs(t *testing.T, s *Session, sw Sweep, o Options) {
+	t.Helper()
 	misses := s.Stats().Misses
 	allocs := testing.AllocsPerRun(20, func() { warmRequery(t, s, sw, o) })
 	if got := s.Stats().Misses; got != misses {
 		t.Fatalf("warm re-queries simulated %d cells", got-misses)
 	}
-	const measured = 14
+	const measured = 7
 	if allocs > 1.1*measured {
 		t.Fatalf("warm 81-cell re-query allocates %.0f, budget %.0f (1.1 x %d)", allocs, 1.1*measured, measured)
 	}
 	bytes := bytesPerRun(20, func() { warmRequery(t, s, sw, o) })
-	const measuredBytes = 42864
+	const measuredBytes = 38504
 	if bytes > 1.1*measuredBytes {
 		t.Fatalf("warm 81-cell re-query allocates %.0f B, budget %.0f (1.1 x %d)", bytes, 1.1*measuredBytes, measuredBytes)
 	}
@@ -143,8 +171,9 @@ func warmCustomSession(tb testing.TB) (*Session, Sweep, Options) {
 // TestWarmCustomSweepAllocs pins the same for the off-paper grid,
 // whose scenarios carry a custom link, an AQM and a congestion control:
 // the kept plan holds every scenario's label, link tag and variant tag,
-// so a warm call renders none. The budget is 1.1x the 15 allocations
-// measured (106 while every call rendered each scenario's label and
+// so a warm call renders none. The budget is 1.1x the 8 allocations
+// measured (15 while every call handed its cells to a goroutine over a
+// channel; 106 while every call rendered each scenario's label and
 // tags once; 107 while writing the JSON built its indentation at run
 // time; 583 while every cell rendered its tags with fmt).
 func TestWarmCustomSweepAllocs(t *testing.T) {
@@ -157,7 +186,7 @@ func TestWarmCustomSweepAllocs(t *testing.T) {
 	if got := s.Stats().Misses; got != misses {
 		t.Fatalf("warm re-queries simulated %d cells", got-misses)
 	}
-	const measured = 15
+	const measured = 8
 	if allocs > 1.1*measured {
 		t.Fatalf("warm 30-cell custom re-query allocates %.0f, budget %.0f (1.1 x %d)", allocs, 1.1*measured, measured)
 	}
