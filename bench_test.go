@@ -7,6 +7,7 @@
 package bufferqoe_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -177,3 +178,29 @@ func BenchmarkExtPSNR(b *testing.B) { benchExperiment(b, "ext-psnr") }
 
 // BenchmarkExtRecovery quantifies the §8.4 ARQ/FEC quality headroom.
 func BenchmarkExtRecovery(b *testing.B) { benchExperiment(b, "ext-recovery") }
+
+// BenchmarkRecommendColdBackbone asks one cold sizing question on the
+// backbone testbed (Figs. 10-11): the smallest buffer on
+// [8, 28, 749, 7490] at which VoIP over short-medium traffic meets the
+// MOS floor, at the facade's default run options, on an emptied cache
+// each time. With one probe a bisection step leaves all but one worker
+// idle unless it measures the next step's candidate beside its own.
+func BenchmarkRecommendColdBackbone(b *testing.B) {
+	s := bufferqoe.NewSession()
+	spec := bufferqoe.RecommendSpec{
+		Scenario: bufferqoe.Scenario{Network: bufferqoe.Backbone, Workload: "short-medium"},
+		Probes:   []bufferqoe.Probe{{Media: bufferqoe.VoIP}},
+		Buffers:  []int{8, 28, 749, 7490},
+		Target:   bufferqoe.MinBufferMeetingMOS,
+	}
+	for i := 0; i < b.N; i++ {
+		s.ResetCache()
+		rec, err := s.Recommend(context.Background(), spec, bufferqoe.Options{Seed: 42})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rec.CellsEvaluated == 0 {
+			b.Fatal("empty recommendation")
+		}
+	}
+}

@@ -263,6 +263,19 @@ func TestSweepRefusesLinksWithNoAnswer(t *testing.T) {
 	}
 }
 
+// TestRecommendRefusesThresholdsWithNoAnswer: a -threshold every
+// score meets (NaN), none can (+Inf) or below the scale fails the
+// question before any cell runs, naming the field.
+func TestRecommendRefusesThresholdsWithNoAnswer(t *testing.T) {
+	for _, th := range []string{"NaN", "+Inf", "-Inf", "-1"} {
+		out, errOut, code := runCLI(t, "-recommend", "-workloads", "short-many", "-dir", "up", "-probes", "voip",
+			"-buffers", "8,64,256", "-threshold", th)
+		if code != 1 || !strings.Contains(errOut, "Threshold") || out != "" {
+			t.Errorf("-threshold %s: exit %d, stdout %q, stderr %q; want exit 1 naming Threshold", th, code, out, errOut)
+		}
+	}
+}
+
 // TestSweepProgress: -progress streams one per-cell completion line
 // per cell to stderr.
 func TestSweepProgress(t *testing.T) {

@@ -150,6 +150,10 @@ func TestServeBadRequests(t *testing.T) {
 		{"jitter overflow", "/sweep", `{"jitter_ms": 1e13, "buffers": [8], "probes": ["voip"]}`, http.StatusBadRequest, "jitter_ms"},
 		{"client delay overflow", "/recommend", `{"client_delay_ms": -1e13, "buffers": [8], "probes": ["voip"]}`, http.StatusBadRequest, "client_delay_ms"},
 		{"downrate below floor", "/sweep", `{"downrate": 1e-300, "buffers": [8], "probes": ["voip"]}`, http.StatusBadRequest, "DownRate"},
+		// A floor below the scale, or one JSON cannot hold, has no
+		// answer; JSON has no NaN to send.
+		{"negative threshold", "/recommend", `{"threshold": -1, "buffers": [8], "probes": ["voip"]}`, http.StatusBadRequest, "Threshold"},
+		{"threshold overflow", "/recommend", `{"threshold": 1e999, "buffers": [8], "probes": ["voip"]}`, http.StatusBadRequest, "threshold"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

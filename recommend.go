@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -52,8 +53,9 @@ type RecommendSpec struct {
 	// Target is the optimization goal; default MinBufferMeetingMOS.
 	Target Target
 	// Threshold is the per-probe MOS floor for MinBufferMeetingMOS and
-	// the Met verdict (default 3.5 — the "all users satisfied" line of
-	// the paper's rating scale).
+	// the Met verdict: zero means 3.5, the "all users satisfied" line
+	// of the paper's rating scale. NaN, ±Inf and negative floors have
+	// no answer and are refused.
 	Threshold float64
 	// Flows estimates the concurrent flow count for the paper-scheme
 	// comparison (Stanford BDP/sqrt(n)); default 10 on access-shaped
@@ -72,13 +74,16 @@ type Recommendation struct {
 	Met bool
 	// Cells are the per-probe measurements at Buffer, in probe order.
 	Cells []SweepCell
-	// BuffersTried lists the candidate buffers the search evaluated,
-	// in evaluation order.
+	// BuffersTried lists the candidate buffers the search visited, in
+	// the order a one-candidate-at-a-time search visits them.
 	BuffersTried []int
-	// CellsEvaluated counts the cells the search submitted to the
-	// engine (configurations already in the session cache are counted
+	// CellsEvaluated counts the cells of the buffers the search
+	// visited (configurations already in the session cache are counted
 	// but not re-simulated); GridCells is what the equivalent
-	// exhaustive sweep would have submitted.
+	// exhaustive sweep would have submitted. Cells a binary step
+	// measured ahead for a branch the search did not take are not
+	// counted (they stay in the session cache), so the engine may have
+	// simulated more cells than CellsEvaluated.
 	CellsEvaluated, GridCells int
 	// Scheme is the paper sizing scheme (Table 2) nearest the
 	// recommended buffer for the scenario's link, for comparison with
@@ -147,31 +152,45 @@ type evaluation struct {
 	ok    bool    // every probe >= threshold
 }
 
+// probeBatch measures probe specs as one CRN-paired batch: the session
+// engine's ProbeBatch, or a stand-in a test counts or scripts.
+type probeBatch func(ctx context.Context, ps []experiments.ProbeSpec, o experiments.Options) ([]experiments.ProbeValue, error)
+
 // recommendSearch carries the state of one Recommend call.
 type recommendSearch struct {
 	s         *Session
 	ctx       context.Context
 	o         Options
+	batch     probeBatch
 	sc        compiledScenario
 	probes    []Probe
 	plabels   []string
 	threshold float64
 	bufs      []int
 
-	evals map[int]*evaluation // candidate index -> outcome
-	tried []int               // buffers in evaluation order
-	done  int                 // cells completed, for OnProgress
-	start time.Time           // search start, for Progress timing
+	measured map[int]*evaluation // candidate index -> outcome, visited or not
+	evals    map[int]*evaluation // the visited subset of measured
+	tried    []int               // buffers in visiting order
+	done     int                 // cells visited, for OnProgress
+	start    time.Time           // search start, for Progress timing
 }
 
 // Recommend searches the buffer axis for the spec's target instead of
 // sweeping it exhaustively: it brackets the candidate axis (the
 // paper's sweep plus the link's BDP by default) and bisects —
 // binary search for MinBufferMeetingMOS, ternary search for
-// MaxAggregateMOS — evaluating only the buffers the search visits.
-// Evaluations reuse the session's CRN-paired seeds and result cache,
-// so a Recommend run followed by a Sweep over the same scenario
-// re-simulates nothing the search already measured, and vice versa.
+// MaxAggregateMOS — evaluating only the buffers the search visits,
+// plus, for MinBufferMeetingMOS on a worker pool wider than the probe
+// list, the candidates its next steps may visit: each binary step
+// measures its candidate and the first max(1, Parallelism/len(Probes))
+// unmeasured nodes of the remaining bisection tree (breadth first,
+// the threshold-met child first) as one batch. Those guesses reach
+// only the session cache; the Recommendation reports what a
+// one-candidate-at-a-time search visits, so the answer is the same at
+// every parallelism. Evaluations reuse the session's CRN-paired seeds
+// and result cache, so a Recommend run followed by a Sweep over the
+// same scenario re-simulates nothing the search already measured, and
+// vice versa.
 //
 // Cancellation follows the streaming rules: a canceled ctx abandons
 // queued cells, drains in-flight ones into the cache, and returns
@@ -179,7 +198,12 @@ type recommendSearch struct {
 // with Total equal to the full-grid upper bound GridCells — the
 // search finishing well short of Total is the point.
 func (s *Session) Recommend(ctx context.Context, spec RecommendSpec, o Options) (*Recommendation, error) {
-	r := &recommendSearch{s: s, ctx: ctx, o: o, sc: spec.Scenario.compile(spec.Scenario.Label()), start: time.Now()}
+	return s.recommend(ctx, spec, o, s.inner.ProbeBatch)
+}
+
+// recommend is Recommend with the batch that measures the candidates.
+func (s *Session) recommend(ctx context.Context, spec RecommendSpec, o Options, batch probeBatch) (*Recommendation, error) {
+	r := &recommendSearch{s: s, ctx: ctx, o: o, batch: batch, sc: spec.Scenario.compile(spec.Scenario.Label()), start: time.Now()}
 	if len(spec.Probes) == 0 {
 		return nil, fmt.Errorf("bufferqoe: a recommendation needs at least one probe")
 	}
@@ -200,7 +224,12 @@ func (s *Session) Recommend(ctx context.Context, spec RecommendSpec, o Options) 
 		}
 	}
 	r.threshold = spec.Threshold
-	if r.threshold <= 0 {
+	switch {
+	case math.IsNaN(r.threshold) || math.IsInf(r.threshold, 0) || r.threshold < 0:
+		// Every score "meets" a NaN floor (s < NaN is never true), none
+		// meets +Inf: neither has an answer.
+		return nil, fmt.Errorf("bufferqoe: RecommendSpec.Threshold must be a finite MOS >= 0 (0 means 3.5), got %g", r.threshold)
+	case r.threshold == 0:
 		r.threshold = 3.5
 	}
 
@@ -209,6 +238,7 @@ func (s *Session) Recommend(ctx context.Context, spec RecommendSpec, o Options) 
 		return nil, err
 	}
 	r.bufs = bufs
+	r.measured = make(map[int]*evaluation, len(bufs))
 	r.evals = make(map[int]*evaluation, len(bufs))
 
 	target := spec.Target
@@ -312,17 +342,16 @@ func nearestScheme(spec RecommendSpec, buffer int) Scheme {
 	return Scheme{}
 }
 
-// evaluate measures all probes at the candidate indices the search
-// has not measured yet (evaluations are memoized) as one CRN-paired
-// batch through the session engine, so the candidates run side by
-// side, a buffer the search revisits costs nothing, and a
-// configuration any sweep or probe on the session has already
-// measured is a cache hit. The candidates are recorded, and their
-// cells reported to OnProgress, in the order given.
-func (r *recommendSearch) evaluate(idx ...int) error {
+// measure runs all probes at the candidate indices not measured yet
+// as one CRN-paired batch through the session engine, so the
+// candidates run side by side, a buffer measured before costs
+// nothing, and a configuration any sweep or probe on the session has
+// already measured is a cache hit. It records the outcomes in
+// r.measured only; visit reports them.
+func (r *recommendSearch) measure(idx []int) error {
 	fresh := make([]int, 0, len(idx))
 	for _, i := range idx {
-		if _, ok := r.evals[i]; !ok {
+		if _, ok := r.measured[i]; !ok {
 			fresh = append(fresh, i)
 		}
 	}
@@ -340,30 +369,54 @@ func (r *recommendSearch) evaluate(idx ...int) error {
 			specs = append(specs, sp)
 		}
 	}
-	values, err := r.s.inner.ProbeBatch(r.ctx, specs, r.o.internal())
+	values, err := r.batch(r.ctx, specs, r.o.internal())
 	if err != nil {
 		return err
 	}
 	for k, i := range fresh {
-		buf := r.bufs[i]
 		ev := &evaluation{cells: make([]SweepCell, np), ok: true}
 		var sum float64
 		for pi, v := range values[k*np : (k+1)*np] {
-			c := sweepCell(r.sc.label, r.plabels[pi], buf, r.sc.sc.Network, r.probes[pi].Media, v)
+			c := sweepCell(r.sc.label, r.plabels[pi], r.bufs[i], r.sc.sc.Network, r.probes[pi].Media, v)
 			ev.cells[pi] = c
 			s := cellScore(c)
 			sum += s
 			if s < r.threshold {
 				ev.ok = false
 			}
-			r.done++
-			if r.o.OnProgress != nil {
-				r.o.OnProgress(Progress{Completed: r.done, Total: len(r.bufs) * np, Cell: c}.timing(r.start))
-			}
 		}
 		ev.score = sum / float64(np)
-		r.evals[i] = ev
-		r.tried = append(r.tried, buf)
+		r.measured[i] = ev
+	}
+	return nil
+}
+
+// visit makes the measured candidate i part of the search's answer,
+// once: it enters r.evals and BuffersTried, and its cells are
+// reported to OnProgress in probe order.
+func (r *recommendSearch) visit(i int) {
+	if _, ok := r.evals[i]; ok {
+		return
+	}
+	ev := r.measured[i]
+	r.evals[i] = ev
+	r.tried = append(r.tried, r.bufs[i])
+	for _, c := range ev.cells {
+		r.done++
+		if r.o.OnProgress != nil {
+			r.o.OnProgress(Progress{Completed: r.done, Total: len(r.bufs) * len(r.probes), Cell: c}.timing(r.start))
+		}
+	}
+}
+
+// evaluate measures the candidates as one batch and visits them in
+// the order given.
+func (r *recommendSearch) evaluate(idx ...int) error {
+	if err := r.measure(idx); err != nil {
+		return err
+	}
+	for _, i := range idx {
+		r.visit(i)
 	}
 	return nil
 }
@@ -380,14 +433,24 @@ func cellScore(c SweepCell) float64 {
 
 // searchMinBuffer binary-searches for the leftmost candidate whose
 // evaluation meets the threshold. If none does, it returns the best
-// evaluated buffer by aggregate score (Met stays false on the result).
+// visited buffer by aggregate score (Met stays false on the result).
+//
+// A step whose candidate is not measured yet measures it in one batch
+// with the candidates the next steps may visit, as many as leave each
+// worker of the pool one cell (see nextSteps): the steps are
+// sequential, the pool is not. Only the candidates the search visits
+// count toward the answer.
 func (r *recommendSearch) searchMinBuffer() (int, error) {
+	width := max(1, r.s.inner.Parallelism()/len(r.probes))
 	lo, hi, found := 0, len(r.bufs)-1, -1
 	for lo <= hi {
 		mid := (lo + hi) / 2
-		if err := r.evaluate(mid); err != nil {
-			return 0, err
+		if _, ok := r.measured[mid]; !ok {
+			if err := r.measure(r.nextSteps(lo, hi, width)); err != nil {
+				return 0, err
+			}
 		}
+		r.visit(mid)
 		if r.evals[mid].ok {
 			found = mid
 			hi = mid - 1
@@ -399,7 +462,9 @@ func (r *recommendSearch) searchMinBuffer() (int, error) {
 		return found, nil
 	}
 	// Nothing on the axis satisfies the floor: recommend the best of
-	// what the search saw, flagged unmet. Scan candidate indices in
+	// what the search visited, flagged unmet (a candidate measured
+	// only ahead of a branch not taken is not a candidate a
+	// one-at-a-time search would have seen). Scan candidate indices in
 	// ascending order (not the map) so tied scores deterministically
 	// prefer the smallest buffer — results must stay a pure function
 	// of spec and options.
@@ -410,6 +475,26 @@ func (r *recommendSearch) searchMinBuffer() (int, error) {
 		}
 	}
 	return best, nil
+}
+
+// nextSteps lists the first n unmeasured candidates of the bisection
+// tree over [lo, hi] in breadth-first order, the threshold-met
+// (smaller-buffer) child before the other: the root, the candidate the
+// current step visits, then those of the steps after it.
+func (r *recommendSearch) nextSteps(lo, hi, n int) []int {
+	out := make([]int, 0, n)
+	for queue := [][2]int{{lo, hi}}; len(queue) > 0 && len(out) < n; queue = queue[1:] {
+		lo, hi := queue[0][0], queue[0][1]
+		if lo > hi {
+			continue
+		}
+		mid := (lo + hi) / 2
+		if _, ok := r.measured[mid]; !ok {
+			out = append(out, mid)
+		}
+		queue = append(queue, [2]int{lo, mid - 1}, [2]int{mid + 1, hi})
+	}
+	return out
 }
 
 // searchMaxAggregate ternary-searches the (assumed unimodal)
