@@ -487,13 +487,26 @@ func runRecommend(ctx context.Context, session *bufferqoe.Session, opt bufferqoe
 	fmt.Fprintf(stdout, "recommended buffer: %d packets (aggregate MOS %.2f, threshold met: %v)\n",
 		rec.Buffer, rec.Score, rec.Met)
 	for _, c := range rec.Cells {
-		fmt.Fprintf(stdout, "  %-12s %s\n", c.Probe, c.Rating)
+		fmt.Fprintf(stdout, "  %-12s %s\n", c.Probe, decidedRating(c))
 	}
 	fmt.Fprintf(stdout, "nearest paper scheme: %s (%d packets, max delay %s)\n",
 		rec.Scheme.Name, rec.Scheme.Packets, rec.Scheme.MaxDelay)
 	fmt.Fprintf(stdout, "# summary: evaluated %d of %d grid cells (buffers tried: %v) in %.1fs (%d simulated, %d cache hits)\n",
 		rec.CellsEvaluated, rec.GridCells, rec.BuffersTried, total.Seconds(), st.Misses, st.Hits)
 	return 0
+}
+
+// decidedRating is the rating of the direction a recommendation scored
+// the cell by: the worse one of an access VoIP cell's two, labeled,
+// and the cell's only rating otherwise.
+func decidedRating(c bufferqoe.SweepCell) string {
+	switch {
+	case c.TalkRating == "":
+		return c.Rating
+	case c.TalkMOS > 0 && c.TalkMOS < c.MOS:
+		return c.TalkRating + " (talk)"
+	}
+	return c.Rating + " (listen)"
 }
 
 // benchEntry is one benchmark's measurement in the -benchjson output.

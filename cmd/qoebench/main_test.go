@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"bufferqoe"
 )
 
 // tinyArgs shrink simulation work for CLI tests.
@@ -272,6 +274,53 @@ func TestRecommendRefusesThresholdsWithNoAnswer(t *testing.T) {
 			"-buffers", "8,64,256", "-threshold", th)
 		if code != 1 || !strings.Contains(errOut, "Threshold") || out != "" {
 			t.Errorf("-threshold %s: exit %d, stdout %q, stderr %q; want exit 1 naming Threshold", th, code, out, errOut)
+		}
+	}
+}
+
+// TestWarmupWithNoAnswerRefused: a warmup that leaves no rep of a
+// probe time to finish inside a cell's 30-minute horizon is refused
+// naming Warmup and its bound (every probe used to score the median of
+// nothing: voip 0.00, web 0.00s "Excellent", exit 0); at 29 minutes
+// the sweep answers as before.
+func TestWarmupWithNoAnswerRefused(t *testing.T) {
+	// Not runCLI: its tiny arguments would set the warmup.
+	runArgs := func(args ...string) (string, string, int) {
+		var out, errb bytes.Buffer
+		code := run(args, &out, &errb)
+		return out.String(), errb.String(), code
+	}
+	for _, args := range [][]string{
+		{"-sweep", "-workloads", "noBG", "-buffers", "8", "-probes", "voip,web,video", "-warmup", "31m"},
+		{"-recommend", "-workloads", "noBG", "-buffers", "8,16", "-probes", "web", "-warmup", "31m"},
+	} {
+		out, errOut, code := runArgs(args...)
+		if code != 1 || !strings.Contains(errOut, "Warmup") || !strings.Contains(errOut, "must be at most") || out != "" {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 1 naming Warmup and its bound", args, code, out, errOut)
+		}
+	}
+	out, errOut, code := runArgs("-sweep", "-workloads", "noBG", "-buffers", "8", "-probes", "voip", "-warmup", "29m", "-json")
+	if code != 0 || !strings.Contains(out, `"value": 4.448598902188453`) {
+		t.Errorf("-warmup 29m: exit %d, stderr %q, stdout:\n%s\nwant voip 4.448598902188453", code, errOut, out)
+	}
+}
+
+// TestRecommendShowsDecidingDirection: an access VoIP cell is scored
+// by its worse direction, so the rating printed beside it is that
+// direction's, labeled.
+func TestRecommendShowsDecidingDirection(t *testing.T) {
+	for _, tc := range []struct {
+		cell bufferqoe.SweepCell
+		want string
+	}{
+		{bufferqoe.SweepCell{MOS: 4.4, Rating: "Very Satisfied", TalkMOS: 2.8, TalkRating: "Many Users Dissatisfied"},
+			"Many Users Dissatisfied (talk)"},
+		{bufferqoe.SweepCell{MOS: 2.8, Rating: "Many Users Dissatisfied", TalkMOS: 4.4, TalkRating: "Very Satisfied"},
+			"Many Users Dissatisfied (listen)"},
+		{bufferqoe.SweepCell{MOS: 3.9, Rating: "Good"}, "Good"},
+	} {
+		if got := decidedRating(tc.cell); got != tc.want {
+			t.Errorf("decidedRating(%+v) = %q, want %q", tc.cell, got, tc.want)
 		}
 	}
 }

@@ -150,6 +150,9 @@ func TestServeBadRequests(t *testing.T) {
 		{"jitter overflow", "/sweep", `{"jitter_ms": 1e13, "buffers": [8], "probes": ["voip"]}`, http.StatusBadRequest, "jitter_ms"},
 		{"client delay overflow", "/recommend", `{"client_delay_ms": -1e13, "buffers": [8], "probes": ["voip"]}`, http.StatusBadRequest, "client_delay_ms"},
 		{"downrate below floor", "/sweep", `{"downrate": 1e-300, "buffers": [8], "probes": ["voip"]}`, http.StatusBadRequest, "DownRate"},
+		// No rep could finish inside a cell's horizon.
+		{"warmup past the horizon", "/sweep", `{"warmup_s": 1860, "buffers": [8], "probes": ["voip"]}`, http.StatusBadRequest, "Warmup"},
+		{"recommend warmup past the horizon", "/recommend", `{"warmup_s": 1860, "buffers": [8], "probes": ["web"]}`, http.StatusBadRequest, "Warmup"},
 		// A floor below the scale, or one JSON cannot hold, has no
 		// answer; JSON has no NaN to send.
 		{"negative threshold", "/recommend", `{"threshold": -1, "buffers": [8], "probes": ["voip"]}`, http.StatusBadRequest, "Threshold"},

@@ -374,51 +374,34 @@ func cellFunc(o Options, n *network, scenario string, dir testbed.Direction, buf
 // voipFG is Reps calls under the workload: bidirectional pairs scored
 // per direction (plus the uplink-path characteristics the ablations
 // read) on a duplex network, the paper's unidirectional server ->
-// client calls and a bare median MOS otherwise.
+// client calls and a bare median MOS otherwise. A pair's directions
+// share the conversational delay impairment (the paper's Section 7.2),
+// and the stopping rule waits for both.
 var voipFG = foreground{
 	media: "voip", uses: optWarmup | optReps | optStop,
 	run: func(_ *foreground, n *network, tb *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) any {
-		pc.Mark(telemetry.PhaseBuild)
 		if !n.duplex {
-			rule := o.stop()
 			mosS := cs.sample(0)
-			runCalls(tb, o, cs, false, func(r voip.Result) bool {
-				mosS.Add(r.MOS)
-				return mosS.N() == o.Reps || rule.done(mosS)
-			})
-			pc.Mark(telemetry.PhaseSim)
-			recordReps(o, mosS.N(), mosS.N() < o.Reps)
+			runReps(tb.Eng, o, pc, callSpacing, func(i int, scored func()) {
+				voip.Start(tb.MediaServer, tb.MediaClient, cs.speech(o, i), 0, func(r voip.Result) { mosS.Add(r.MOS); scored() })
+			}, mosS)
 			return mosS.Median()
 		}
-		listen, talk := runVoIPPair(tb, o, cs, pc)
+		listenS, talkS := cs.sample(0), cs.sample(1)
+		runReps(tb.Eng, o, pc, callSpacing, func(i int, scored func()) {
+			voip.StartPair(tb.MediaClient, tb.MediaServer, cs.speech(o, 2*i), cs.speech(o, 2*i+1), 0,
+				func(pr voip.PairResult) {
+					listenS.Add(pr.Listen.MOS)
+					talkS.Add(pr.Talk.MOS)
+					scored()
+				})
+		}, listenS, talkS)
 		return voipScore{
-			Listen: listen, Talk: talk,
+			Listen: listenS.Median(), Talk: talkS.Median(),
 			UpDelayMs: tb.UpMon.MeanDelayMs(),
 			UpUtilPct: tb.UpLinkMonitor().MeanUtilization(tb.Eng.Now()),
 		}
 	},
-}
-
-// runCalls schedules Reps spaced unidirectional calls, server ->
-// client, with the fixed or the adaptive playout buffer, and runs the
-// testbed until each reports the cell complete.
-func runCalls(tb *testbed.Testbed, o Options, cs *CellScratch, adaptive bool, each func(voip.Result) (done bool)) {
-	for i := 0; i < o.Reps; i++ {
-		i := i
-		tb.Eng.ScheduleHandler(o.Warmup+time.Duration(i)*callSpacing, sim.Func(func() {
-			done := func(r voip.Result) {
-				if each(r) {
-					tb.Eng.Halt()
-				}
-			}
-			if adaptive {
-				voip.StartAdaptive(tb.MediaServer, tb.MediaClient, cs.speech(o, i), done)
-			} else {
-				voip.Start(tb.MediaServer, tb.MediaClient, cs.speech(o, i), 0, done)
-			}
-		}))
-	}
-	tb.Eng.RunFor(cellCap)
 }
 
 // playoutFG is the fixed-vs-adaptive playout-buffer comparison: the
@@ -428,15 +411,20 @@ func playoutFG(mode string) foreground {
 	return foreground{
 		media: "voip", lead: "playout=" + mode, uses: optWarmup | optReps,
 		run: func(_ *foreground, _ *network, tb *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) any {
-			pc.Mark(telemetry.PhaseBuild)
 			mosS, z1S, lossS := cs.sample(0), cs.sample(1), cs.sample(2)
-			runCalls(tb, o, cs, mode == "adaptive", func(r voip.Result) bool {
-				mosS.Add(r.MOS)
-				z1S.Add(r.Z1)
-				lossS.Add(r.LossPct())
-				return mosS.N() == o.Reps
+			runReps(tb.Eng, o, pc, callSpacing, func(i int, scored func()) {
+				done := func(r voip.Result) {
+					mosS.Add(r.MOS)
+					z1S.Add(r.Z1)
+					lossS.Add(r.LossPct())
+					scored()
+				}
+				if mode == "adaptive" {
+					voip.StartAdaptive(tb.MediaServer, tb.MediaClient, cs.speech(o, i), done)
+				} else {
+					voip.Start(tb.MediaServer, tb.MediaClient, cs.speech(o, i), 0, done)
+				}
 			})
-			pc.Mark(telemetry.PhaseSim)
 			return playoutScore{MOS: mosS.Median(), Z1: z1S.Median(), LossPct: lossS.Median()}
 		},
 	}
@@ -455,23 +443,30 @@ func webFG(conns int) foreground {
 	return fg
 }
 
-// runWeb is webFG's run.
+// runWeb is webFG's run. The stopping rule reads each PLT mapped onto
+// the network's WebQoE model, in MOS points like every other media.
 func runWeb(fg *foreground, n *network, tb *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) any {
 	conns := fg.conns
-	fetch := func(done func(web.Result)) {
-		web.Fetch(tb.MediaClientTCP, tb.MediaServer.Addr(web.Port), 60*time.Second, done)
-	}
 	if conns > 0 {
 		web.RegisterBrowserServer(tb.MediaServerTCP, web.BrowserPort)
-		fetch = func(done func(web.Result)) {
-			web.FetchParallel(tb.MediaClientTCP, tb.MediaServer.Addr(web.BrowserPort),
-				conns, 60*time.Second, done)
-		}
 	} else {
 		web.RegisterServer(tb.MediaServerTCP, web.Port)
 	}
-	pc.Mark(telemetry.PhaseBuild)
-	return webReps(tb.Eng, o, cs, pc, n.webModel().MOS, fetch)
+	mos := n.webModel().MOS
+	plts, mosS := cs.sample(0), cs.sample(1)
+	runReps(tb.Eng, o, pc, 0, func(_ int, scored func()) {
+		done := func(r web.Result) {
+			plts.Add(r.PLT.Seconds())
+			mosS.Add(mos(r.PLT))
+			scored()
+		}
+		if conns > 0 {
+			web.FetchParallel(tb.MediaClientTCP, tb.MediaServer.Addr(web.BrowserPort), conns, 60*time.Second, done)
+		} else {
+			web.Fetch(tb.MediaClientTCP, tb.MediaServer.Addr(web.Port), 60*time.Second, done)
+		}
+	}, mosS)
+	return time.Duration(plts.Median() * float64(time.Second))
 }
 
 // --- Video foregrounds --------------------------------------------
@@ -513,15 +508,23 @@ func videoFG(clip video.Clip, p video.Profile, rec video.Recovery) foreground {
 	}
 }
 
-// runVideo is videoFG's run.
+// runVideo is videoFG's run. The stopping rule reads each SSIM mapped
+// through the paper's SSIM-to-MOS curve, in MOS points.
 func runVideo(fg *foreground, _ *network, tb *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) any {
 	src := cs.source(o, fg.clip, fg.profile)
 	rec := fg.rec
-	pc.Mark(telemetry.PhaseBuild)
-	return videoReps(tb.Eng, o, cs, pc, func(done func(video.Result)) {
+	ssims, psnrs, mosS := cs.sample(0), cs.sample(1), cs.sample(2)
+	spacing := time.Duration(o.ClipSeconds)*time.Second + video.StartupDelay + 5*time.Second
+	runReps(tb.Eng, o, pc, spacing, func(_ int, scored func()) {
 		video.Start(tb.MediaServer, tb.MediaClient, src,
-			video.Config{Smooth: true, Seed: o.Seed, Recovery: rec}, done)
-	})
+			video.Config{Smooth: true, Seed: o.Seed, Recovery: rec}, func(r video.Result) {
+				ssims.Add(r.MeanSSIM)
+				psnrs.Add(r.MeanPSNR)
+				mosS.Add(qoe.SSIMToMOS(r.MeanSSIM))
+				scored()
+			})
+	}, mosS)
+	return videoScore{SSIM: ssims.Median(), PSNR: psnrs.Median()}
 }
 
 // smoothingFG is the sender-smoothing ablation's single SD stream
@@ -575,24 +578,13 @@ func httpVideoFG(player string) foreground {
 						func(r httpvideo.ABRResult) { done(r.MOS, r.MeanBitrate) })
 				}
 			}
-			remaining := o.Reps
-			var next sim.Func
-			next = func() {
-				if remaining == 0 {
-					tb.Eng.Halt()
-					return
-				}
-				remaining--
+			runReps(tb.Eng, o, pc, 0, func(_ int, scored func()) {
 				watch(func(mos, bitrate float64) {
 					mosS.Add(mos)
 					rateS.Add(bitrate)
-					tb.Eng.ScheduleHandler(time.Second, next)
+					scored()
 				})
-			}
-			tb.Eng.ScheduleHandler(o.Warmup, next)
-			pc.Mark(telemetry.PhaseBuild)
-			tb.Eng.RunFor(cellCap)
-			pc.Mark(telemetry.PhaseSim)
+			})
 			return httpScore{MOS: mosS.Median(), Bitrate: rateS.Median()}
 		},
 	}

@@ -6,53 +6,9 @@ import (
 	"time"
 
 	"bufferqoe/internal/qoe"
-	"bufferqoe/internal/sim"
-	"bufferqoe/internal/telemetry"
 	"bufferqoe/internal/testbed"
 	"bufferqoe/internal/video"
-	"bufferqoe/internal/voip"
-	"bufferqoe/internal/web"
 )
-
-// callSpacing is the gap between successive measurement call starts
-// within one testbed run.
-const callSpacing = 16 * time.Second
-
-// cellCap bounds a single cell's simulated time as a safety net; the
-// engine halts as soon as all repetitions complete.
-const cellCap = 30 * time.Minute
-
-// runVoIPPair schedules Reps simultaneous bidirectional calls on an
-// already-configured access testbed and returns the median MOS of
-// each direction. The two directions of one call share the
-// conversational delay impairment, as in the paper's Section 7.2.
-// pc marks the end of the cell's simulation phase; a disabled clock
-// no-ops. With adaptive replication enabled, the loop halts as soon
-// as both directions' MOS confidence intervals are tight enough —
-// later pre-scheduled calls simply never start, so the completed
-// repetitions are exactly the exhaustive run's first n.
-func runVoIPPair(a *testbed.Testbed, o Options, cs *CellScratch, pc *telemetry.PhaseClock) (listen, talk float64) {
-	rule := o.stop()
-	listenS, talkS := cs.sample(0), cs.sample(1)
-	for i := 0; i < o.Reps; i++ {
-		i := i
-		a.Eng.ScheduleHandler(o.Warmup+time.Duration(i)*callSpacing, sim.Func(func() {
-			voip.StartPair(a.MediaClient, a.MediaServer,
-				cs.speech(o, 2*i), cs.speech(o, 2*i+1), 0,
-				func(pr voip.PairResult) {
-					listenS.Add(pr.Listen.MOS)
-					talkS.Add(pr.Talk.MOS)
-					if listenS.N() == o.Reps || (rule.done(listenS) && rule.done(talkS)) {
-						a.Eng.Halt()
-					}
-				})
-		}))
-	}
-	a.Eng.RunFor(cellCap)
-	pc.Mark(telemetry.PhaseSim)
-	recordReps(o, listenS.N(), listenS.N() < o.Reps)
-	return listenS.Median(), talkS.Median()
-}
 
 // panelDir maps the access figures' panel letter onto its congestion
 // direction: "a" download, "b" upload, "c" both.
@@ -116,34 +72,6 @@ func fig8(ctx context.Context, s *Session, o Options) (*Result, error) {
 	return &Result{ID: "fig8", Grids: []*Grid{g}}, err
 }
 
-// videoReps streams the clip sequentially Reps times; start is
-// invoked per repetition with the completion callback. It returns the
-// median SSIM and PSNR across repetitions. The adaptive stopping rule
-// watches a shadow MOS sample (SSIM mapped through the paper's
-// SSIM-to-MOS curve) so the CI threshold means the same thing — MOS
-// points — across all media types.
-func videoReps(se *sim.Engine, o Options, cs *CellScratch, pc *telemetry.PhaseClock, start func(done func(video.Result))) videoScore {
-	rule := o.stop()
-	ssims, psnrs, mosS := cs.sample(0), cs.sample(1), cs.sample(2)
-	spacing := time.Duration(o.ClipSeconds)*time.Second + video.StartupDelay + 5*time.Second
-	for i := 0; i < o.Reps; i++ {
-		se.ScheduleHandler(o.Warmup+time.Duration(i)*spacing, sim.Func(func() {
-			start(func(r video.Result) {
-				ssims.Add(r.MeanSSIM)
-				psnrs.Add(r.MeanPSNR)
-				mosS.Add(qoe.SSIMToMOS(r.MeanSSIM))
-				if ssims.N() == o.Reps || rule.done(mosS) {
-					se.Halt()
-				}
-			})
-		}))
-	}
-	se.RunFor(cellCap)
-	pc.Mark(telemetry.PhaseSim)
-	recordReps(o, ssims.N(), ssims.N() < o.Reps)
-	return videoScore{SSIM: ssims.Median(), PSNR: psnrs.Median()}
-}
-
 // fig9 regenerates the Figure 9 video heatmaps: panel "a" is the
 // access testbed (download congestion only: IPTV is downstream),
 // "b" the backbone.
@@ -182,38 +110,6 @@ func fig9(ctx context.Context, s *Session, o Options, panel string) (*Result, er
 		})
 	})
 	return &Result{ID: "fig9" + panel, Grids: []*Grid{g}}, err
-}
-
-// webReps fetches the page sequentially Reps times and returns the
-// median PLT. mos maps a PLT onto the testbed's WebQoE model so the
-// adaptive stopping rule operates in MOS points, like every other
-// media type.
-func webReps(se *sim.Engine, o Options, cs *CellScratch, pc *telemetry.PhaseClock, mos func(time.Duration) float64, fetch func(done func(web.Result))) time.Duration {
-	rule := o.stop()
-	plts, mosS := cs.sample(0), cs.sample(1)
-	remaining := o.Reps
-	var next sim.Func
-	next = func() {
-		if remaining == 0 {
-			se.Halt()
-			return
-		}
-		remaining--
-		fetch(func(r web.Result) {
-			plts.Add(r.PLT.Seconds())
-			mosS.Add(mos(r.PLT))
-			if rule.done(mosS) {
-				se.Halt()
-				return
-			}
-			se.ScheduleHandler(time.Second, next)
-		})
-	}
-	se.ScheduleHandler(o.Warmup, next)
-	se.RunFor(cellCap)
-	pc.Mark(telemetry.PhaseSim)
-	recordReps(o, plts.N(), plts.N() < o.Reps)
-	return time.Duration(plts.Median() * float64(time.Second))
 }
 
 // fig10 regenerates the Figure 10 access WebQoE heatmaps: panel "a"

@@ -128,26 +128,13 @@ func aqmFactory(name string, rateBps float64, rngLabel string) (queueFactory, er
 	}
 }
 
-// aqmTag checks a discipline name against aqmFactory's and renders
-// its canonical variant fragment; drop-tail — the default —
-// contributes nothing.
-func aqmTag(name string) (string, error) {
-	switch name {
-	case "", "droptail", "drop-tail":
-		return "", nil
-	case "codel":
-		return "aqm=codel", nil
-	case "fq-codel", "fqcodel":
-		return "aqm=fq-codel", nil
-	case "red":
-		return "aqm=red", nil
-	case "ared":
-		return "aqm=ared", nil
-	case "pie":
-		return "aqm=pie", nil
-	default:
-		return "", fmt.Errorf("unknown AQM %q (want droptail, codel, fq-codel, red, ared, pie)", name)
-	}
+// aqmTags maps each discipline name aqmFactory accepts to its
+// canonical variant fragment; drop-tail — the default — contributes
+// nothing.
+var aqmTags = map[string]string{
+	"": "", "droptail": "", "drop-tail": "",
+	"codel": "aqm=codel", "fq-codel": "aqm=fq-codel", "fqcodel": "aqm=fq-codel",
+	"red": "aqm=red", "ared": "aqm=ared", "pie": "aqm=pie",
 }
 
 // ccChoice maps a congestion-control name to its constructor and
@@ -278,9 +265,9 @@ func (p ProbeSpec) normalize() (ProbeSpec, error) {
 			return p, fmt.Errorf("reorder probability must be in [0,1), got %g", p.Link.Reorder)
 		}
 	}
-	qTag, err := aqmTag(p.AQM)
-	if err != nil {
-		return p, err
+	qTag, ok := aqmTags[p.AQM]
+	if !ok {
+		return p, fmt.Errorf("unknown AQM %q (want droptail, codel, fq-codel, red, ared, pie)", p.AQM)
 	}
 	_, ccTag, err := ccChoice(p.CC, n.cc)
 	if err != nil {
@@ -476,6 +463,9 @@ func PrepareProbes(ps []ProbeSpec, o Options) (*ProbePlan, error) {
 				return nil, fmt.Errorf("spec %d: %w", i, err)
 			}
 			p = &n
+		}
+		if err := checkWarmup(pl.o, p.foreground()); err != nil {
+			return nil, fmt.Errorf("spec %d: experiments: invalid options: %w", i, err)
 		}
 		pl.cells[i] = probeCell{p: p, o: &pl.o}
 		pl.tasks[i] = engine.NewTask(p.cellSpec(pl.o), &pl.cells[i])

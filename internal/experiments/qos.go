@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"bufferqoe/internal/qoe"
 	"bufferqoe/internal/sizing"
@@ -34,7 +35,7 @@ func table2(ctx context.Context, s *Session, o Options) (*Result, error) {
 				schemes = append(schemes, fmt.Sprintf("%d=%s", r.Packets, r.Scheme))
 			}
 		}
-		return join(bufs), join(delays), join(schemes)
+		return strings.Join(bufs, " "), strings.Join(delays, " "), strings.Join(schemes, " ")
 	}
 	for row, rows := range map[string][]sizing.Table2Row{
 		"access uplink (1 Mbit/s)":    sizing.AccessUplinkTable2(),
@@ -47,17 +48,6 @@ func table2(ctx context.Context, s *Session, o Options) (*Result, error) {
 		g.Set(row, "schemes", Cell{Text: s})
 	}
 	return &Result{ID: "table2", Grids: []*Grid{g}}, nil
-}
-
-func join(xs []string) string {
-	out := ""
-	for i, x := range xs {
-		if i > 0 {
-			out += " "
-		}
-		out += x
-	}
-	return out
 }
 
 // table1 reruns every Table 1 workload at BDP buffers and reports the

@@ -184,8 +184,12 @@ func segmentEnvelope(i, n int) float64 {
 const LibrarySize = 20
 
 // librarySamples is the length of a reference recording: eight
-// seconds, 400 frames.
+// seconds, LibraryFrames frames.
 const librarySamples = 8 * SampleRate
+
+// LibraryFrames is the number of 20 ms frames in a reference
+// recording: 400.
+const LibraryFrames = librarySamples / FrameSamples
 
 // LibrarySample synthesizes recording i (0 <= i < LibrarySize) of the
 // stand-in for the ITU-recommended set of 20 speech samples (P.862
@@ -215,7 +219,7 @@ func LibrarySample(seed uint64, i int) *Sample {
 // A frame that never clears it is summed in full.
 func LibraryActivity(seed uint64, i int, active func(sumSq float64, n int) bool) []bool {
 	_, w := libraryWalk(seed, i)
-	mask := make([]bool, librarySamples/FrameSamples)
+	mask := make([]bool, LibraryFrames)
 	for f := range mask {
 		var s float64
 		for range FrameSamples {

@@ -123,11 +123,13 @@ type Collector struct {
 	ContentEvicted     Counter // pieces dropped to stay inside the byte bound
 	ContentBytes       Gauge   // resident bytes after the latest synthesis
 
-	// Adaptive replication (experiments layer): how many repetitions
-	// each rep-loop cell actually ran, and how many cells the CI
-	// stopping rule halted before their configured Reps.
+	// Replication (experiments layer): how many repetitions each
+	// rep-loop cell actually ran, how many cells the CI stopping rule
+	// halted before their configured Reps, and how many ran into the
+	// cell's simulated-time horizon first.
 	RepsPerCell       *Histogram
 	CellsStoppedEarly Counter
+	CellsHitHorizon   Counter
 
 	// Facade-layer: sweep progress.
 	SweepCells Counter // sweep cells completed (incl. cache hits)
@@ -291,10 +293,12 @@ type Snapshot struct {
 	ContentEvicted     uint64 `json:"content_evicted"`
 	ContentBytes       int64  `json:"content_bytes"`
 
-	// Adaptive replication: repetitions run per rep-loop cell and the
-	// number of cells the CI stopping rule halted early.
+	// Replication: repetitions run per rep-loop cell, the number of
+	// cells the CI stopping rule halted early, and the number the
+	// horizon cut short.
 	RepsPerCell       HistSnapshot `json:"reps_per_cell"`
 	CellsStoppedEarly uint64       `json:"cells_stopped_early"`
+	CellsHitHorizon   uint64       `json:"cells_hit_horizon"`
 
 	SweepCells uint64 `json:"sweep_cells"`
 }
@@ -335,6 +339,7 @@ func (c *Collector) Snapshot() Snapshot {
 		PhaseCells:         c.PhaseCells.Value(),
 		RepsPerCell:        c.RepsPerCell.Snapshot(),
 		CellsStoppedEarly:  c.CellsStoppedEarly.Value(),
+		CellsHitHorizon:    c.CellsHitHorizon.Value(),
 		SweepCells:         c.SweepCells.Value(),
 	}
 	for ph := Phase(0); ph < PhaseCount; ph++ {

@@ -86,6 +86,7 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 	}
 	fmt.Fprintf(ew, "qoe_reps_per_cell_sum %g\nqoe_reps_per_cell_count %d\n", s.RepsPerCell.Sum, s.RepsPerCell.Count)
 	counter("qoe_cells_stopped_early_total", "Cells halted early by the adaptive-replication CI rule.", s.CellsStoppedEarly)
+	counter("qoe_cells_hit_horizon_total", "Rep-loop cells cut off by the simulated-time horizon before their last rep.", s.CellsHitHorizon)
 
 	counter("qoe_sweep_cells_total", "Sweep cells completed (including cache hits).", s.SweepCells)
 	fcounter("qoe_collector_uptime_seconds_total", "Seconds since the collector was created.", s.UptimeSeconds)

@@ -216,9 +216,16 @@ func Start(from, to *netem.Node, src *Source, cfg Config, onDone func(Result)) *
 	eng.InitTimer(&st.sendTimer, st)
 	st.seq0 = eng.ReserveSeq(len(st.sched))
 	st.armSend()
-	end := time.Duration(n)*frameIv + StartupDelay + 3*time.Second
-	eng.ScheduleHandler(end, clipEnd{st})
+	eng.ScheduleHandler(StreamLength(p, n), clipEnd{st})
 	return st
+}
+
+// StreamLength is how long after its start a stream of the given
+// number of frames reports its result: its last frame's capture, the
+// startup delay, and three seconds for stragglers and repairs.
+func StreamLength(p Profile, frames int) time.Duration {
+	frameIv := time.Second / time.Duration(p.FPS)
+	return time.Duration(frames)*frameIv + StartupDelay + 3*time.Second
 }
 
 // schedule appends one send tick. The owned timer can only walk a

@@ -160,10 +160,15 @@ func Start(from, to *netem.Node, active []bool, playout time.Duration, onDone fu
 	eng.InitTimer(&c.sendTimer, c)
 	c.seq0 = eng.ReserveSeq(n)
 	c.armSend()
-	// Evaluate after the last deadline plus a generous network drain.
-	drain := time.Duration(n)*FrameInterval + playout + 5*time.Second
-	eng.ScheduleHandler(drain, callEnd{c})
+	eng.ScheduleHandler(CallLength(n, playout), callEnd{c})
 	return c
+}
+
+// CallLength is how long after its start a call of the given number of
+// frames and playout delay reports its result: after the last frame's
+// playout deadline plus a generous network drain.
+func CallLength(frames int, playout time.Duration) time.Duration {
+	return time.Duration(frames)*FrameInterval + playout + 5*time.Second
 }
 
 func (c *Call) sendFrame(r *rtp) {

@@ -121,14 +121,17 @@ type Metrics struct {
 	// SweepCells counts sweep cells completed (cache hits included).
 	SweepCells uint64 `json:"sweep_cells"`
 
-	// RepsTotal and RepCells summarize adaptive replication:
-	// repetitions actually run across the RepCells rep-loop cells that
-	// reported (RepsTotal shrinks below RepCells x Options.Reps when
-	// the stopping rule saves work), and CellsStoppedEarly counts the
-	// cells the rule halted before the configured cap.
+	// RepsTotal and RepCells summarize replication: repetitions
+	// actually run across the RepCells rep-loop cells that reported
+	// (RepsTotal shrinks below RepCells x Options.Reps when the
+	// stopping rule saves work). CellsStoppedEarly counts the cells the
+	// rule halted before the configured cap, and CellsHitHorizon the
+	// cells whose simulated-time horizon arrived before their last rep
+	// (a VoIP cell runs at most 112 calls).
 	RepsTotal         float64 `json:"reps_total"`
 	RepCells          uint64  `json:"rep_cells"`
 	CellsStoppedEarly uint64  `json:"cells_stopped_early"`
+	CellsHitHorizon   uint64  `json:"cells_hit_horizon"`
 }
 
 func metricsFromSnapshot(s telemetry.Snapshot) Metrics {
@@ -161,6 +164,7 @@ func metricsFromSnapshot(s telemetry.Snapshot) Metrics {
 		RepsTotal:         s.RepsPerCell.Sum,
 		RepCells:          s.RepsPerCell.Count,
 		CellsStoppedEarly: s.CellsStoppedEarly,
+		CellsHitHorizon:   s.CellsHitHorizon,
 	}
 	if s.CellWall.Count > 0 {
 		m.CellWallMeanSeconds = s.CellWall.Sum / float64(s.CellWall.Count)

@@ -96,6 +96,33 @@ func TestSessionTelemetryEndToEnd(t *testing.T) {
 	}
 }
 
+// TestHorizonStopIsNotAnEarlyStop: a VoIP cell asked for 120 calls
+// runs the 112 that fit in its 30-minute horizon, and the telemetry
+// says the horizon cut it short — in Metrics and in Prometheus — not
+// the CI rule, which is off.
+func TestHorizonStopIsNotAnEarlyStop(t *testing.T) {
+	col := NewCollector()
+	s := NewSession()
+	s.SetCollector(col)
+	sw := Sweep{Scenarios: []Scenario{{Workload: "noBG"}}, Buffers: []int{8}, Probes: []Probe{{Media: VoIP}}}
+	if _, err := s.Sweep(sw, Options{Reps: 120}); err != nil {
+		t.Fatal(err)
+	}
+	if m := s.Metrics(); m.RepsTotal != 112 || m.RepCells != 1 || m.CellsHitHorizon != 1 || m.CellsStoppedEarly != 0 {
+		t.Fatalf("reps %v over %d cells, %d horizon stops, %d early stops; want 112, 1, 1, 0",
+			m.RepsTotal, m.RepCells, m.CellsHitHorizon, m.CellsStoppedEarly)
+	}
+	var prom bytes.Buffer
+	if err := col.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"qoe_cells_hit_horizon_total 1\n", "qoe_cells_stopped_early_total 0\n"} {
+		if !strings.Contains(prom.String(), want) {
+			t.Errorf("prometheus output missing %q", want)
+		}
+	}
+}
+
 // TestMetricsWithoutCollector: Session.Metrics still reports the
 // engine-derived fields when no collector is attached.
 func TestMetricsWithoutCollector(t *testing.T) {
